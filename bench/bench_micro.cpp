@@ -56,14 +56,14 @@ void BM_AesGcmOpen(benchmark::State& state) {
   const auto key = crypto::HmacDrbg(crypto::to_bytes("k")).generate(16);
   crypto::AesGcm gcm(key);
   const crypto::Bytes nonce(12, 0x01);
-  const crypto::Bytes data(4096, 0x42);
+  const crypto::Bytes data(static_cast<std::size_t>(state.range(0)), 0x42);
   const auto sealed = gcm.seal(nonce, {}, data);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gcm.open(nonce, {}, sealed));
   }
-  state.SetBytesProcessed(state.iterations() * 4096);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AesGcmOpen);
+BENCHMARK(BM_AesGcmOpen)->Arg(4096)->Arg(65536);
 
 void BM_X25519Handshake(benchmark::State& state) {
   crypto::HmacDrbg rng(crypto::to_bytes("x"));

@@ -1,9 +1,38 @@
 #include "crypto/aes.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
+#include "crypto/gcm_internal.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace stf::crypto {
+
+namespace internal {
+
+bool hardware_supported() {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
+           __builtin_cpu_supports("ssse3");
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+Backend default_backend() {
+  return hardware_supported() ? Backend::kHardware : Backend::kPortable;
+}
+
+}  // namespace internal
+
 namespace {
 
 constexpr std::uint8_t kSbox[256] = {
@@ -46,9 +75,78 @@ inline std::uint32_t sub_word(std::uint32_t w) {
 
 inline std::uint32_t rot_word(std::uint32_t w) { return (w << 8) | (w >> 24); }
 
+#if defined(__x86_64__)
+// AES-NI kernels. `round_keys` is the byte-order schedule, 16-byte aligned.
+#define STF_AESNI __attribute__((target("aes,ssse3")))
+
+STF_AESNI inline __m128i aesni_encrypt(__m128i b, const __m128i* rk,
+                                       int rounds) {
+  b = _mm_xor_si128(b, rk[0]);
+  for (int r = 1; r < rounds; ++r) b = _mm_aesenc_si128(b, rk[r]);
+  return _mm_aesenclast_si128(b, rk[rounds]);
+}
+
+STF_AESNI void aesni_encrypt_block(const std::uint8_t* round_keys, int rounds,
+                                   std::uint8_t* block) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  auto* p = reinterpret_cast<__m128i*>(block);
+  _mm_storeu_si128(p, aesni_encrypt(_mm_loadu_si128(p), rk, rounds));
+}
+
+// Eight counter blocks go through the rounds together so the AESENC latency
+// of one block hides behind the other seven.
+STF_AESNI void aesni_ctr_xor(const std::uint8_t* round_keys, int rounds,
+                             const std::uint8_t* iv, std::uint8_t* data,
+                             std::size_t len) {
+  const auto* rk = reinterpret_cast<const __m128i*>(round_keys);
+  // Byte-reverses the counter word (and only it), so _mm_add_epi32 steps the
+  // counter mod 2^32 inside its own lane and never carries into the nonce.
+  const __m128i swap_ctr =
+      _mm_setr_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 14, 13, 12);
+  const __m128i one = _mm_setr_epi32(0, 0, 0, 1);
+  __m128i ctr = _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv)), swap_ctr);
+
+  constexpr std::size_t kLanes = 8;
+  std::size_t offset = 0;
+  for (; len - offset >= kLanes * 16; offset += kLanes * 16) {
+    __m128i b[kLanes];
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      b[j] = _mm_xor_si128(_mm_shuffle_epi8(ctr, swap_ctr), rk[0]);
+      ctr = _mm_add_epi32(ctr, one);
+    }
+    for (int r = 1; r < rounds; ++r) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        b[j] = _mm_aesenc_si128(b[j], rk[r]);
+      }
+    }
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      auto* p = reinterpret_cast<__m128i*>(data + offset + 16 * j);
+      const __m128i keystream = _mm_aesenclast_si128(b[j], rk[rounds]);
+      _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), keystream));
+    }
+  }
+  for (; offset < len; offset += 16) {
+    std::uint8_t keystream[16];
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(keystream),
+        aesni_encrypt(_mm_shuffle_epi8(ctr, swap_ctr), rk, rounds));
+    ctr = _mm_add_epi32(ctr, one);
+    const std::size_t take = std::min<std::size_t>(len - offset, 16);
+    for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
+  }
+}
+#endif  // __x86_64__
+
 }  // namespace
 
-Aes::Aes(BytesView key) {
+Aes::Aes(BytesView key) : Aes(key, internal::default_backend()) {}
+
+Aes::Aes(BytesView key, internal::Backend backend) : backend_(backend) {
+  if (backend == internal::Backend::kHardware &&
+      !internal::hardware_supported()) {
+    throw std::invalid_argument("Aes: CPU lacks AES-NI");
+  }
   std::size_t nk;  // key length in 32-bit words
   if (key.size() == 16) {
     nk = 4;
@@ -61,33 +159,38 @@ Aes::Aes(BytesView key) {
   }
 
   const std::size_t total_words = 4 * (rounds_ + 1);
+  std::uint32_t w[60] = {};
   for (std::size_t i = 0; i < nk; ++i) {
-    round_keys_[i] = load_be32(key.data() + 4 * i);
+    w[i] = load_be32(key.data() + 4 * i);
   }
   for (std::size_t i = nk; i < total_words; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
+    std::uint32_t temp = w[i - 1];
     if (i % nk == 0) {
       temp = sub_word(rot_word(temp)) ^
              (std::uint32_t{kRcon[i / nk]} << 24);
     } else if (nk > 6 && i % nk == 4) {
       temp = sub_word(temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
+  }
+  for (std::size_t i = 0; i < total_words; ++i) {
+    store_be32(round_keys_.data() + 4 * i, w[i]);
   }
 }
 
 void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
+#if defined(__x86_64__)
+  if (backend_ == internal::Backend::kHardware) {
+    aesni_encrypt_block(round_keys_.data(), rounds_, block);
+    return;
+  }
+#endif
   std::uint8_t state[16];
   std::memcpy(state, block, 16);
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      const std::uint32_t w = round_keys_[4 * round + c];
-      state[4 * c + 0] ^= static_cast<std::uint8_t>(w >> 24);
-      state[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-      state[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-      state[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-    }
+    const std::uint8_t* rk = round_keys_.data() + 16 * round;
+    for (int i = 0; i < 16; ++i) state[i] ^= rk[i];
   };
 
   auto sub_bytes = [&] {
@@ -139,6 +242,12 @@ void Aes::encrypt_block(std::uint8_t block[kBlockSize]) const {
 
 void Aes::ctr_xor(const std::uint8_t iv[kBlockSize], std::uint8_t* data,
                   std::size_t len) const {
+#if defined(__x86_64__)
+  if (backend_ == internal::Backend::kHardware) {
+    aesni_ctr_xor(round_keys_.data(), rounds_, iv, data, len);
+    return;
+  }
+#endif
   std::uint8_t counter[kBlockSize];
   std::memcpy(counter, iv, kBlockSize);
   std::uint8_t keystream[kBlockSize];

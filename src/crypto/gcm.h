@@ -2,7 +2,8 @@
 //
 // Every confidentiality+integrity boundary in secureTF — sealed EPC pages,
 // file-system-shield chunks, network-shield records, the CAS secret store —
-// goes through this AEAD.
+// goes through this AEAD. On x86-64 CPUs with AES-NI and PCLMULQDQ it runs on
+// those instructions; elsewhere on the portable code (see gcm_internal.h).
 #pragma once
 
 #include <optional>
@@ -19,6 +20,8 @@ class AesGcm {
 
   /// Key must be 16 or 32 bytes (AES-128-GCM / AES-256-GCM).
   explicit AesGcm(BytesView key);
+  /// Same, on an explicit implementation (tests compare the two).
+  AesGcm(BytesView key, internal::Backend backend);
 
   /// Encrypts `plaintext` bound to `aad`. Returns ciphertext || tag.
   /// `nonce` must be 12 bytes and MUST be unique per key.
@@ -36,7 +39,10 @@ class AesGcm {
   void gmul(Block& x) const;
 
   Aes aes_;
+  internal::Backend backend_;
   Block h_{};  // GHASH subkey: AES_K(0^128)
+  // Hardware path only: H, H^2, H^3, H^4, each byte-reversed for PCLMULQDQ.
+  std::array<std::uint8_t, 64> h_powers_{};
 };
 
 }  // namespace stf::crypto

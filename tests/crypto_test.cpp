@@ -2,10 +2,16 @@
 // test vectors (FIPS 180-4, RFC 4231, FIPS 197, NIST GCM, RFC 7748, RFC 5869).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "crypto/aes.h"
 #include "crypto/bytes.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
+#include "crypto/gcm_internal.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
@@ -13,8 +19,22 @@
 namespace stf::crypto {
 namespace {
 
+using internal::Backend;
+
 std::string hex_digest(const Sha256::Digest& d) {
   return to_hex(BytesView(d.data(), d.size()));
+}
+
+// The AES-GCM implementations this CPU runs: the portable reference always,
+// the AES-NI/PCLMULQDQ path where the CPU has it.
+std::vector<Backend> backends() {
+  std::vector<Backend> out = {Backend::kPortable};
+  if (internal::hardware_supported()) out.push_back(Backend::kHardware);
+  return out;
+}
+
+const char* name(Backend b) {
+  return b == Backend::kHardware ? "hardware" : "portable";
 }
 
 TEST(Sha256Test, EmptyString) {
@@ -108,19 +128,23 @@ TEST(HkdfTest, Rfc5869Case3EmptySaltInfo) {
 
 TEST(AesTest, Fips197Aes128) {
   const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
-  Aes aes(key);
-  auto block = from_hex("00112233445566778899aabbccddeeff");
-  aes.encrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a");
+  for (Backend b : backends()) {
+    Aes aes(key, b);
+    auto block = from_hex("00112233445566778899aabbccddeeff");
+    aes.encrypt_block(block.data());
+    EXPECT_EQ(to_hex(block), "69c4e0d86a7b0430d8cdb78070b4c55a") << name(b);
+  }
 }
 
 TEST(AesTest, Fips197Aes256) {
   const auto key =
       from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  Aes aes(key);
-  auto block = from_hex("00112233445566778899aabbccddeeff");
-  aes.encrypt_block(block.data());
-  EXPECT_EQ(to_hex(block), "8ea2b7ca516745bfeafc49904b496089");
+  for (Backend b : backends()) {
+    Aes aes(key, b);
+    auto block = from_hex("00112233445566778899aabbccddeeff");
+    aes.encrypt_block(block.data());
+    EXPECT_EQ(to_hex(block), "8ea2b7ca516745bfeafc49904b496089") << name(b);
+  }
 }
 
 TEST(AesTest, RejectsBadKeySize) {
@@ -141,6 +165,36 @@ TEST(AesTest, CtrRoundTrip) {
   EXPECT_EQ(data, original);
 }
 
+// GCM's inc32 steps only the last 4 bytes, mod 2^32. Starting at fffffffe,
+// the third block's counter wraps to 00000000 inside the hardware path's
+// first 8-block stride; the nonce bytes must not change.
+TEST(AesTest, CtrCounterWrapsWithoutCarryIntoNonce) {
+  const auto nonce = from_hex("cafebabefacedbaddecaf888");
+  for (const std::size_t key_size : {16u, 32u}) {
+    const Bytes key(key_size, 0x24);
+    const Aes reference(key, Backend::kPortable);
+    for (Backend b : backends()) {
+      const Aes aes(key, b);
+      std::uint8_t iv[16];
+      std::memcpy(iv, nonce.data(), 12);
+      store_be32(iv + 12, 0xfffffffe);
+      Bytes keystream(2 * 8 * 16 + 5, 0);  // two 8-block strides + a tail
+      aes.ctr_xor(iv, keystream.data(), keystream.size());
+      for (std::size_t i = 0; i * 16 < keystream.size(); ++i) {
+        std::uint8_t expect[16];
+        std::memcpy(expect, nonce.data(), 12);
+        store_be32(expect + 12, static_cast<std::uint32_t>(0xfffffffe + i));
+        reference.encrypt_block(expect);
+        const std::size_t take =
+            std::min<std::size_t>(16, keystream.size() - i * 16);
+        EXPECT_EQ(to_hex(BytesView(keystream.data() + i * 16, take)),
+                  to_hex(BytesView(expect, take)))
+            << name(b) << " key=" << key_size << " block=" << i;
+      }
+    }
+  }
+}
+
 // NIST GCM test vector (AES-128, 96-bit IV, with AAD).
 TEST(GcmTest, NistVectorWithAad) {
   const auto key = from_hex("feffe9928665731c6d6a8f9467308308");
@@ -149,30 +203,81 @@ TEST(GcmTest, NistVectorWithAad) {
       "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
       "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
   const auto aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
-  AesGcm gcm(key);
-  const auto sealed = gcm.seal(iv, aad, plaintext);
   const auto expect_ct = from_hex(
       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
   const auto expect_tag = from_hex("5bc94fbc3221a5db94fae95ae7121a47");
-  ASSERT_EQ(sealed.size(), expect_ct.size() + expect_tag.size());
-  EXPECT_EQ(to_hex(BytesView(sealed.data(), expect_ct.size())),
-            to_hex(expect_ct));
-  EXPECT_EQ(to_hex(BytesView(sealed.data() + expect_ct.size(), 16)),
-            to_hex(expect_tag));
+  for (Backend b : backends()) {
+    AesGcm gcm(key, b);
+    const auto sealed = gcm.seal(iv, aad, plaintext);
+    ASSERT_EQ(sealed.size(), expect_ct.size() + expect_tag.size());
+    EXPECT_EQ(to_hex(BytesView(sealed.data(), expect_ct.size())),
+              to_hex(expect_ct))
+        << name(b);
+    EXPECT_EQ(to_hex(BytesView(sealed.data() + expect_ct.size(), 16)),
+              to_hex(expect_tag))
+        << name(b);
 
-  const auto opened = gcm.open(iv, aad, sealed);
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plaintext);
+    const auto opened = gcm.open(iv, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << name(b);
+    EXPECT_EQ(*opened, plaintext) << name(b);
+  }
+}
+
+// NIST GCM test case 3: AES-128, 64 bytes, no AAD. Exactly one 4-block
+// stride of the hardware GHASH.
+TEST(GcmTest, NistCase3FourBlocksNoAad) {
+  const auto key = from_hex("feffe9928665731c6d6a8f9467308308");
+  const auto iv = from_hex("cafebabefacedbaddecaf888");
+  const auto plaintext = from_hex(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
+  const std::string expect =
+      "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
+      "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+      "4d5c2af327cd64a62cf35abd2ba6fab4";
+  for (Backend b : backends()) {
+    AesGcm gcm(key, b);
+    const auto sealed = gcm.seal(iv, {}, plaintext);
+    EXPECT_EQ(to_hex(sealed), expect) << name(b);
+    const auto opened = gcm.open(iv, {}, sealed);
+    ASSERT_TRUE(opened.has_value()) << name(b);
+    EXPECT_EQ(*opened, plaintext) << name(b);
+  }
+}
+
+// NIST GCM test case 16: AES-256 (the fs shield's key size), with AAD.
+TEST(GcmTest, NistCase16Aes256WithAad) {
+  const auto key = from_hex(
+      "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
+  const auto iv = from_hex("cafebabefacedbaddecaf888");
+  const auto plaintext = from_hex(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+  const auto aad = from_hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+  const std::string expect =
+      "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+      "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+      "76fc6ece0f4e1768cddf8853bb2d551b";
+  for (Backend b : backends()) {
+    AesGcm gcm(key, b);
+    const auto sealed = gcm.seal(iv, aad, plaintext);
+    EXPECT_EQ(to_hex(sealed), expect) << name(b);
+    const auto opened = gcm.open(iv, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << name(b);
+    EXPECT_EQ(*opened, plaintext) << name(b);
+  }
 }
 
 TEST(GcmTest, EmptyPlaintextProducesTagOnly) {
   const auto key = from_hex("00000000000000000000000000000000");
   const auto iv = from_hex("000000000000000000000000");
-  AesGcm gcm(key);
-  const auto sealed = gcm.seal(iv, {}, {});
-  ASSERT_EQ(sealed.size(), AesGcm::kTagSize);
-  EXPECT_EQ(to_hex(sealed), "58e2fccefa7e3061367f1d57a4e7455a");
+  for (Backend b : backends()) {
+    AesGcm gcm(key, b);
+    const auto sealed = gcm.seal(iv, {}, {});
+    ASSERT_EQ(sealed.size(), AesGcm::kTagSize);
+    EXPECT_EQ(to_hex(sealed), "58e2fccefa7e3061367f1d57a4e7455a") << name(b);
+  }
 }
 
 TEST(GcmTest, TamperedCiphertextRejected) {
@@ -209,6 +314,72 @@ TEST(GcmTest, WrongNonceRejected) {
       gcm.seal(from_hex("000000000000000000000001"), {}, to_bytes("payload"));
   EXPECT_FALSE(
       gcm.open(from_hex("000000000000000000000002"), {}, sealed).has_value());
+}
+
+struct GcmCase {
+  Bytes key, nonce, aad, plaintext;
+};
+
+// Every length 0-300, then lengths around the 8-block CTR and 4-block GHASH
+// strides up to one 64 KiB fs-shield chunk + 5. AAD lengths are mostly not
+// multiples of 16. Both key sizes.
+std::vector<GcmCase> sweep_cases() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n :
+       {383u, 384u, 385u, 1023u, 1200u, 4096u, 4101u, 65536u, 65541u}) {
+    lengths.push_back(n);
+  }
+  HmacDrbg drbg(to_bytes("gcm-equivalence-sweep"));
+  std::vector<GcmCase> cases;
+  for (std::size_t key_size : {16u, 32u}) {
+    const Bytes key = drbg.generate(key_size);
+    for (std::size_t n : lengths) {
+      Bytes nonce = drbg.generate(12);
+      Bytes aad = drbg.generate((n * 7) % 41);
+      Bytes plaintext = drbg.generate(n);
+      cases.push_back({key, nonce, aad, plaintext});
+    }
+  }
+  return cases;
+}
+
+// SHA-256 over every sweep case's ciphertext || tag, as produced by the
+// implementation before the hardware path existed. Both paths must keep it.
+TEST(GcmTest, SweepOutputsMatchPinnedDigest) {
+  const auto cases = sweep_cases();
+  for (Backend b : backends()) {
+    Sha256 digest;
+    for (const auto& c : cases) {
+      digest.update(AesGcm(c.key, b).seal(c.nonce, c.aad, c.plaintext));
+    }
+    EXPECT_EQ(hex_digest(digest.finish()),
+              "3fb785afd36f6f639f8e2f58fecff6b5051da044926d911c5887c9b447c02861")
+        << name(b);
+  }
+}
+
+TEST(GcmTest, HardwareMatchesPortableAcrossLengths) {
+  if (!internal::hardware_supported()) {
+    GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ";
+  }
+  for (const auto& c : sweep_cases()) {
+    const AesGcm portable(c.key, Backend::kPortable);
+    const AesGcm hardware(c.key, Backend::kHardware);
+    const auto where = "key=" + std::to_string(c.key.size()) +
+                       " len=" + std::to_string(c.plaintext.size()) +
+                       " aad=" + std::to_string(c.aad.size());
+    auto sealed = hardware.seal(c.nonce, c.aad, c.plaintext);
+    ASSERT_EQ(sealed, portable.seal(c.nonce, c.aad, c.plaintext)) << where;
+    for (const AesGcm* gcm : {&portable, &hardware}) {
+      const auto opened = gcm->open(c.nonce, c.aad, sealed);
+      ASSERT_TRUE(opened.has_value()) << where;
+      EXPECT_EQ(*opened, c.plaintext) << where;
+    }
+    sealed.back() ^= 0x01;
+    EXPECT_FALSE(portable.open(c.nonce, c.aad, sealed).has_value()) << where;
+    EXPECT_FALSE(hardware.open(c.nonce, c.aad, sealed).has_value()) << where;
+  }
 }
 
 TEST(X25519Test, Rfc7748Vector1) {
