@@ -77,10 +77,6 @@ struct Request {
   /// meaning "untraced". The serving plane only uses it while
   /// obs::tracing_enabled(); it does not enter fingerprint().
   std::uint64_t trace_id = 0;
-  /// Simulated client→fleet wire delay the fleet charged this request
-  /// before it reached a node queue (filled by ServingFleet so traces can
-  /// separate wire time from queue time). Not part of the generated trace.
-  std::uint64_t wire_ns = 0;
   const ml::Tensor* input = nullptr;
 };
 

@@ -7,7 +7,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "crypto/bytes.h"
 #include "crypto/drbg.h"
@@ -38,10 +38,9 @@ ServingObs& serving_obs() {
   return *o;
 }
 
-// Request-plane traffic series, kept separate from ServingObs so code paths
-// that never run serve_trace (all pre-existing benches) do not register
-// them — registry exports list every registered series and the committed
-// BENCH baselines must stay byte-identical with batching off.
+// Request-plane series, registered on the first serve_trace and kept
+// separate from ServingObs so benches that never run traffic do not list
+// them — registry exports list every registered series.
 struct TrafficObs {
   obs::Counter& offered = obs::Registry::global().counter(
       obs::names::kServingRequestsOffered, "requests offered to serve_trace");
@@ -61,17 +60,6 @@ struct TrafficObs {
   obs::QuantileSeries& e2e_ns = obs::Registry::global().quantiles(
       obs::names::kServingE2eQuantileNs,
       "exact p50/p95/p99 of arrival-to-completion request latency");
-};
-
-TrafficObs& traffic_obs() {
-  static TrafficObs* o = new TrafficObs();
-  return *o;
-}
-
-// Failover series, registered only when the fault-tolerant serve_trace path
-// actually runs (fault plane attached, retry or hedging on) — faults-off
-// runs must keep their registry exports byte-identical to PR-6 baselines.
-struct FailoverObs {
   obs::Counter& detections = obs::Registry::global().counter(
       obs::names::kServingFailoverDetections,
       "mid-trace crash detections (dispatch timeouts)");
@@ -94,8 +82,8 @@ struct FailoverObs {
       "half-open probes that re-admitted a node");
 };
 
-FailoverObs& failover_obs() {
-  static FailoverObs* o = new FailoverObs();
+TrafficObs& traffic_obs() {
+  static TrafficObs* o = new TrafficObs();
   return *o;
 }
 
@@ -171,6 +159,41 @@ std::uint64_t nearest_rank(std::vector<std::uint64_t>& values, double q) {
                    values.end());
   return values[rank - 1];
 }
+
+/// The fleet's circuit breaker over FleetNodeStatus, shared by serve_trace
+/// and estimate_resilient. Every failed dispatch is a strike; the circuit
+/// opens for the cool-down at `failure_threshold` consecutive strikes, or
+/// at the first strike while on probation. The first dispatch after the
+/// cool-down is the half-open probe: success closes the circuit.
+struct CircuitBreaker {
+  explicit CircuitBreaker(const FleetResilienceConfig& cfg)
+      : threshold(cfg.failure_threshold),
+        cooldown_ns(static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9)) {}
+
+  /// A dispatch found the node dead; the dispatcher knew at `detected_ns`.
+  void strike(FleetNodeStatus& s, std::uint64_t detected_ns) const {
+    ++s.failures_total;
+    ++s.consecutive_failures;
+    serving_obs().dispatch_failures.add();
+    if (s.probation || s.consecutive_failures >= threshold) {
+      s.ejected_until_ns = detected_ns + cooldown_ns;
+      s.probation = true;  // half-open next time: one strike re-ejects
+      ++s.ejections;
+      serving_obs().ejections.add();
+      s.consecutive_failures = 0;
+    }
+  }
+
+  /// A dispatch succeeded. Returns true when it was the half-open probe
+  /// that re-admitted the node.
+  static bool succeed(FleetNodeStatus& s) {
+    s.consecutive_failures = 0;
+    return std::exchange(s.probation, false);
+  }
+
+  unsigned threshold;
+  std::uint64_t cooldown_ns;
+};
 
 }  // namespace
 
@@ -350,180 +373,6 @@ double ServingNode::classify_stream(const ml::Tensor& image,
   return static_cast<double>(end - start) / 1e9;
 }
 
-std::vector<RequestOutcome> ServingNode::serve_trace(
-    const std::vector<Request>& requests, const BatchWindowConfig& window) {
-  if (window.max_batch < 1) {
-    throw std::invalid_argument("serve_trace: max_batch must be >= 1");
-  }
-  if (window.max_wait_s < 0) {
-    throw std::invalid_argument("serve_trace: max_wait_s must be >= 0");
-  }
-  const auto wait_ns =
-      static_cast<std::uint64_t>(std::llround(window.max_wait_s * 1e9));
-
-  std::vector<RequestOutcome> outcomes;
-  outcomes.reserve(requests.size());
-  traffic_obs().offered.add(requests.size());
-
-  const bool tracing = obs::tracing_enabled();
-  obs::Timeline& tl = obs::Timeline::global();
-  if (tl.enabled()) {
-    // Offered load is bucketed at *client* arrival (before the wire), the
-    // clock the SLO monitor reasons in.
-    for (const Request& r : requests) {
-      tl.record_offered(r.arrival_ns - r.wire_ns);
-    }
-  }
-
-  std::deque<const Request*> pending;
-  std::size_t next = 0;
-
-  // Admission control: requests arriving while the queue is at capacity are
-  // shed immediately (the client gets an instant reject, not a slow miss).
-  auto admit_until = [&](std::uint64_t t) {
-    while (next < requests.size() && requests[next].arrival_ns <= t) {
-      const Request& r = requests[next++];
-      if (window.queue_capacity > 0 &&
-          static_cast<std::int64_t>(pending.size()) >= window.queue_capacity) {
-        RequestOutcome o;
-        o.id = r.id;
-        o.status = RequestStatus::ShedQueueFull;
-        o.arrival_ns = r.arrival_ns;
-        o.node = static_cast<std::int64_t>(ordinal_);
-        outcomes.push_back(o);
-        traffic_obs().shed_queue_full.add();
-        tl.record_shed(r.arrival_ns - r.wire_ns);
-      } else {
-        pending.push_back(&r);
-        if (tracing && r.trace_id != 0) {
-          TraceSites& ts = trace_sites();
-          obs::ScopedLane ql(static_cast<std::uint16_t>(ordinal_),
-                             kQueueLaneTid);
-          ts.tracer.record_flow(ts.flow, r.trace_id, r.arrival_ns - r.wire_ns,
-                                obs::FlowPhase::Start);
-        }
-      }
-    }
-  };
-
-  while (next < requests.size() || !pending.empty()) {
-    if (pending.empty()) {
-      admit_until(requests[next].arrival_ns);
-      continue;
-    }
-    const std::uint64_t head_arrival = pending.front()->arrival_ns;
-    const std::uint64_t lane_free = next_free_ns();
-    std::uint64_t dispatch_at = std::max(lane_free, head_arrival);
-    admit_until(dispatch_at);
-
-    // Batch window: the queue head waits up to `wait_ns` for the batch to
-    // fill; each admitted arrival pushes the launch to its arrival time,
-    // and an unfilled window launches at close.
-    if (static_cast<std::int64_t>(pending.size()) < window.max_batch) {
-      const std::uint64_t close = std::max(dispatch_at, head_arrival + wait_ns);
-      while (static_cast<std::int64_t>(pending.size()) < window.max_batch &&
-             next < requests.size() && requests[next].arrival_ns <= close) {
-        const std::uint64_t t = requests[next].arrival_ns;
-        admit_until(t);
-        dispatch_at = std::max(dispatch_at, t);
-      }
-      if (static_cast<std::int64_t>(pending.size()) < window.max_batch) {
-        dispatch_at = close;
-      }
-      admit_until(dispatch_at);
-    }
-
-    // Pop the batch, shedding requests whose deadline already passed — a
-    // guaranteed SLO miss is not worth a batch slot.
-    std::vector<const Request*> batch;
-    std::vector<const ml::Tensor*> batch_inputs;
-    while (!pending.empty() &&
-           static_cast<std::int64_t>(batch.size()) < window.max_batch) {
-      const Request* r = pending.front();
-      pending.pop_front();
-      if (window.shed_expired && r->deadline_ns != 0 &&
-          r->deadline_ns < dispatch_at) {
-        RequestOutcome o;
-        o.id = r->id;
-        o.status = RequestStatus::ShedExpired;
-        o.arrival_ns = r->arrival_ns;
-        o.node = static_cast<std::int64_t>(ordinal_);
-        outcomes.push_back(o);
-        traffic_obs().shed_expired.add();
-        tl.record_shed(dispatch_at);
-        continue;
-      }
-      batch.push_back(r);
-      batch_inputs.push_back(r->input);
-    }
-    if (batch.empty()) continue;  // the whole window expired
-
-    // Causal linkage: pre-allocate each member's service span (the head's
-    // becomes the batch's parent context inside serve_batch) and compute
-    // the phase decomposition; recorded once the completion is known.
-    BatchTraceInfo tinfo;
-    std::vector<MemberTrace> members;
-    if (tracing) {
-      for (const Request* r : batch) {
-        if (r->trace_id == 0) continue;
-        MemberTrace m;
-        m.trace_id = r->trace_id;
-        m.client_arrival_ns = r->arrival_ns - r->wire_ns;
-        m.wire_end_ns = r->arrival_ns;
-        m.node_arrival_ns = r->arrival_ns;
-        m.queue_end_ns =
-            std::min(dispatch_at, std::max(r->arrival_ns, lane_free));
-        m.service_span_id = obs::SpanTracer::global().alloc_span_id();
-        members.push_back(m);
-        tinfo.member_trace_ids.push_back(r->trace_id);
-      }
-      if (!members.empty()) {
-        tinfo.trace_id = members.front().trace_id;
-        tinfo.parent_span_id = members.front().service_span_id;
-      }
-    }
-
-    // No lane advanced since dispatch_at was computed, so serve_batch picks
-    // the same least-loaded lane that priced it.
-    const std::uint64_t completion = serve_batch(
-        batch_inputs, dispatch_at, members.empty() ? nullptr : &tinfo);
-
-    for (const MemberTrace& m : members) {
-      record_member_trace(m, static_cast<std::uint16_t>(ordinal_), dispatch_at,
-                          completion);
-    }
-    tl.record_batch(dispatch_at, static_cast<std::int64_t>(batch.size()));
-    tl.record_queue_depth(
-        dispatch_at, static_cast<std::int64_t>(pending.size() + batch.size()));
-
-    for (const Request* r : batch) {
-      RequestOutcome o;
-      o.id = r->id;
-      o.status = RequestStatus::Completed;
-      o.arrival_ns = r->arrival_ns;
-      o.dispatch_ns = dispatch_at;
-      o.completion_ns = completion;
-      o.batch_size = static_cast<std::int64_t>(batch.size());
-      o.slo_miss = r->deadline_ns != 0 && completion > r->deadline_ns;
-      o.node = static_cast<std::int64_t>(ordinal_);
-      outcomes.push_back(o);
-      traffic_obs().completed.add();
-      if (o.slo_miss) traffic_obs().slo_misses.add();
-      traffic_obs().queue_wait_ns.observe(dispatch_at - r->arrival_ns);
-      traffic_obs().e2e_ns.observe(completion - r->arrival_ns);
-      serving_obs().request_quantile_ns.observe(completion - dispatch_at);
-      tl.record_completed(completion, completion - (r->arrival_ns - r->wire_ns),
-                          o.slo_miss);
-    }
-  }
-
-  std::sort(outcomes.begin(), outcomes.end(),
-            [](const RequestOutcome& a, const RequestOutcome& b) {
-              return a.id < b.id;
-            });
-  return outcomes;
-}
-
 double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
                                             std::int64_t count,
                                             int warmup_rounds,
@@ -584,14 +433,6 @@ void ServingFleet::attach_fault_plane(faults::FaultPlane& plane,
   }
 }
 
-void ServingFleet::sync_gpu_status() {
-  if (!config_.inference.gpu_offload) return;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    status_[i].gpu_fallbacks = nodes_[i]->gpu_fallbacks();
-    status_[i].gpu_distrusted = nodes_[i]->gpu_distrusted();
-  }
-}
-
 void ServingFleet::configure_retry(RequestRetryPolicy policy) {
   retry_ = policy;
   if (!resilience_.has_value()) resilience_ = FleetResilienceConfig{};
@@ -636,70 +477,18 @@ double ServingFleet::estimate_stream_seconds(const ml::Tensor& image,
   return slowest + per_request_s * static_cast<double>(per_node);
 }
 
+// The request plane (docs/SERVING.md). One global event loop drives every
+// node: each step picks the node whose next batch could launch earliest,
+// runs its admission, batch window and deadline shedding, and probes the
+// fault plane's crash schedule (if one is attached) at dispatch. A dispatch
+// that finds the node dead costs the dispatcher `detect_timeout_seconds`,
+// takes a circuit-breaker strike, and re-steers the queued-but-unserved
+// requests to the least-loaded live node; a crash window opening
+// mid-service loses the in-flight batch the same way. Lost requests burn
+// client retries (exponential backoff + seeded jitter) when configured, and
+// become terminal FailedNodeDown otherwise — every offered request ends in
+// exactly one terminal RequestOutcome.
 std::vector<RequestOutcome> ServingFleet::serve_trace(
-    const std::vector<Request>& requests, const BatchWindowConfig& window) {
-  if (failover_active()) return serve_trace_failover(requests, window);
-  if (alive_node_count() == 0) {
-    throw runtime::TransientError("serving fleet: no live nodes");
-  }
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < status_.size(); ++i) {
-    if (status_[i].alive) live.push_back(i);
-  }
-
-  // Partition round-robin by request order; each request reaches its node's
-  // queue only after paying the network shield + LAN shipping cost.
-  std::vector<std::vector<Request>> shifted(live.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    Request r = requests[i];
-    const std::uint64_t bytes = r.input->byte_size();
-    r.wire_ns = config_.model.netshield_ns(bytes) +
-                config_.model.lan_transfer_ns(bytes);
-    r.arrival_ns += r.wire_ns;  // nodes see post-wire arrivals; wire_ns lets
-                                // them recover the client clock for traces
-    shifted[i % live.size()].push_back(r);
-  }
-
-  std::vector<RequestOutcome> merged;
-  merged.reserve(requests.size());
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    std::vector<RequestOutcome> part =
-        nodes_[live[k]]->serve_trace(shifted[k], window);
-    status_[live[k]].served +=
-        static_cast<std::int64_t>(summarize(part).completed);
-    merged.insert(merged.end(), part.begin(), part.end());
-  }
-
-  // Report client-side arrivals so e2e latency includes the wire; deadlines
-  // were absolute all along, so slo_miss already accounts for it.
-  std::unordered_map<std::int64_t, std::uint64_t> client_arrival;
-  client_arrival.reserve(requests.size());
-  for (const Request& r : requests) client_arrival[r.id] = r.arrival_ns;
-  for (RequestOutcome& o : merged) {
-    const auto it = client_arrival.find(o.id);
-    if (it != client_arrival.end()) o.arrival_ns = it->second;
-  }
-  std::sort(merged.begin(), merged.end(),
-            [](const RequestOutcome& a, const RequestOutcome& b) {
-              return a.id < b.id;
-            });
-  sync_gpu_status();
-  return merged;
-}
-
-// Fault-tolerant request plane (docs/SERVING.md). One global event loop
-// drives every node: each step picks the node whose next batch could launch
-// earliest, runs its admission + batch window exactly like the single-node
-// path (so with no faults the outcomes match the fast path bit-for-bit),
-// and probes the fault plane's crash schedule at dispatch. A dispatch that
-// finds the node dead costs the dispatcher `detect_timeout_seconds`, opens
-// the circuit at the failure threshold (probation re-ejects in one), and
-// re-steers the queued-but-unserved requests to the least-loaded live node;
-// a crash window opening mid-service loses the in-flight batch the same
-// way. Lost requests burn client retries (exponential backoff + seeded
-// jitter) when configured, and become terminal FailedNodeDown otherwise —
-// every offered request ends in exactly one terminal RequestOutcome.
-std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     const std::vector<Request>& requests, const BatchWindowConfig& window) {
   if (window.max_batch < 1) {
     throw std::invalid_argument("serve_trace: max_batch must be >= 1");
@@ -716,8 +505,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       static_cast<std::uint64_t>(std::llround(window.max_wait_s * 1e9));
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
-  const auto cooldown_ns =
-      static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9);
+  const CircuitBreaker breaker(cfg);
   const bool hedging = hedge_.has_value() && hedge_->enabled;
   const std::uint64_t hedge_ns =
       hedging ? static_cast<std::uint64_t>(
@@ -756,6 +544,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   struct Terminal {
     RequestOutcome out;
     std::uint64_t node_arrival_ns = 0;
+    std::uint64_t shed_ns = 0;  ///< where the decision lands on the Timeline
     bool by_hedge = false;
   };
   constexpr int kStrikeBudget = 8;
@@ -764,9 +553,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   std::map<std::int64_t, Terminal> done;
   std::set<std::int64_t> hedged;
 
-  // Static partition round-robin over nodes alive at trace start (identical
-  // to the fast path when no mid-trace faults fire); every arrival pays the
-  // network shield + LAN cost before reaching its node's queue.
+  // Static partition round-robin by request order over the nodes alive at
+  // trace start; every arrival pays the network shield + LAN cost before
+  // reaching its node's queue.
   std::vector<std::size_t> live;
   for (std::size_t i = 0; i < n; ++i) {
     if (status_[i].alive) live.push_back(i);
@@ -782,7 +571,6 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   }
 
   traffic_obs().offered.add(requests.size());
-  failover_obs();  // register the failover series for this run's exports
 
   const bool tracing = obs::tracing_enabled();
   obs::Timeline& tl = obs::Timeline::global();
@@ -797,7 +585,11 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
                fault_base_id_ + static_cast<std::uint32_t>(i), t);
   };
 
-  auto record_shed = [&](const Pending& p, RequestStatus st, std::size_t i) {
+  // A shed is stamped on the Timeline where its decision is made: at the
+  // client arrival for an admission reject, at the dispatch instant for an
+  // expired deadline.
+  auto record_shed = [&](const Pending& p, RequestStatus st, std::size_t i,
+                         std::uint64_t shed_ns) {
     if (p.is_hedge) return;  // the primary copy lives (or ended) elsewhere
     if (done.count(p.req->id) != 0) return;  // keep the first terminal state
     Terminal t;
@@ -807,6 +599,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     t.out.steered_from = p.steered_from;
     t.out.node = static_cast<std::int64_t>(i);
     t.node_arrival_ns = p.arrival_ns;
+    t.shed_ns = shed_ns;
     done.emplace(p.req->id, t);
   };
 
@@ -917,7 +710,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     p.arrival_ns = detected_ns + backoff + jit;
     const auto dest = pick_dest(i, p.arrival_ns);
     inbox_push(dest.value_or(i), p);
-    failover_obs().retries.add();
+    traffic_obs().retries.add();
   };
 
   // A crash was detected on node i at `t`: the dispatcher pays the
@@ -928,7 +721,6 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
   // unbounded outage still terminates every request.
   auto handle_failure = [&](std::size_t i, std::uint64_t t) {
     NodeLoop& nl = loops[i];
-    FleetNodeStatus& st = status_[i];
     const std::uint64_t detected = t + detect_ns;
     nl.not_before_ns = detected;
     {
@@ -937,17 +729,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       obs::ScopedLane lane_scope(static_cast<std::uint16_t>(i), 0);
       obs::SpanTracer::global().record(span_id, t, detected);
     }
-    failover_obs().detections.add();
-    serving_obs().dispatch_failures.add();
-    ++st.failures_total;
-    ++st.consecutive_failures;
-    if (st.probation || st.consecutive_failures >= cfg.failure_threshold) {
-      st.ejected_until_ns = detected + cooldown_ns;
-      st.probation = true;  // half-open next time: one strike re-ejects
-      ++st.ejections;
-      serving_obs().ejections.add();
-      st.consecutive_failures = 0;
-    }
+    traffic_obs().detections.add();
+    breaker.strike(status_[i], detected);
     const auto dest = pick_dest(i, detected);
     std::deque<Pending> keep;
     while (!nl.queue.empty()) {
@@ -963,7 +746,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
         p.arrival_ns = detected;
         p.steered_from = static_cast<std::int64_t>(i);
         inbox_push(*dest, p);
-        failover_obs().resteered.add();
+        traffic_obs().resteered.add();
       } else {
         keep.push_back(p);
       }
@@ -983,7 +766,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
 
   // Admission merges the static stream with the inbox in arrival order
   // (stream wins ties — it was scheduled first); arrivals beyond the queue
-  // capacity are shed immediately, exactly like the single-node path.
+  // capacity are shed immediately (the client gets an instant reject, not a
+  // slow miss).
   auto admit_until = [&](std::size_t i, std::uint64_t t) {
     NodeLoop& nl = loops[i];
     while (true) {
@@ -1003,7 +787,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       }
       if (window.queue_capacity > 0 &&
           static_cast<std::int64_t>(nl.queue.size()) >= window.queue_capacity) {
-        record_shed(p, RequestStatus::ShedQueueFull, i);
+        record_shed(p, RequestStatus::ShedQueueFull, i, p.req->arrival_ns);
       } else {
         if (tracing && p.req->trace_id != 0) {
           // One flow chain per request: the original copy starts it at the
@@ -1060,9 +844,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     std::uint64_t dispatch_at = std::max(lane_free, head_arrival);
     admit_until(i, dispatch_at);
 
-    // Batch window, same policy as the single-node path with the inbox
-    // merged in: each admitted arrival pushes the launch to its arrival
-    // time, and an unfilled window launches at close.
+    // Batch window: the queue head waits up to `wait_ns` for the batch to
+    // fill; each admitted arrival pushes the launch to its arrival time, and
+    // an unfilled window launches at close.
     if (static_cast<std::int64_t>(nl.queue.size()) < window.max_batch) {
       const std::uint64_t close = std::max(dispatch_at, head_arrival + wait_ns);
       while (static_cast<std::int64_t>(nl.queue.size()) < window.max_batch) {
@@ -1082,14 +866,11 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       handle_failure(i, dispatch_at);
       continue;
     }
-    if (st.probation) {
-      st.probation = false;  // half-open probe succeeded: circuit closes
-      failover_obs().readmissions.add();
-    }
-    st.consecutive_failures = 0;
+    if (CircuitBreaker::succeed(st)) traffic_obs().readmissions.add();
 
-    // Assemble the batch: expired requests are shed, and copies whose twin
-    // already completed in this batch's past are cancelled (hedge losers).
+    // Assemble the batch: expired requests are shed (a guaranteed SLO miss
+    // is not worth a batch slot), and copies whose twin already completed
+    // in this batch's past are cancelled (hedge losers).
     std::vector<Pending> batch;
     std::vector<const ml::Tensor*> inputs;
     while (!nl.queue.empty() &&
@@ -1103,7 +884,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
       }
       if (window.shed_expired && p.req->deadline_ns != 0 &&
           p.req->deadline_ns < dispatch_at) {
-        record_shed(p, RequestStatus::ShedExpired, i);
+        record_shed(p, RequestStatus::ShedExpired, i, dispatch_at);
         continue;
       }
       batch.push_back(p);
@@ -1111,10 +892,12 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
     }
     if (batch.empty()) continue;  // the whole window expired or cancelled
 
-    // Causal linkage, same shape as the single-node path. A retried copy's
-    // wire span still covers only the wire; the backoff+detection gap
-    // between it and this copy's node arrival is left uncovered on purpose
-    // (trace_report shows it as explicit slack).
+    // Causal linkage: pre-allocate each member's service span (the head's
+    // becomes the batch's parent context inside serve_batch) and compute the
+    // phase decomposition; recorded once the batch really completes. A
+    // retried copy's wire span still covers only the wire; the
+    // backoff+detection gap between it and this copy's node arrival is left
+    // uncovered on purpose (trace_report shows it as explicit slack).
     BatchTraceInfo tinfo;
     std::vector<MemberTrace> members;
     if (tracing) {
@@ -1191,7 +974,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
           twin.steered_from = static_cast<std::int64_t>(i);
           inbox_push(*dest, twin);
           hedged.insert(h.req->id);
-          failover_obs().hedges.add();
+          traffic_obs().hedges.add();
         }
       }
     }
@@ -1220,20 +1003,20 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
         serving_obs().request_quantile_ns.observe(o.completion_ns -
                                                   o.dispatch_ns);
         if (o.node >= 0) ++status_[static_cast<std::size_t>(o.node)].served;
-        if (it->second.by_hedge) failover_obs().hedge_wins.add();
+        if (it->second.by_hedge) traffic_obs().hedge_wins.add();
         tl.record_completed(o.completion_ns, o.completion_ns - o.arrival_ns,
                             o.slo_miss);
         break;
       case RequestStatus::ShedQueueFull:
         traffic_obs().shed_queue_full.add();
-        tl.record_shed(o.arrival_ns);
+        tl.record_shed(it->second.shed_ns);
         break;
       case RequestStatus::ShedExpired:
         traffic_obs().shed_expired.add();
-        tl.record_shed(o.arrival_ns);
+        tl.record_shed(it->second.shed_ns);
         break;
       case RequestStatus::FailedNodeDown:
-        failover_obs().failed_requests.add();
+        traffic_obs().failed_requests.add();
         break;
     }
   }
@@ -1241,18 +1024,21 @@ std::vector<RequestOutcome> ServingFleet::serve_trace_failover(
             [](const RequestOutcome& a, const RequestOutcome& b) {
               return a.id < b.id;
             });
-  sync_gpu_status();
+  if (config_.inference.gpu_offload) {
+    for (std::size_t i = 0; i < n; ++i) {
+      status_[i].gpu_fallbacks = nodes_[i]->gpu_fallbacks();
+      status_[i].gpu_distrusted = nodes_[i]->gpu_distrusted();
+    }
+  }
   return out;
 }
 
 // Health-tracking dispatch loop: the stream is served in dispatch rounds;
 // each round hands a quantum of images to every admitted node in parallel.
 // A dispatch to a dead node costs the dispatcher a detection timeout and a
-// failure count; `failure_threshold` consecutive failures open the node's
-// circuit for `cooldown_seconds`, after which one half-open probe decides
-// between re-admission (success closes the circuit) and immediate
-// re-ejection. Load is re-steered across whatever is admitted, so with k of
-// n nodes down the stream still completes — slower, never hung.
+// CircuitBreaker strike, the same breaker serve_trace uses. Load is
+// re-steered across whatever is admitted, so with k of n nodes down the
+// stream still completes — slower, never hung.
 double ServingFleet::estimate_resilient(const ml::Tensor& image,
                                         std::int64_t count) {
   const FleetResilienceConfig& cfg = *resilience_;
@@ -1287,8 +1073,7 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
 
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
-  const auto cooldown_ns =
-      static_cast<std::uint64_t>(cfg.cooldown_seconds * 1e9);
+  const CircuitBreaker breaker(cfg);
 
   // Each estimate call is its own timeline (virtual time restarts at 0), so
   // deadlines from a previous stream are stale: previously ejected nodes
@@ -1324,21 +1109,11 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
     for (const std::size_t i : admitted) {
       FleetNodeStatus& s = status_[i];
       if (!s.alive) {
-        ++s.failures_total;
-        ++s.consecutive_failures;
-        serving_obs().dispatch_failures.add();
         now_ns += detect_ns;
-        if (s.probation || s.consecutive_failures >= cfg.failure_threshold) {
-          s.ejected_until_ns = now_ns + cooldown_ns;
-          s.probation = true;  // half-open next time: one strike re-ejects
-          ++s.ejections;
-          serving_obs().ejections.add();
-          s.consecutive_failures = 0;
-        }
+        breaker.strike(s, now_ns);
         continue;
       }
-      s.consecutive_failures = 0;
-      s.probation = false;
+      (void)CircuitBreaker::succeed(s);
       const std::int64_t quantum =
           std::min<std::int64_t>(cfg.dispatch_batch, remaining - dispatched);
       if (quantum <= 0) break;

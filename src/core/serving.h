@@ -5,7 +5,8 @@
 // worker threads sharing the EPC. Each thread has its own interpreter
 // scratch; the node models hyperthread sharing beyond the physical core
 // count and the fault-reclaim contention of concurrent EPC misses. A
-// ServingFleet partitions a request stream across nodes (scale-out).
+// ServingFleet serves a request stream across nodes (scale-out); even one
+// node serves traffic through a one-node fleet.
 #pragma once
 
 #include <memory>
@@ -158,14 +159,6 @@ class ServingNode {
   /// lane finishes.
   double classify_stream(const ml::Tensor& image, std::int64_t count);
 
-  /// Serves an open-loop request trace (sorted by arrival) with dynamic
-  /// cross-request batching and SLO-aware shedding per `window`. Each batch
-  /// runs on the least-loaded lane as ONE batched container invocation.
-  /// Deterministic in virtual time; returns one outcome per request, in
-  /// request order.
-  std::vector<RequestOutcome> serve_trace(const std::vector<Request>& requests,
-                                          const BatchWindowConfig& window);
-
   /// Steady-state estimate for long streams: warms the EPC, measures a few
   /// steady rounds for real, and extrapolates (exact for the deterministic
   /// cost model up to reclaim jitter, which the averaging absorbs).
@@ -175,8 +168,8 @@ class ServingNode {
 
   /// Runs one batch on the least-loaded lane as a single batched container
   /// invocation launching at `dispatch_ns` (the lane clock is advanced to
-  /// it first); returns the batch completion time. Building block of the
-  /// fleet failover loop, which owns queueing and shedding itself. `trace`,
+  /// it first); returns the batch completion time. Building block of
+  /// ServingFleet::serve_trace, which owns queueing and shedding. `trace`,
   /// when non-null with a nonzero trace_id, installs the head member's
   /// trace context for the batch and finishes every member's flow arrow at
   /// the dispatch (docs/TRACING.md).
@@ -299,12 +292,16 @@ class ServingFleet {
   /// spinning. Without faults/resilience this is the exact legacy estimate.
   double estimate_stream_seconds(const ml::Tensor& image, std::int64_t count);
 
-  /// Serves an open-loop trace across the live nodes: requests are
-  /// partitioned round-robin by id, each arrival is delayed by its network
-  /// shield + LAN shipping cost before reaching its node's queue, and every
-  /// node batches/sheds per `window` (ServingNode::serve_trace). Outcomes
-  /// keep client-side arrival times, so e2e latency includes the wire.
-  /// Throws runtime::TransientError when no node is alive.
+  /// Serves an open-loop trace (sorted by arrival) across the live nodes:
+  /// requests are partitioned round-robin by request order, each arrival is
+  /// delayed by its network shield + LAN shipping cost before reaching its
+  /// node's queue, and every node batches and sheds per `window`, each batch
+  /// running on its least-loaded lane as ONE batched container invocation.
+  /// A fault plane, retry or hedging policy (below) only configures how the
+  /// same loop reacts to crashes (docs/SERVING.md). Deterministic in virtual
+  /// time; returns one outcome per request, in request order, with
+  /// client-side arrival times, so e2e latency includes the wire. Throws
+  /// runtime::TransientError when no node is alive.
   std::vector<RequestOutcome> serve_trace(const std::vector<Request>& requests,
                                           const BatchWindowConfig& window);
 
@@ -314,8 +311,8 @@ class ServingFleet {
 
   /// Wires a PR-2 fault plane's crash schedule into serve_trace: nodes
   /// crash and revive at the plane's seeded virtual times mid-trace, and
-  /// the failover loop (detect -> eject -> re-steer -> half-open re-admit)
-  /// takes over. Fleet node `i` maps to plane node id `base_node_id + i`.
+  /// serve_trace detects, ejects, re-steers and half-open re-admits them.
+  /// Fleet node `i` maps to plane node id `base_node_id + i`.
   /// When the fleet serves with gpu_offload, the plane's GPU-corruption
   /// windows (schedule_gpu_corruption) are wired into each node's offload
   /// engine too: inside a window the node's GPU returns wrong results,
@@ -348,16 +345,6 @@ class ServingFleet {
 
  private:
   double estimate_resilient(const ml::Tensor& image, std::int64_t count);
-  /// True when serve_trace must run the failover event loop instead of the
-  /// static-partition fast path (fault plane attached, retry or hedging on).
-  [[nodiscard]] bool failover_active() const {
-    return fault_plane_ != nullptr || retry_.has_value() ||
-           (hedge_.has_value() && hedge_->enabled);
-  }
-  std::vector<RequestOutcome> serve_trace_failover(
-      const std::vector<Request>& requests, const BatchWindowConfig& window);
-  /// Copies each node's GPU-offload health into status_ (end of a serve).
-  void sync_gpu_status();
 
   ServingConfig config_;
   std::vector<std::unique_ptr<ServingNode>> nodes_;

@@ -133,9 +133,9 @@ inline constexpr const char* kServingQueueWaitQuantileNs =
     "core.serving.queue_wait_quantile_ns";
 inline constexpr const char* kServingE2eQuantileNs =
     "core.serving.e2e_latency_quantile_ns";
-// Failover request plane (docs/SERVING.md): registered lazily by the
-// fault-tolerant serve_trace path only (fault plane attached, retry or
-// hedging configured), so faults-off registry exports stay byte-identical.
+// Request-plane failover policy (docs/SERVING.md): registered with the
+// traffic series above on the first serve_trace; zero without faults,
+// retries or hedging.
 inline constexpr const char* kServingFailoverDetections =
     "core.serving.failover.crash_detections";
 inline constexpr const char* kServingFailoverResteered =

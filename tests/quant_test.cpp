@@ -265,11 +265,11 @@ TEST(QuantServingTest, ServingNodeServesInt8Batches) {
   load.input_pool = 8;
   const core::LoadTrace trace = core::generate_load(load);
 
-  core::ServingNode node(q, cfg);
+  core::ServingFleet fleet(q, cfg, 1);
   core::BatchWindowConfig window;
   window.max_batch = 4;
   window.max_wait_s = 0.001;
-  const auto outcomes = node.serve_trace(trace.requests, window);
+  const auto outcomes = fleet.serve_trace(trace.requests, window);
   const core::TrafficSummary summary = core::summarize(outcomes);
   EXPECT_EQ(summary.completed, 40);
   EXPECT_EQ(summary.shed_queue_full + summary.shed_expired, 0);

@@ -1,13 +1,15 @@
-// Chaos suite for the fault-tolerant request plane (docs/SERVING.md):
+// Chaos suite for the request plane's failover policy (docs/SERVING.md):
 // seeded mid-trace node crashes from the PR-2 FaultPlane wired into
-// ServingFleet::serve_trace. The contract under test: with faults off the
-// failover path reproduces the fast path bit-for-bit; with seeded crashes
-// every offered request still ends in exactly one terminal RequestOutcome,
-// re-steering/retries/hedging recover what the crash would have lost, and
-// the whole schedule replays identically across reruns.
+// ServingFleet::serve_trace. The contract under test: a fault plane that
+// never fires changes no outcome and no registry series; with seeded
+// crashes every offered request still ends in exactly one terminal
+// RequestOutcome, re-steering/retries/hedging recover what the crash would
+// have lost, and the whole schedule replays identically across reruns.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/loadgen.h"
@@ -96,8 +98,8 @@ void expect_conserved(const TrafficSummary& s) {
 // Self-calibrating crash instant: serve the trace on a clean fleet, find the
 // earliest-dispatched batch node 1 completes, and return the midpoint of its
 // service interval. A crash scheduled there is guaranteed to interrupt that
-// batch mid-service in a faulted rerun (the failover path replays the clean
-// schedule bit-for-bit up to the first crash-affected event), so the tests
+// batch mid-service in a faulted rerun (the loop replays the clean schedule
+// bit-for-bit up to the first crash-affected event), so the tests
 // don't hard-code model service times.
 std::uint64_t mid_service_instant_on_node1(ChaosFixture& f,
                                            const LoadTrace& trace) {
@@ -118,25 +120,47 @@ std::uint64_t mid_service_instant_on_node1(ChaosFixture& f,
   return d + (c - d) / 2;
 }
 
-TEST(ServingChaosTest, NoFaultFailoverPathMatchesFastPath) {
+/// Every registry counter and quantile series, one line each, in the
+/// registry's stable order.
+std::string counters_and_quantiles() {
+  std::string out;
+  const obs::Registry& reg = obs::Registry::global();
+  reg.visit_counters([&out](const std::string& name, const obs::MetricInfo&,
+                            const obs::Counter& c) {
+    out += name + " " + std::to_string(c.value()) + "\n";
+  });
+  reg.visit_quantiles([&out](const std::string& name, const obs::MetricInfo&,
+                             const obs::QuantileSeries& q) {
+    out += name + " " + std::to_string(q.count());
+    for (const double p : {0.50, 0.95, 0.99}) {
+      out += " " + std::to_string(q.quantile(p));
+    }
+    out += "\n";
+  });
+  return out;
+}
+
+TEST(ServingChaosTest, EmptyFaultPlaneLeavesOutcomesUnchanged) {
   // A fault plane with an empty crash schedule must not perturb a single
-  // outcome: the failover event loop reproduces the static-partition path
-  // bit-for-bit, which is what keeps PR-6 baselines byte-identical.
+  // outcome, counter or quantile: attaching it configures the one request
+  // loop, it does not select another.
   ChaosFixture f;
   const LoadTrace trace = generate_load(f.trace_config(2000, 120));
   BatchWindowConfig w = f.window();
   w.queue_capacity = 16;  // cover the shed paths in the comparison too
-
-  ServingFleet fast(f.model, f.config(), 2);
-  const std::vector<RequestOutcome> a = fast.serve_trace(trace.requests, w);
-
   faults::FaultPlane plane(21);  // no crash windows scheduled
-  ServingFleet failover(f.model, f.config(), 2);
-  failover.attach_fault_plane(plane);
-  const std::vector<RequestOutcome> b =
-      failover.serve_trace(trace.requests, w);
 
-  expect_identical(a, b);
+  auto run = [&](bool attach) {
+    ServingFleet fleet(f.model, f.config(), 2);
+    if (attach) fleet.attach_fault_plane(plane);
+    obs::Registry::global().reset();
+    auto outcomes = fleet.serve_trace(trace.requests, w);
+    return std::pair{std::move(outcomes), counters_and_quantiles()};
+  };
+  const auto [plain, plain_metrics] = run(false);
+  const auto [attached, attached_metrics] = run(true);
+  expect_identical(plain, attached);
+  EXPECT_EQ(plain_metrics, attached_metrics);
 }
 
 TEST(ServingChaosTest, MidTraceCrashYieldsExactlyOneTerminalOutcomeEach) {

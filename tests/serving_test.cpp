@@ -11,6 +11,8 @@
 #include "ml/dataset.h"
 #include "ml/models.h"
 #include "ml/serialize.h"
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "runtime/errors.h"
 
 namespace stf::core {
@@ -322,7 +324,9 @@ TEST(LiteBatchTest, RejectsMismatchedShapes) {
   EXPECT_TRUE(interp.invoke_batch({}).empty());
 }
 
-// ---- request plane: serve_trace ----------------------------------------
+// ---- request plane: ServingFleet::serve_trace --------------------------
+// Single-node cases run a one-node fleet: the fleet's loop is the only
+// request plane.
 
 LoadGenConfig trace_config(double rps, std::int64_t count, double slo_s) {
   LoadGenConfig cfg;
@@ -338,12 +342,12 @@ LoadGenConfig trace_config(double rps, std::int64_t count, double slo_s) {
 TEST(ServeTraceTest, EveryRequestGetsExactlyOneOutcome) {
   ServingFixture f;
   const LoadTrace trace = generate_load(trace_config(2000, 60, 0));
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 2));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 2), 1);
   BatchWindowConfig window;
   window.max_batch = 4;
   window.max_wait_s = 0.001;
   const std::vector<RequestOutcome> outcomes =
-      node.serve_trace(trace.requests, window);
+      fleet.serve_trace(trace.requests, window);
   ASSERT_EQ(outcomes.size(), trace.requests.size());
   const TrafficSummary s = summarize(outcomes);
   EXPECT_EQ(s.offered, s.completed + s.shed_queue_full + s.shed_expired);
@@ -366,19 +370,23 @@ TEST(ServeTraceTest, BatchingAmortizesEpcPagingUnderPressure) {
   cfg.model.epc_bytes = 16ull << 20;  // model is 24 MB
   cfg.per_thread_scratch = 1ull << 20;
   const LoadTrace trace = generate_load(trace_config(1e6, 16, 0));
+  const obs::Counter& epc_faults =
+      obs::Registry::global().counter(obs::names::kEpcFaults);
 
   BatchWindowConfig unbatched;
   unbatched.max_batch = 1;
-  ServingNode a(f.model, cfg);
+  std::uint64_t before = epc_faults.value();
+  ServingFleet a(f.model, cfg, 1);
   const TrafficSummary tu = summarize(a.serve_trace(trace.requests, unbatched));
-  const std::uint64_t faults_unbatched = a.epc_faults();
+  const std::uint64_t faults_unbatched = epc_faults.value() - before;
 
   BatchWindowConfig batched;
   batched.max_batch = 8;
   batched.max_wait_s = 0.01;
-  ServingNode b(f.model, cfg);
+  before = epc_faults.value();
+  ServingFleet b(f.model, cfg, 1);
   const TrafficSummary tb = summarize(b.serve_trace(trace.requests, batched));
-  const std::uint64_t faults_batched = b.epc_faults();
+  const std::uint64_t faults_batched = epc_faults.value() - before;
 
   ASSERT_EQ(tu.completed, 16);
   ASSERT_EQ(tb.completed, 16);
@@ -390,31 +398,40 @@ TEST(ServeTraceTest, QueueCapacityShedsAtAdmission) {
   ServingFixture f;
   // Effectively simultaneous arrivals against a tiny queue.
   const LoadTrace trace = generate_load(trace_config(1e9, 40, 0));
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 1));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 1), 1);
   BatchWindowConfig window;
   window.max_batch = 2;
   window.max_wait_s = 0;
   window.queue_capacity = 4;
-  const TrafficSummary s = summarize(node.serve_trace(trace.requests, window));
+  const TrafficSummary s = summarize(fleet.serve_trace(trace.requests, window));
   EXPECT_GT(s.shed_queue_full, 0);
   EXPECT_EQ(s.offered, s.completed + s.shed_queue_full + s.shed_expired);
 }
 
 TEST(ServeTraceTest, ExpiredRequestsAreShedAtDispatch) {
   ServingFixture f;
-  // A burst far beyond capacity with a deadline shorter than one service
-  // time: queued requests expire before a lane frees up.
-  const LoadTrace trace = generate_load(trace_config(1e9, 30, 1e-6));
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 1));
+  // A burst far beyond capacity whose deadlines fall 1 us after each
+  // request reaches the node, shorter than one service time: the head is
+  // served, queued requests expire before the lane frees up.
+  const ServingConfig cfg = f.config(tee::TeeMode::Simulation, 1);
+  LoadTrace trace = generate_load(trace_config(1e9, 30, 0));
+  const std::uint64_t bytes = trace.images.front().byte_size();
+  const std::uint64_t wire_ns =
+      cfg.model.netshield_ns(bytes) + cfg.model.lan_transfer_ns(bytes);
+  for (Request& r : trace.requests) {
+    r.deadline_ns = r.arrival_ns + wire_ns + 1'000;
+  }
+  ServingFleet fleet(f.model, cfg, 1);
   BatchWindowConfig window;
   window.max_batch = 1;
   window.max_wait_s = 0;
   window.queue_capacity = 0;  // unbounded: isolate deadline shedding
-  const TrafficSummary s = summarize(node.serve_trace(trace.requests, window));
+  const TrafficSummary s = summarize(fleet.serve_trace(trace.requests, window));
+  EXPECT_GT(s.completed, 0);
   EXPECT_GT(s.shed_expired, 0);
   EXPECT_EQ(s.offered, s.completed + s.shed_expired);
   // With shedding disabled the same trace completes everything, late.
-  ServingNode keep(f.model, f.config(tee::TeeMode::Simulation, 1));
+  ServingFleet keep(f.model, cfg, 1);
   BatchWindowConfig no_shed = window;
   no_shed.shed_expired = false;
   const TrafficSummary s2 =
@@ -426,12 +443,12 @@ TEST(ServeTraceTest, ExpiredRequestsAreShedAtDispatch) {
 TEST(ServeTraceTest, LanesStayBalancedUnderLeastLoadedDispatch) {
   ServingFixture f;
   const LoadTrace trace = generate_load(trace_config(1e6, 32, 0));
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 4));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 4), 1);
   BatchWindowConfig window;
   window.max_batch = 2;
   window.max_wait_s = 0;
   const std::vector<RequestOutcome> outcomes =
-      node.serve_trace(trace.requests, window);
+      fleet.serve_trace(trace.requests, window);
   // Under backlog, every batch should land on the lane that frees first;
   // completions therefore spread across distinct completion times rather
   // than serializing on lane 0.
@@ -460,6 +477,26 @@ TEST(ServeTraceTest, FleetServesBelowCapacityWithinSlo) {
   }
 }
 
+TEST(ServeTraceTest, RegistryE2eQuantilesMatchTrafficSummary) {
+  // The registry series and TrafficSummary both measure from the client
+  // arrival, so both include the wire and agree exactly.
+  ServingFixture f;
+  const LoadTrace trace = generate_load(trace_config(400, 40, 0));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 2), 2);
+  BatchWindowConfig window;
+  window.max_batch = 4;
+  window.max_wait_s = 0.002;
+  obs::Registry::global().reset();
+  const TrafficSummary s = summarize(fleet.serve_trace(trace.requests, window));
+  const obs::QuantileSeries& e2e =
+      obs::Registry::global().quantiles(obs::names::kServingE2eQuantileNs);
+  ASSERT_GT(s.goodput(), 0);
+  ASSERT_EQ(e2e.count(), static_cast<std::uint64_t>(s.goodput()));
+  EXPECT_EQ(e2e.quantile(0.50), s.p50_ns);
+  EXPECT_EQ(e2e.quantile(0.95), s.p95_ns);
+  EXPECT_EQ(e2e.quantile(0.99), s.p99_ns);
+}
+
 TEST(ServeTraceTest, FleetWithAllNodesDownThrows) {
   ServingFixture f;
   const LoadTrace trace = generate_load(trace_config(100, 4, 0));
@@ -482,11 +519,11 @@ TEST(TrafficSummaryTest, AllShedTraceReportsZeroDuration) {
     r.arrival_ns += 1000;
     r.deadline_ns = 1;  // already passed before the request even arrives
   }
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 1));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 1), 1);
   BatchWindowConfig window;
   window.max_batch = 2;
   window.max_wait_s = 0;
-  const TrafficSummary s = summarize(node.serve_trace(trace.requests, window));
+  const TrafficSummary s = summarize(fleet.serve_trace(trace.requests, window));
   EXPECT_EQ(s.completed, 0);
   EXPECT_EQ(s.shed_expired, s.offered);
   EXPECT_GT(s.first_arrival_ns, 0u);
@@ -501,13 +538,13 @@ TEST(ServeTraceTest, NonPositiveQueueCapacityMeansUnbounded) {
   ServingFixture f;
   const LoadTrace trace = generate_load(trace_config(1e9, 40, 0));
   for (const std::int64_t cap : {std::int64_t{0}, std::int64_t{-5}}) {
-    ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 1));
+    ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 1), 1);
     BatchWindowConfig window;
     window.max_batch = 2;
     window.max_wait_s = 0;
     window.queue_capacity = cap;
     const TrafficSummary s =
-        summarize(node.serve_trace(trace.requests, window));
+        summarize(fleet.serve_trace(trace.requests, window));
     EXPECT_EQ(s.shed_queue_full, 0) << "capacity " << cap;
     EXPECT_EQ(s.completed, s.offered) << "capacity " << cap;
   }
@@ -516,13 +553,13 @@ TEST(ServeTraceTest, NonPositiveQueueCapacityMeansUnbounded) {
 TEST(ServeTraceTest, CapacityOneKeepsOnlyTheQueueHead) {
   ServingFixture f;
   const LoadTrace trace = generate_load(trace_config(1e9, 16, 0));
-  ServingNode node(f.model, f.config(tee::TeeMode::Simulation, 1));
+  ServingFleet fleet(f.model, f.config(tee::TeeMode::Simulation, 1), 1);
   BatchWindowConfig window;
   window.max_batch = 4;
   window.max_wait_s = 0.01;
   window.queue_capacity = 1;
   const std::vector<RequestOutcome> outcomes =
-      node.serve_trace(trace.requests, window);
+      fleet.serve_trace(trace.requests, window);
   const TrafficSummary s = summarize(outcomes);
   EXPECT_EQ(s.offered, s.completed + s.shed_queue_full);
   EXPECT_GT(s.completed, 0);

@@ -201,9 +201,9 @@ TEST(CausalTrace, CompletedRequestsDecomposeWithZeroSlack) {
       EXPECT_LE(child.end_ns, root.end_ns);
       covered += child.end_ns - child.start_ns;
     }
-    // The clean (non-failover) path tiles [arrival, completion] exactly:
-    // wire + queue_wait + batch_wait + service, no gaps, no overlap. Any
-    // slack would be virtual time the trace cannot explain.
+    // Without crashes or retries a request tiles [arrival, completion]
+    // exactly: wire + queue_wait + batch_wait + service, no gaps, no
+    // overlap. Any slack would be virtual time the trace cannot explain.
     EXPECT_EQ(covered, root.end_ns - root.start_ns)
         << "trace " << trace_id << " leaked unexplained latency";
   }
@@ -350,6 +350,46 @@ TEST(Timeline, LazyCountersOnlyAppearOnFirstEvent) {
   if (!already_registered) {
     EXPECT_EQ(before.find(obs::names::kTimelineEvents), std::string::npos)
         << "timeline metrics must not exist before the first event";
+  }
+}
+
+TEST(Timeline, ExpiredShedLandsInItsDispatchWindow) {
+  // A request whose deadline passes on the wire is shed when its batch
+  // would launch, so the Timeline stamps the shed at that dispatch
+  // instant: here one window after its client arrival. A retry policy
+  // changes nothing about where a shed is stamped.
+  TracingFixture f;
+  const std::uint64_t window_ns = obs::Timeline::global().window_ns();
+  LoadTrace trace = generate_load(f.load(1));
+  Request& r = trace.requests.front();
+  r.arrival_ns = window_ns - 1;  // last nanosecond of window 0
+  BatchWindowConfig w = f.window();
+  w.max_batch = 1;
+  w.max_wait_s = 0;
+
+  for (const bool retry : {false, true}) {
+    auto serve = [&](std::uint64_t deadline_ns) {
+      r.deadline_ns = deadline_ns;
+      ServingFleet fleet(f.model, f.config(), 1);
+      if (retry) fleet.configure_retry(RequestRetryPolicy{});
+      return fleet.serve_trace(trace.requests, w).front();
+    };
+    // Without a deadline the request completes; its dispatch instant is
+    // where the expiring copy is shed.
+    const std::uint64_t dispatch_ns = serve(0).dispatch_ns;
+    ASSERT_EQ(dispatch_ns / window_ns, 1u) << "the wire crosses a window";
+
+    TracingGuard guard;
+    const RequestOutcome shed = serve(r.arrival_ns + 1);
+    ASSERT_EQ(static_cast<int>(shed.status),
+              static_cast<int>(RequestStatus::ShedExpired));
+    std::map<std::uint64_t, obs::TimelineWindow> by_index;
+    for (const auto& win : obs::Timeline::global().windows()) {
+      by_index[win.index] = win;
+    }
+    EXPECT_EQ(by_index[0].offered, 1) << "retry " << retry;
+    EXPECT_EQ(by_index[0].shed, 0) << "retry " << retry;
+    EXPECT_EQ(by_index[1].shed, 1) << "retry " << retry;
   }
 }
 
