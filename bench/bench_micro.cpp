@@ -204,6 +204,36 @@ void BM_GemmThreads(benchmark::State& state) {
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
+// The serving GEMM: m rows (1 = an unbatched classify, 8 = a full batch)
+// against a 1024x1024 weight matrix, on a pool of 1 or 2 threads. Four
+// distinct B matrices (16 MB) are cycled so B is not cache-hot, as a served
+// model's layers are not; bytes/s counts B, the operand that streams, per
+// second of wall time (the pool's workers are not on the main thread's
+// CPU clock).
+void BM_GemmSmallBatch(benchmark::State& state) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t k = 1024, n = 1024;
+  const ml::Tensor a = filled({m, k}, 5);
+  std::vector<ml::Tensor> bs;
+  for (int i = 0; i < 4; ++i) bs.push_back(filled({k, n}, 6 + i));
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  runtime::ThreadPool pool(static_cast<unsigned>(state.range(1)));
+  const ml::kernels::KernelContext ctx{&pool, pool.thread_count()};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ml::kernels::gemm(ctx, m, k, n, a.data(), bs[next].data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    next = (next + 1) % bs.size();
+  }
+  state.SetBytesProcessed(state.iterations() * k * n *
+                          static_cast<std::int64_t>(sizeof(float)));
+}
+BENCHMARK(BM_GemmSmallBatch)
+    ->ArgNames({"m", "threads"})
+    ->Args({1, 1})->Args({1, 2})->Args({8, 1})->Args({8, 2})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -1,6 +1,7 @@
 #include "ml/kernels.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -41,6 +42,11 @@ constexpr std::int64_t VL = 16;      // floats per accumulator vector
 constexpr std::int64_t NR = 2 * VL;  // micro-tile width: two vectors
 constexpr std::int64_t KC = 256;
 constexpr std::int64_t MC = 72;  // multiple of MR
+// Small-batch schedule (m <= MR): NS columns of C per parallel strip, and
+// the KB rows of B one micro-kernel pass covers before its accumulators go
+// back to the strip buffer.
+constexpr std::int64_t NS = 8 * NR;
+constexpr std::int64_t KB = 32;
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
@@ -56,53 +62,85 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 typedef float bvec __attribute__((vector_size(sizeof(float) * VL),
                                   aligned(alignof(float)), may_alias));
 
-// acc[MR,NR] += A-tile[MR,kc] x Bpanel[kc,NR], kk ascending. Each of the
-// 2*MR accumulator vectors stays in a register across the whole k loop
-// and is a single FMA chain, preserving the naive reference's per-element
-// summation order; pairing two vectors per row amortizes the A broadcast
-// over NR columns, which is what makes small-k (im2col conv) shapes pay
-// off. A-tile element (r, kk) sits at ap[r*a_rs + kk*a_ks]: (1, MR) walks
-// a packed panel, (row_stride, 1) reads an already column-contiguous
-// operand in place with no packing pass. `out_stride` lets a full
-// interior tile accumulate straight into C (stride n) while edge tiles go
-// through an NR-contiguous scratch buffer.
+// Where the micro-kernel leaves its accumulators: kStore overwrites the
+// output tile, kAdd adds to it, and kCarry continues the chains already in
+// it (loads them first, then stores) — a float store and reload is exact,
+// so a chain split across kCarry calls rounds exactly like an unbroken one.
+enum class Epilogue { kStore, kAdd, kCarry };
+
+// acc[R,NR] += A-tile[R,kc] x B-tile[kc,NR], kk ascending. Each of the 2*R
+// accumulator vectors stays in a register across the whole k loop and is a
+// single FMA chain, preserving the naive reference's per-element summation
+// order; pairing two vectors per row amortizes the A broadcast over NR
+// columns, which is what makes small-k (im2col conv) shapes pay off.
+// A-tile element (r, kk) sits at ap[r*a_rs + kk*a_ks]: (1, MR) walks a
+// packed panel, (row_stride, 1) reads an already column-contiguous operand
+// in place with no packing pass. B-tile row kk starts at bp + kk*b_ks: NR
+// walks a packed slot, the row stride of a row-major B reads it in place.
+// `out_stride` lets a full interior tile accumulate straight into C
+// (stride n) while edge tiles go through an NR-contiguous scratch buffer.
+// R is a template parameter so every row count keeps its accumulators in
+// registers; the row-block schedule always runs R = MR.
+template <int R>
 void micro_kernel(const float* __restrict__ ap, std::int64_t a_rs,
                   std::int64_t a_ks, const float* __restrict__ bp,
-                  std::int64_t kc, float* __restrict__ acc_out,
-                  std::int64_t out_stride, bool first_panel) {
-  bvec acc0[MR] = {};
-  bvec acc1[MR] = {};
+                  std::int64_t b_ks, std::int64_t kc,
+                  float* __restrict__ out, std::int64_t out_stride,
+                  Epilogue epilogue) {
+  bvec acc0[R] = {};
+  bvec acc1[R] = {};
+  if (epilogue == Epilogue::kCarry) {
+    for (int r = 0; r < R; ++r) {
+      const float* row = out + r * out_stride;
+      acc0[r] = *reinterpret_cast<const bvec*>(row);
+      acc1[r] = *reinterpret_cast<const bvec*>(row + VL);
+    }
+  }
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const bvec b0 = *reinterpret_cast<const bvec*>(bp + kk * NR);
-    const bvec b1 = *reinterpret_cast<const bvec*>(bp + kk * NR + VL);
+    const bvec b0 = *reinterpret_cast<const bvec*>(bp + kk * b_ks);
+    const bvec b1 = *reinterpret_cast<const bvec*>(bp + kk * b_ks + VL);
     const float* __restrict__ acol = ap + kk * a_ks;
-    for (int r = 0; r < MR; ++r) {
+    for (int r = 0; r < R; ++r) {
       const float av = acol[r * a_rs];
       acc0[r] += av * b0;
       acc1[r] += av * b1;
     }
   }
-  if (first_panel) {
-    // First k-panel owns the store: skips the read half of the
-    // read-modify-write, which is most of the C traffic when k <= KC.
-    for (int r = 0; r < MR; ++r) {
-      float* row = acc_out + r * out_stride;
-      *reinterpret_cast<bvec*>(row) = acc0[r];
-      *reinterpret_cast<bvec*>(row + VL) = acc1[r];
-    }
-  } else {
-    for (int r = 0; r < MR; ++r) {
-      float* row = acc_out + r * out_stride;
+  if (epilogue == Epilogue::kAdd) {
+    for (int r = 0; r < R; ++r) {
+      float* row = out + r * out_stride;
       *reinterpret_cast<bvec*>(row) += acc0[r];
       *reinterpret_cast<bvec*>(row + VL) += acc1[r];
+    }
+  } else {
+    // kStore and kCarry end in a plain store. For kStore that skips the read
+    // half of the read-modify-write, most of the C traffic when k <= KC.
+    for (int r = 0; r < R; ++r) {
+      float* row = out + r * out_stride;
+      *reinterpret_cast<bvec*>(row) = acc0[r];
+      *reinterpret_cast<bvec*>(row + VL) = acc1[r];
     }
   }
 }
 
-// Generic strided GEMM core: c[m,n] += a'[m,k] x b'[k,n], where
+// micro_kernel<rows> for every row count of the small-batch schedule,
+// indexed by rows - 1.
+using MicroKernel = void (*)(const float*, std::int64_t, std::int64_t,
+                             const float*, std::int64_t, std::int64_t,
+                             float*, std::int64_t, Epilogue);
+static_assert(MR == 8, "kRowKernels lists one micro-kernel per row count");
+constexpr MicroKernel kRowKernels[MR] = {
+    micro_kernel<1>, micro_kernel<2>, micro_kernel<3>, micro_kernel<4>,
+    micro_kernel<5>, micro_kernel<6>, micro_kernel<7>, micro_kernel<8>};
+
+// Generic strided GEMM core: c[m,n] = a'[m,k] x b'[k,n], where
 // a'(i,kk) = a[i*a_rs + kk*a_cs] and b'(kk,j) = b[kk*b_rs + j*b_cs].
-// Transposed operands are just different strides; the packing routines
-// linearize them into panels once, so the inner loops never see a stride.
+// Transposed operands are just different strides. The schedule follows
+// from the shape alone (kernels.h): m <= MR runs the small-batch strips,
+// larger m the MC-row blocks. Both reduce every output element the same
+// way — acc = 0, acc += a*b with kk ascending within each KC panel, then
+// c = acc on the first panel and c += acc after it — so a row of C has the
+// same bits whichever schedule, batch size or thread count produced it.
 void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
                   std::int64_t n, const float* a, std::int64_t a_rs,
                   std::int64_t a_cs, const float* b, std::int64_t b_rs,
@@ -112,20 +150,28 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
   const std::int64_t num_pc = ceil_div(k, KC);
   const std::int64_t num_jt = ceil_div(n, NR);
 
-  // Pack all of B into NR-column panels up front (reused by every row
-  // block). Uniform KC*NR slot stride keeps offsets trivial; padded columns
-  // are zero and never stored back.
+  // A row-major B (b_cs == 1) is read in place: each full NR-column tile is
+  // already kc rows of NR contiguous floats at stride b_rs. Only tiles that
+  // are not — the ragged last tile, and every tile of a transposed B — are
+  // packed up front, into KC*NR slots whose padded columns are zero and
+  // never stored back.
+  const std::int64_t jt_direct = (b_cs == 1) ? n / NR : 0;
   thread_local std::vector<float> b_packed;
-  b_packed.resize(static_cast<std::size_t>(num_jt * num_pc) * KC * NR);
+  b_packed.resize(static_cast<std::size_t>((num_jt - jt_direct) * num_pc) *
+                  KC * NR);
   float* bp_base = b_packed.data();
-  parallel_for(ctx, 0, num_jt, 4, [&](std::int64_t jt0, std::int64_t jt1) {
+  const auto packed_slot = [&](std::int64_t jt, std::int64_t pi) {
+    return bp_base + ((jt - jt_direct) * num_pc + pi) * KC * NR;
+  };
+  parallel_for(ctx, jt_direct, num_jt, 4,
+               [&](std::int64_t jt0, std::int64_t jt1) {
     for (std::int64_t jt = jt0; jt < jt1; ++jt) {
       const std::int64_t jc = jt * NR;
       const std::int64_t nr = std::min(NR, n - jc);
       for (std::int64_t pi = 0; pi < num_pc; ++pi) {
         const std::int64_t pc = pi * KC;
         const std::int64_t kc = std::min(KC, k - pc);
-        float* dst = bp_base + (jt * num_pc + pi) * KC * NR;
+        float* dst = packed_slot(jt, pi);
         for (std::int64_t kk = 0; kk < kc; ++kk) {
           const float* src = b + (pc + kk) * b_rs + jc * b_cs;
           for (std::int64_t jj = 0; jj < nr; ++jj) {
@@ -136,12 +182,58 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
       }
     }
   });
+  // B-tile (jt, pi) for the micro-kernel: its first row and its row stride.
+  using BTile = std::pair<const float*, std::int64_t>;
+  const auto b_tile = [&](std::int64_t jt, std::int64_t pi) -> BTile {
+    if (jt < jt_direct) return {b + pi * KC * b_rs + jt * NR, b_rs};
+    return {packed_slot(jt, pi), NR};
+  };
 
-  // Row blocks of MC rows are the parallel chunks: each owns a disjoint
-  // slice of C and runs the full k-reduction in panel order. When A's
-  // columns are contiguous (a_cs == 1 — plain gemm, gemm_nt, and the
-  // conv col matrices) full tiles read A in place; only edge tiles and
-  // the transposed case pay the packing pass.
+  if (m <= MR) {
+    // Small-batch schedule: NS-column strips of C are the parallel chunks,
+    // so a few-row product still spreads over the pool. Within a KC panel
+    // the strip's accumulators live in a chunk-local buffer and are carried
+    // across KB-row sub-blocks of B, so B streams through the strip row by
+    // row instead of tile by tile down the whole panel. A is read in place
+    // at any strides (it is at most MR x KB per pass).
+    const MicroKernel kernel = kRowKernels[m - 1];
+    parallel_for(ctx, 0, ceil_div(n, NS), 1, [&](std::int64_t s0,
+                                                  std::int64_t s1) {
+      float acc[MR * NS];
+      for (std::int64_t s = s0; s < s1; ++s) {
+        const std::int64_t jc = s * NS;
+        const std::int64_t width = std::min(NS, n - jc);
+        const std::int64_t tiles = ceil_div(width, NR);
+        for (std::int64_t pi = 0; pi < num_pc; ++pi) {
+          const std::int64_t pc = pi * KC;
+          const std::int64_t kc = std::min(KC, k - pc);
+          for (std::int64_t kb = 0; kb < kc; kb += KB) {
+            const Epilogue carry =
+                kb == 0 ? Epilogue::kStore : Epilogue::kCarry;
+            for (std::int64_t t = 0; t < tiles; ++t) {
+              const auto [bp, b_ks] = b_tile(jc / NR + t, pi);
+              kernel(a + (pc + kb) * a_cs, a_rs, a_cs, bp + kb * b_ks, b_ks,
+                     std::min(KB, kc - kb), acc + t * NR, NS, carry);
+            }
+          }
+          for (std::int64_t r = 0; r < m; ++r) {
+            const float* arow = acc + r * NS;
+            float* crow = c + r * n + jc;
+            for (std::int64_t j = 0; j < width; ++j) {
+              crow[j] = pi == 0 ? arow[j] : crow[j] + arow[j];
+            }
+          }
+        }
+      }
+    });
+    return;
+  }
+
+  // Row-block schedule: row blocks of MC rows are the parallel chunks; each
+  // owns a disjoint slice of C and runs the full k-reduction in panel
+  // order. When A's columns are contiguous (a_cs == 1 — plain gemm,
+  // gemm_nt, and the conv col matrices) full tiles read A in place; only
+  // edge tiles and the transposed case pay the packing pass.
   const bool direct_a = (a_cs == 1);
   parallel_for(ctx, 0, ceil_div(m, MC), 1, [&](std::int64_t rb0,
                                                std::int64_t rb1) {
@@ -168,10 +260,11 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
             }
           }
         }
+        const Epilogue panel = pi == 0 ? Epilogue::kStore : Epilogue::kAdd;
         for (std::int64_t jt = 0; jt < num_jt; ++jt) {
           const std::int64_t jc = jt * NR;
           const std::int64_t nr = std::min(NR, n - jc);
-          const float* bslot = bp_base + (jt * num_pc + pi) * KC * NR;
+          const auto [bp, b_ks] = b_tile(jt, pi);
           for (std::int64_t ir = 0; ir < num_ir; ++ir) {
             const std::int64_t rows = std::min(MR, mc - ir * MR);
             const bool in_place = direct_a && rows == MR;
@@ -181,18 +274,19 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
             const std::int64_t ap_rs = in_place ? a_rs : 1;
             const std::int64_t ap_ks = in_place ? 1 : MR;
             float* ctile = c + (ic + ir * MR) * n + jc;
-            const bool first = (pi == 0);
             if (rows == MR && nr == NR) {
               // Full interior tile: store/accumulate straight into C.
-              micro_kernel(ap, ap_rs, ap_ks, bslot, kc, ctile, n, first);
+              micro_kernel<MR>(ap, ap_rs, ap_ks, bp, b_ks, kc, ctile, n,
+                               panel);
               continue;
             }
-            float acc[MR * NR] = {};
-            micro_kernel(ap, ap_rs, ap_ks, bslot, kc, acc, NR, true);
+            float acc[MR * NR];
+            micro_kernel<MR>(ap, ap_rs, ap_ks, bp, b_ks, kc, acc, NR,
+                             Epilogue::kStore);
             for (std::int64_t rr = 0; rr < rows; ++rr) {
               const float* arow = acc + rr * NR;
               for (std::int64_t jj = 0; jj < nr; ++jj) {
-                if (first) {
+                if (pi == 0) {
                   ctile[rr * n + jj] = arow[jj];
                 } else {
                   ctile[rr * n + jj] += arow[jj];

@@ -43,6 +43,28 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 // contents of `c` never contribute, and single-panel problems touch each
 // output element exactly once). m/k/n are always the logical GEMM dims:
 // c is [m,n], the reduction runs over k.
+//
+// Two schedules, picked from the shape alone (no option selects them):
+//  - Small-batch, m <= 8 — every serving batch and unbatched classify.
+//    The parallel chunks are fixed 256-column strips of C, so a few-row
+//    product still runs on every pool thread. Within each 256-deep k-panel
+//    a strip's accumulators sit in a chunk-local buffer and are carried
+//    across 32-row sub-blocks of B, so B streams through the strip row by
+//    row.
+//  - Row-block, m > 8. The parallel chunks are 72-row blocks of C; each
+//    runs every k-panel over 8x32 register tiles.
+// Both reduce every output element the same way: acc = 0; acc += a*b with
+// k ascending within the 256-deep panel; then c = acc after the first panel
+// and c += acc after each later one (carrying acc through memory between
+// sub-blocks is an exact float store and reload). So row i of an m-row
+// product has the bits of the 1-row product of row i, whichever schedule,
+// batch size or thread count computed it — what batched serving's "equal
+// to N single invokes" rests on.
+//
+// A row-major B (gemm, gemm_tn) is read in place, with no copy and no
+// packing pass; the small-batch schedule reads each of its bytes exactly
+// once. Only a transposed B (gemm_nt) and the ragged last 32-column tile
+// of any B are packed, into a thread-local buffer.
 
 /// c[m,n] = a[m,k] · b[k,n]
 void gemm(const KernelContext& ctx, std::int64_t m, std::int64_t k,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "ml/ops.h"
@@ -172,9 +173,19 @@ crypto::Bytes FlatModel::serialize() const {
 }
 
 FlatModel FlatModel::deserialize(crypto::BytesView data) {
+  // Model files come from outside the enclave. Every count is checked
+  // against the bytes still unread before anything is sized from it, and
+  // every weight tensor must lie inside the arena — the interpreter reads
+  // float MatMul weights in place, with no copy to catch a bad range.
   std::size_t cursor = 0;
-  auto need = [&](std::size_t n) {
-    if (cursor + n > data.size()) {
+  auto need = [&](std::uint64_t n) {
+    if (n > data.size() - cursor) {
+      throw std::runtime_error("FlatModel: truncated model file");
+    }
+  };
+  // `count` records of at least `min_bytes` each must fit in what is left.
+  auto need_records = [&](std::uint64_t count, std::uint64_t min_bytes) {
+    if (count > (data.size() - cursor) / min_bytes) {
       throw std::runtime_error("FlatModel: truncated model file");
     }
   };
@@ -198,6 +209,20 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     for (auto& d : s) d = i64();
     return s;
   };
+  // A tensor shape (unlike a Reshape target, where -1 means "infer") has
+  // non-negative dims whose product fits in int64.
+  auto tensor_shape = [&]() {
+    Shape s = shape();
+    std::int64_t elements = 1;
+    for (const auto d : s) {
+      if (d < 0) throw std::runtime_error("FlatModel: negative dimension");
+      if (d != 0 && elements > std::numeric_limits<std::int64_t>::max() / d) {
+        throw std::runtime_error("FlatModel: shape size overflows");
+      }
+      elements *= d;
+    }
+    return s;
+  };
 
   if (u32() != kLiteMagic) throw std::runtime_error("FlatModel: bad magic");
   const std::uint32_t version = u32();
@@ -210,10 +235,12 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   need(1);
   model.quantized_ = data[cursor++] != 0;
   const std::uint32_t n_tensors = u32();
+  // rank + weight_offset + quant_scale (+ act_min/act_max when calibrated)
+  need_records(n_tensors, model.calibrated_ ? 24 : 16);
   model.tensors_.reserve(n_tensors);
   for (std::uint32_t i = 0; i < n_tensors; ++i) {
     LiteTensorDesc desc;
-    desc.shape = shape();
+    desc.shape = tensor_shape();
     desc.weight_offset = i64();
     const std::uint32_t scale_bits = u32();
     std::memcpy(&desc.quant_scale, &scale_bits, 4);
@@ -226,6 +253,8 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     model.tensors_.push_back(std::move(desc));
   }
   const std::uint32_t n_ops = u32();
+  // type + stride + window + scalar + target rank + n_inputs + output
+  need_records(n_ops, 33);
   model.ops_.reserve(n_ops);
   for (std::uint32_t i = 0; i < n_ops; ++i) {
     LiteOp op;
@@ -237,6 +266,8 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     std::memcpy(&op.attrs.scalar, &scalar_bits, 4);
     op.attrs.target_shape = shape();
     const std::uint32_t n_inputs = u32();
+    need_records(n_inputs, 4);
+    op.inputs.reserve(n_inputs);
     for (std::uint32_t j = 0; j < n_inputs; ++j) {
       op.inputs.push_back(static_cast<std::int32_t>(u32()));
     }
@@ -246,26 +277,32 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   model.input_ = static_cast<std::int32_t>(u32());
   model.output_ = static_cast<std::int32_t>(u32());
   const std::int64_t n_weights = i64();
+  if (n_weights < 0) {
+    throw std::runtime_error("FlatModel: negative weight count");
+  }
+  const std::uint64_t elem_size = model.quantized_ ? 1 : sizeof(float);
+  need_records(static_cast<std::uint64_t>(n_weights), elem_size);
+  for (const auto& desc : model.tensors_) {
+    if (desc.is_weight() &&
+        num_elements(desc.shape) > n_weights - desc.weight_offset) {
+      throw std::runtime_error("FlatModel: weight tensor outside the arena");
+    }
+  }
+  const std::size_t weight_bytes =
+      static_cast<std::size_t>(n_weights) * elem_size;
   if (model.quantized_) {
-    need(static_cast<std::size_t>(n_weights));
     model.qweights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.qweights_.data(), data.data() + cursor,
-                static_cast<std::size_t>(n_weights));
-    cursor += static_cast<std::size_t>(n_weights);
+    std::memcpy(model.qweights_.data(), data.data() + cursor, weight_bytes);
   } else {
-    const std::size_t weight_bytes =
-        static_cast<std::size_t>(n_weights) * sizeof(float);
-    need(weight_bytes);
     model.weights_.resize(static_cast<std::size_t>(n_weights));
     std::memcpy(model.weights_.data(), data.data() + cursor, weight_bytes);
-    cursor += weight_bytes;
   }
+  cursor += weight_bytes;
   if (cursor != data.size()) {
     throw std::runtime_error("FlatModel: trailing bytes");
   }
   return model;
 }
-
 
 FlatModel FlatModel::quantized() const {
   if (quantized_) return *this;
@@ -519,6 +556,16 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
     }
     return slot;
   };
+  // MatMul reads a float weight in place from the arena, the way
+  // execute_int8 reads int8 codes through its weight_view; nullptr when
+  // `idx` is not one. Copies stay only where they are the semantics or the
+  // API: the dequantizing int8-storage path, GPU offload, and the small
+  // bias and Conv2D filter tensors.
+  const auto weight_view = [&](std::int32_t idx) -> const float* {
+    const LiteTensorDesc& d = model_.tensors()[static_cast<std::size_t>(idx)];
+    if (!d.is_weight() || model_.is_quantized()) return nullptr;
+    return model_.weights().data() + d.weight_offset;
+  };
 
   // The first op has no predecessor to prefetch it; issue its windows up
   // front so repeated invokes don't demand-fault what the previous invoke
@@ -537,9 +584,6 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
     // tracing switch so untraced runs record nothing.
     const bool trace_ops = env_ != nullptr && obs::tracing_enabled();
     const std::uint64_t op_start_ns = trace_ops ? env_->now_ns() : 0;
-    std::vector<const Tensor*> inputs;
-    inputs.reserve(op.inputs.size());
-    for (const auto idx : op.inputs) inputs.push_back(&materialize(idx));
 
     if (env_ != nullptr && weight_streaming_) {
       // Retire the previous op's dead weight windows off the critical path,
@@ -559,29 +603,31 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
     // Cost accounting: weight reads hit the weights region at their true
     // offset (page-accurate for the EPC model); activations ping-pong.
     if (env_ != nullptr) {
-      for (std::size_t i = 0; i < op.inputs.size(); ++i) {
-        const auto& desc =
-            model_.tensors()[static_cast<std::size_t>(op.inputs[i])];
+      for (const std::int32_t idx : op.inputs) {
+        const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
         if (desc.is_weight()) {
           const std::uint64_t elem_size =
               model_.is_quantized() ? 1 : sizeof(float);
           env_->access(weights_region_,
                        static_cast<std::uint64_t>(desc.weight_offset) *
                            elem_size,
-                       static_cast<std::uint64_t>(inputs[i]->size()) *
+                       static_cast<std::uint64_t>(num_elements(desc.shape)) *
                            elem_size,
                        false);
         } else {
           env_->access(activation_region_, 0,
-                       std::min<std::uint64_t>(inputs[i]->byte_size(),
-                                               activation_bytes_),
+                       std::min<std::uint64_t>(
+                           values[static_cast<std::size_t>(idx)].byte_size(),
+                           activation_bytes_),
                        false);
         }
       }
     }
 
     ops::OpResult r;
-    auto in = [&](std::size_t i) -> const Tensor& { return *inputs.at(i); };
+    auto in = [&](std::size_t i) -> const Tensor& {
+      return materialize(op.inputs.at(i));
+    };
     // Linear layers go to the untrusted GPU when offload is active; r.flops
     // then carries the in-enclave verification arithmetic (charged below
     // exactly like any op's compute), while GPU flops and PCIe bytes were
@@ -597,6 +643,11 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
               "lite:op" + std::to_string(j) + ":mm:" +
                   std::to_string(in(0).dim(1)) + "x" +
                   std::to_string(in(1).dim(1)));
+        } else if (const float* w = weight_view(op.inputs.at(1))) {
+          r = ops::matmul(
+              in(0),
+              model_.tensors()[static_cast<std::size_t>(op.inputs[1])].shape,
+              w, kernel_ctx_);
         } else {
           r = ops::matmul(in(0), in(1), kernel_ctx_);
         }

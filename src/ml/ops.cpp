@@ -48,11 +48,17 @@ double conv_flops(const kernels::ConvShape& s) {
 
 OpResult matmul(const Tensor& a, const Tensor& b,
                 const kernels::KernelContext& ctx) {
-  require(a.rank() == 2 && b.rank() == 2, "matmul: rank-2 tensors required");
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  require(b.dim(0) == k, "matmul: inner dimensions do not match");
+  return matmul(a, b.shape(), b.data(), ctx);
+}
+
+OpResult matmul(const Tensor& a, const Shape& b_shape, const float* b,
+                const kernels::KernelContext& ctx) {
+  require(a.rank() == 2 && b_shape.size() == 2,
+          "matmul: rank-2 tensors required");
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b_shape[1];
+  require(b_shape[0] == k, "matmul: inner dimensions do not match");
   Tensor out({m, n});
-  kernels::gemm(ctx, m, k, n, a.data(), b.data(), out.data());
+  kernels::gemm(ctx, m, k, n, a.data(), b, out.data());
   return {std::move(out), 2.0 * static_cast<double>(m) * k * n};
 }
 

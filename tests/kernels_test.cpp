@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "crypto/drbg.h"
@@ -26,6 +27,22 @@ float random_float(crypto::HmacDrbg& rng) {
 Tensor random_tensor(crypto::HmacDrbg& rng, Shape shape) {
   Tensor t(std::move(shape));
   for (std::int64_t i = 0; i < t.size(); ++i) t.at(i) = random_float(rng);
+  return t;
+}
+
+// Same value grid as random_tensor, from a splitmix64 hash of (salt, index)
+// instead of one DRBG draw per element, which would dominate the run time
+// of the tests that sweep megabyte-sized operands.
+Tensor hashed_tensor(std::uint64_t salt, Shape shape) {
+  Tensor t(std::move(shape));
+  for (std::int64_t i = 0; i < t.size(); ++i) {
+    std::uint64_t z =
+        salt + 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(i + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    t.at(i) = static_cast<float>(z % 20001) / 10000.0f - 1.0f;
+  }
   return t;
 }
 
@@ -174,7 +191,21 @@ TEST(KernelDeterminism, BitIdenticalAcrossPoolSizes) {
   const auto s = kernels::conv_shape(2, 17, 13, 5, 3, 3, 9, 2);
   const Tensor grad_out = random_tensor(rng, {2, s.oh, s.ow, 9});
 
+  // Few-row products take the small-batch schedule (column strips as the
+  // parallel chunks); n = 1024 spans several strips, n = 70 ends ragged.
+  std::vector<std::pair<Tensor, Tensor>> small;
+  for (const std::int64_t m : {1, 3, 8}) {
+    for (const std::int64_t n : {70, 1024}) {
+      small.emplace_back(hashed_tensor(small.size(), {m, 300}),
+                         hashed_tensor(small.size() + 100, {300, n}));
+    }
+  }
+
   const auto mm_serial = ops::matmul(a, b, KernelContext{});
+  std::vector<Tensor> small_serial;
+  for (const auto& [sa, sb] : small) {
+    small_serial.push_back(ops::matmul(sa, sb, KernelContext{}).output);
+  }
   const auto conv_serial = ops::conv2d(input, filter, 2, KernelContext{});
   const auto gi_serial =
       ops::conv2d_grad_input(input, filter, grad_out, 2, KernelContext{});
@@ -186,6 +217,12 @@ TEST(KernelDeterminism, BitIdenticalAcrossPoolSizes) {
     const KernelContext ctx{&pool, pool.thread_count()};
     EXPECT_EQ(ops::matmul(a, b, ctx).output, mm_serial.output)
         << threads << " threads";
+    for (std::size_t i = 0; i < small.size(); ++i) {
+      EXPECT_EQ(ops::matmul(small[i].first, small[i].second, ctx).output,
+                small_serial[i])
+          << threads << " threads, m = " << small[i].first.dim(0)
+          << ", n = " << small[i].second.dim(1);
+    }
     EXPECT_EQ(ops::conv2d(input, filter, 2, ctx).output, conv_serial.output)
         << threads << " threads";
     EXPECT_EQ(ops::conv2d_grad_input(input, filter, grad_out, 2, ctx).output,
@@ -200,17 +237,68 @@ TEST(KernelDeterminism, BitIdenticalAcrossPoolSizes) {
 // Small problems (k <= KC) must reproduce the naive reference *bit for
 // bit*: the blocked kernel reduces k in the same ascending order, so the
 // historical ml_test expectations keep holding exactly.
+// m <= 8 runs the small-batch schedule, whose accumulators are stored and
+// reloaded between B sub-blocks; that must not change a bit either.
 TEST(KernelDeterminism, SmallShapesAreBitExactAgainstNaive) {
   crypto::HmacDrbg rng(crypto::to_bytes("bit-exact"));
-  const std::int64_t m = 33, k = 129, n = 18;
-  const Tensor a = random_tensor(rng, {m, k});
-  const Tensor b = random_tensor(rng, {k, n});
-  std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
-  kernels::reference::matmul(m, k, n, a.data(), b.data(), want.data());
-  const auto got = ops::matmul(a, b, KernelContext{});
-  for (std::int64_t i = 0; i < got.output.size(); ++i) {
-    EXPECT_EQ(got.output.at(i), want[static_cast<std::size_t>(i)])
-        << "element " << i;
+  const std::int64_t shapes[][3] = {
+      {33, 129, 18}, {1, 256, 1024}, {5, 129, 70}, {8, 17, 33}, {1, 1, 1}};
+  for (const auto& [m, k, n] : shapes) {
+    const Tensor a = random_tensor(rng, {m, k});
+    const Tensor b = hashed_tensor(static_cast<std::uint64_t>(k * n), {k, n});
+    std::vector<float> want(static_cast<std::size_t>(m * n), 0.0f);
+    kernels::reference::matmul(m, k, n, a.data(), b.data(), want.data());
+    const auto got = ops::matmul(a, b, KernelContext{});
+    for (std::int64_t i = 0; i < got.output.size(); ++i) {
+      EXPECT_EQ(got.output.at(i), want[static_cast<std::size_t>(i)])
+          << m << "x" << k << "x" << n << " element " << i;
+    }
+  }
+}
+
+// Row i of an m-row product equals the 1-row product of row i bit for bit:
+// m > 8 runs the row-block schedule, one row the small-batch one, so this
+// pins the two to the same per-element reduction (k spans 1..4 KC panels,
+// n every edge-tile case). gemm_tn reads A transposed in both schedules.
+TEST(KernelDeterminism, RowsMatchSingleRowProductsAcrossSchedules) {
+  runtime::ThreadPool pool(2);
+  const KernelContext ctx{&pool, pool.thread_count()};
+  std::uint64_t salt = 0;
+  for (const std::int64_t m : {9, 16, 73}) {
+    for (const std::int64_t k : {1, 255, 256, 257, 1024}) {
+      for (const std::int64_t n : {1, 10, 31, 32, 33, 1024}) {
+        const Tensor a = hashed_tensor(++salt, {m, k});
+        const Tensor b = hashed_tensor(++salt, {k, n});
+        const Tensor all = ops::matmul(a, b, ctx).output;
+        std::vector<float> row(static_cast<std::size_t>(n));
+        for (std::int64_t i = 0; i < m; ++i) {
+          kernels::gemm(ctx, 1, k, n, a.data() + i * k, b.data(), row.data());
+          for (std::int64_t j = 0; j < n; ++j) {
+            ASSERT_EQ(all.at(i * n + j), row[static_cast<std::size_t>(j)])
+                << m << "x" << k << "x" << n << " row " << i << " col " << j;
+          }
+        }
+      }
+    }
+  }
+  for (const std::int64_t m : {3, 8, 16}) {
+    const std::int64_t k = 300, n = 70;
+    const Tensor at = hashed_tensor(++salt, {k, m});  // logical A = atᵀ
+    const Tensor b = hashed_tensor(++salt, {k, n});
+    Tensor all({m, n});
+    kernels::gemm_tn(ctx, m, k, n, at.data(), b.data(), all.data());
+    std::vector<float> a_row(static_cast<std::size_t>(k));
+    std::vector<float> row(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        a_row[static_cast<std::size_t>(kk)] = at.at(kk * m + i);
+      }
+      kernels::gemm(ctx, 1, k, n, a_row.data(), b.data(), row.data());
+      for (std::int64_t j = 0; j < n; ++j) {
+        ASSERT_EQ(all.at(i * n + j), row[static_cast<std::size_t>(j)])
+            << "gemm_tn m = " << m << " row " << i << " col " << j;
+      }
+    }
   }
 }
 

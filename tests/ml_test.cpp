@@ -578,6 +578,68 @@ TEST(LiteTest, DeserializeRejectsGarbage) {
   EXPECT_THROW((void)lite::FlatModel::deserialize(blob), std::runtime_error);
 }
 
+// Forged counts, dims and weight ranges are rejected with a typed error
+// before anything is sized from them: no length_error/bad_alloc from a
+// reserve, and no weight tensor the in-place MatMul could read past the
+// arena with.
+TEST(LiteTest, DeserializeRejectsForgedCountsAndRanges) {
+  Graph g = mnist_mlp(8, 4);
+  Session session(g);
+  const auto model =
+      lite::FlatModel::from_frozen(freeze(g, session), "input", "probs");
+  ASSERT_FALSE(model.is_quantized());
+  ASSERT_FALSE(model.is_calibrated());
+  const crypto::Bytes blob = model.serialize();
+
+  // Walk the version-2 layout for the byte offsets of the fields to forge.
+  std::size_t at = 4 + 4 + 1;  // magic, version, quantized flag
+  const auto u32 = [&] {
+    const std::uint32_t v = crypto::load_be32(blob.data() + at);
+    at += 4;
+    return v;
+  };
+  std::size_t weight_dims = 0;    // dims of the first 2-D weight
+  std::size_t weight_offset = 0;  // its weight_offset field
+  const std::uint32_t n_tensors = u32();
+  for (std::uint32_t i = 0; i < n_tensors; ++i) {
+    const std::uint32_t rank = u32();
+    const std::size_t dims = at;
+    at += 8 * rank;
+    if (rank == 2 && weight_dims == 0 &&
+        model.tensors()[i].is_weight()) {
+      weight_dims = dims;
+      weight_offset = at;
+    }
+    at += 8 + 4;  // weight_offset, quant_scale
+  }
+  ASSERT_NE(weight_dims, 0u);
+  const std::size_t n_ops_at = at;
+  const std::size_t n_weights_at =
+      blob.size() - model.weights().size() * sizeof(float) - 8;
+  const auto arena = static_cast<std::int64_t>(model.weights().size());
+
+  const auto forged = [&](std::size_t field, std::uint64_t value,
+                          bool wide) {
+    crypto::Bytes b = blob;
+    if (wide) {
+      crypto::store_be64(b.data() + field, value);
+    } else {
+      crypto::store_be32(b.data() + field, static_cast<std::uint32_t>(value));
+    }
+    return b;
+  };
+  const auto rejects = [](const crypto::Bytes& b) {
+    EXPECT_THROW((void)lite::FlatModel::deserialize(b), std::runtime_error);
+  };
+  rejects(forged(n_weights_at,
+                 static_cast<std::uint64_t>(-(std::int64_t{1} << 62)), true));
+  rejects(forged(n_ops_at, 0x7fffffffu, false));
+  rejects(forged(weight_offset, static_cast<std::uint64_t>(arena - 1), true));
+  rejects(forged(weight_dims, static_cast<std::uint64_t>(-1), true));
+  // The untouched blob still loads.
+  EXPECT_EQ(lite::FlatModel::deserialize(blob).weights(), model.weights());
+}
+
 TEST(LiteTest, ConvnetLowersAndRuns) {
   const Graph g = mnist_convnet(9);
   Session session(g);  // the dense head holds variables: freeze them

@@ -228,21 +228,26 @@ std::vector<ml::Tensor> make_inputs(std::int64_t n, std::int64_t dim,
   return inputs;
 }
 
+// Batches of up to 8 rows run the small-batch GEMM schedule, larger ones
+// the row-block schedule, and single invokes the small-batch one; the
+// output layer's k = 1024 spans four KC panels.
 TEST(LiteBatchTest, BatchedMlpIsBitIdenticalToSingleInvokes) {
   BatchFixture f;
   ml::lite::LiteInterpreter single(f.mlp);
   ml::lite::LiteInterpreter batched(f.mlp);
-  const std::vector<ml::Tensor> inputs = make_inputs(5, 64, 11);
-  std::vector<const ml::Tensor*> ptrs;
-  for (const auto& t : inputs) ptrs.push_back(&t);
-  const std::vector<ml::Tensor> batch_out = batched.invoke_batch(ptrs);
-  ASSERT_EQ(batch_out.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const ml::Tensor one = single.invoke(inputs[i]);
-    ASSERT_TRUE(one.same_shape(batch_out[i]));
-    for (std::int64_t j = 0; j < one.size(); ++j) {
-      EXPECT_EQ(one.data()[j], batch_out[i].data()[j])
-          << "request " << i << " element " << j;
+  for (const std::int64_t size : {5, 8, 9, 16}) {
+    const std::vector<ml::Tensor> inputs = make_inputs(size, 64, 11);
+    std::vector<const ml::Tensor*> ptrs;
+    for (const auto& t : inputs) ptrs.push_back(&t);
+    const std::vector<ml::Tensor> batch_out = batched.invoke_batch(ptrs);
+    ASSERT_EQ(batch_out.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const ml::Tensor one = single.invoke(inputs[i]);
+      ASSERT_TRUE(one.same_shape(batch_out[i]));
+      for (std::int64_t j = 0; j < one.size(); ++j) {
+        EXPECT_EQ(one.data()[j], batch_out[i].data()[j])
+            << "batch " << size << " request " << i << " element " << j;
+      }
     }
   }
 }
