@@ -30,15 +30,16 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
 
+// 32 bytes is the HMAC-DRBG's message size (its V).
 void BM_HmacSha256(benchmark::State& state) {
   const auto key = crypto::to_bytes("benchmark-key");
-  const crypto::Bytes data(4096, 0x7f);
+  const crypto::Bytes data(static_cast<std::size_t>(state.range(0)), 0x7f);
   for (auto _ : state) {
     benchmark::DoNotOptimize(crypto::hmac_sha256(key, data));
   }
-  state.SetBytesProcessed(state.iterations() * 4096);
+  state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_HmacSha256);
+BENCHMARK(BM_HmacSha256)->Arg(32)->Arg(4096);
 
 void BM_AesGcmSeal(benchmark::State& state) {
   const auto key = crypto::HmacDrbg(crypto::to_bytes("k")).generate(16);
@@ -85,6 +86,17 @@ void BM_DrbgGenerate(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_DrbgGenerate);
+
+// One draw the way the load generator makes them: 8 bytes plus the state
+// update, so three HMACs and one rekey.
+void BM_DrbgUniform(benchmark::State& state) {
+  crypto::HmacDrbg drbg(crypto::to_bytes("seed"));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(drbg.uniform(std::uint64_t{1} << 53));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DrbgUniform);
 
 void BM_EpcResidentAccess(benchmark::State& state) {
   tee::CostModel model;

@@ -4,34 +4,13 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "crypto/gcm_internal.h"
+#include "crypto/backend.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
 namespace stf::crypto {
-
-namespace internal {
-
-bool hardware_supported() {
-#if defined(__x86_64__)
-  static const bool supported = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("aes") && __builtin_cpu_supports("pclmul") &&
-           __builtin_cpu_supports("ssse3");
-  }();
-  return supported;
-#else
-  return false;
-#endif
-}
-
-Backend default_backend() {
-  return hardware_supported() ? Backend::kHardware : Backend::kPortable;
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -140,11 +119,12 @@ STF_AESNI void aesni_ctr_xor(const std::uint8_t* round_keys, int rounds,
 
 }  // namespace
 
-Aes::Aes(BytesView key) : Aes(key, internal::default_backend()) {}
+Aes::Aes(BytesView key)
+    : Aes(key, internal::default_backend(internal::Primitive::kAesGcm)) {}
 
 Aes::Aes(BytesView key, internal::Backend backend) : backend_(backend) {
   if (backend == internal::Backend::kHardware &&
-      !internal::hardware_supported()) {
+      !internal::hardware_supported(internal::Primitive::kAesGcm)) {
     throw std::invalid_argument("Aes: CPU lacks AES-NI");
   }
   std::size_t nk;  // key length in 32-bit words

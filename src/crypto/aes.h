@@ -4,7 +4,7 @@
 // page sealing in the TEE simulator, and the network shield's record layer
 // (all via AES-GCM, see gcm.h). On x86-64 CPUs with AES-NI it runs on the
 // AES instructions; elsewhere on a portable byte-wise implementation
-// (see gcm_internal.h).
+// (see backend.h).
 #pragma once
 
 #include <array>
@@ -15,7 +15,7 @@
 namespace stf::crypto {
 
 namespace internal {
-enum class Backend : std::uint8_t;  // defined in crypto/gcm_internal.h
+enum class Backend : std::uint8_t;  // defined in crypto/backend.h
 }
 
 class Aes {

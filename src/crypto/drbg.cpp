@@ -3,39 +3,37 @@
 #include <random>
 #include <stdexcept>
 
-#include "crypto/hmac.h"
+#include "crypto/backend.h"
 
 namespace stf::crypto {
 
-HmacDrbg::HmacDrbg(BytesView seed) {
-  key_.fill(0x00);
+namespace {
+constexpr std::array<std::uint8_t, Sha256::kDigestSize> kInitialKey{};
+}  // namespace
+
+HmacDrbg::HmacDrbg(BytesView seed)
+    : HmacDrbg(seed, internal::default_backend(internal::Primitive::kSha256)) {}
+
+HmacDrbg::HmacDrbg(BytesView seed, internal::Backend backend)
+    : key_(kInitialKey, backend) {
   value_.fill(0x01);
   update(seed);
 }
 
 void HmacDrbg::update(BytesView provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  Bytes input(value_.begin(), value_.end());
-  input.push_back(0x00);
-  append(input, provided);
-  key_ = hmac_sha256(BytesView(key_.data(), key_.size()), input);
-  value_ = hmac_sha256(BytesView(key_.data(), key_.size()),
-                       BytesView(value_.data(), value_.size()));
-  if (!provided.empty()) {
-    input.assign(value_.begin(), value_.end());
-    input.push_back(0x01);
-    append(input, provided);
-    key_ = hmac_sha256(BytesView(key_.data(), key_.size()), input);
-    value_ = hmac_sha256(BytesView(key_.data(), key_.size()),
-                         BytesView(value_.data(), value_.size()));
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V); then the same with
+  // 0x01 when `provided` is non-empty.
+  for (const std::uint8_t round : {std::uint8_t{0x00}, std::uint8_t{0x01}}) {
+    if (round == 0x01 && provided.empty()) return;
+    key_.rekey(key_.mac({value_, BytesView(&round, 1), provided}));
+    value_ = key_.mac(value_);
   }
 }
 
 void HmacDrbg::fill(std::uint8_t* out, std::size_t length) {
   std::size_t produced = 0;
   while (produced < length) {
-    value_ = hmac_sha256(BytesView(key_.data(), key_.size()),
-                         BytesView(value_.data(), value_.size()));
+    value_ = key_.mac(value_);
     const std::size_t take = std::min(value_.size(), length - produced);
     std::copy(value_.begin(), value_.begin() + take, out + produced);
     produced += take;

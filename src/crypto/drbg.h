@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "crypto/bytes.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace stf::crypto {
@@ -18,6 +19,8 @@ class HmacDrbg {
  public:
   /// Instantiates from seed material (entropy || nonce || personalization).
   explicit HmacDrbg(BytesView seed);
+  /// Same, on an explicit SHA-256 implementation (tests compare the two).
+  HmacDrbg(BytesView seed, internal::Backend backend);
 
   /// Generates `length` pseudorandom bytes.
   Bytes generate(std::size_t length);
@@ -34,7 +37,7 @@ class HmacDrbg {
  private:
   void update(BytesView provided);
 
-  std::array<std::uint8_t, Sha256::kDigestSize> key_{};
+  HmacSha256 key_;  // HMAC keyed with the state's K
   std::array<std::uint8_t, Sha256::kDigestSize> value_{};
 };
 

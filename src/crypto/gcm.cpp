@@ -3,7 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "crypto/gcm_internal.h"
+#include "crypto/backend.h"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -115,7 +115,8 @@ STF_CLMUL void clmul_ghash(const std::uint8_t* powers, BytesView aad,
 
 }  // namespace
 
-AesGcm::AesGcm(BytesView key) : AesGcm(key, internal::default_backend()) {}
+AesGcm::AesGcm(BytesView key)
+    : AesGcm(key, internal::default_backend(internal::Primitive::kAesGcm)) {}
 
 AesGcm::AesGcm(BytesView key, internal::Backend backend)
     : aes_(key, backend), backend_(backend) {

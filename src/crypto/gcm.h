@@ -3,7 +3,7 @@
 // Every confidentiality+integrity boundary in secureTF — sealed EPC pages,
 // file-system-shield chunks, network-shield records, the CAS secret store —
 // goes through this AEAD. On x86-64 CPUs with AES-NI and PCLMULQDQ it runs on
-// those instructions; elsewhere on the portable code (see gcm_internal.h).
+// those instructions; elsewhere on the portable code (see backend.h).
 #pragma once
 
 #include <optional>

@@ -1,7 +1,15 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <stdexcept>
+
+#include "crypto/backend.h"
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 namespace stf::crypto {
 namespace {
@@ -23,17 +31,8 @@ constexpr std::array<std::uint32_t, 8> kInitialState = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
     0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
 
-}  // namespace
-
-Sha256::Sha256() { reset(); }
-
-void Sha256::reset() {
-  state_ = kInitialState;
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t block[kBlockSize]) {
+void portable_compress(std::array<std::uint32_t, 8>& state,
+                       const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -44,7 +43,7 @@ void Sha256::compress(const std::uint8_t block[kBlockSize]) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
@@ -63,51 +62,141 @@ void Sha256::compress(const std::uint8_t block[kBlockSize]) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+// SHA-NI compression, after Gulley et al., "Intel SHA Extensions" (2013).
+// The state lives in two registers, (A,B,E,F) and (C,D,G,H); each
+// sha256rnds2 runs two rounds, and msg1/msg2 extend the message schedule
+// four words at a time.
+#define STF_SHANI __attribute__((target("sha,sse4.1,ssse3")))
+
+STF_SHANI void shani_compress(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t blocks) {
+  const __m128i bswap32 =
+      _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
+  const auto* k = reinterpret_cast<const __m128i*>(kRoundConstants.data());
+  const __m128i cdab = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[j % 4] holds message words W[4j..4j+3] while rounds 4j..4j+3 run.
+    // Fully unrolled, every index is a constant and w stays in registers.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int j = 0; j < 16; ++j) {
+      if (j < 4) {
+        w[j] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * j)),
+            bswap32);
+      }
+      const __m128i wk = _mm_add_epi32(w[j % 4], _mm_loadu_si128(k + j));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (j >= 3 && j < 15) {
+        // W[t] for t = 4j+4..4j+7: the slot already holds
+        // W[t-16] + sigma0(W[t-15]) (msg1); add W[t-7], then msg2 adds
+        // sigma1(W[t-2]).
+        __m128i& next = w[(j + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[j % 4], w[(j + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, w[j % 4]);
+      }
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+      if (j >= 1 && j < 13) {
+        w[(j + 3) % 4] = _mm_sha256msg1_epu32(w[(j + 3) % 4], w[j % 4]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif  // __x86_64__
+
+}  // namespace
+
+Sha256::Sha256()
+    : Sha256(internal::default_backend(internal::Primitive::kSha256)) {}
+
+Sha256::Sha256(internal::Backend backend) : backend_(backend) {
+  if (backend == internal::Backend::kHardware &&
+      !internal::hardware_supported(internal::Primitive::kSha256)) {
+    throw std::invalid_argument("Sha256: CPU lacks the SHA extensions");
+  }
+  reset();
+}
+
+void Sha256::reset() {
+  state_ = kInitialState;
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::compress(const std::uint8_t* data, std::size_t blocks) {
+#if defined(__x86_64__)
+  if (backend_ == internal::Backend::kHardware) {
+    shani_compress(state_.data(), data, blocks);
+    return;
+  }
+#endif
+  for (; blocks > 0; --blocks, data += kBlockSize) {
+    portable_compress(state_, data);
+  }
 }
 
 void Sha256::update(BytesView data) {
+  if (data.empty()) return;
   total_len_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
   if (buffer_len_ > 0) {
-    const std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(kBlockSize - buffer_len_, n);
+    std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
-    offset = take;
-    if (buffer_len_ == kBlockSize) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < kBlockSize) return;
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
+    p += take;
+    n -= take;
   }
-  while (offset + kBlockSize <= data.size()) {
-    compress(data.data() + offset);
-    offset += kBlockSize;
-  }
-  if (offset < data.size()) {
-    buffer_len_ = data.size() - offset;
-    std::memcpy(buffer_.data(), data.data() + offset, buffer_len_);
-  }
+  const std::size_t blocks = n / kBlockSize;
+  if (blocks > 0) compress(p, blocks);
+  buffer_len_ = n % kBlockSize;
+  std::memcpy(buffer_.data(), p + blocks * kBlockSize, buffer_len_);
 }
 
 Sha256::Digest Sha256::finish() {
+  // Pad with 0x80 then zeros up to 56 mod 64, then the 8-byte bit length.
   const std::uint64_t bit_len = total_len_ * 8;
-  // Pad with 0x80 then zeros so that after appending the 8-byte length the
-  // message is block-aligned (buffer_len_ must land on 56 mod 64).
-  std::uint8_t padding[kBlockSize + 8] = {0x80};
-  const std::size_t pad_len = (buffer_len_ < 56)
-                                  ? (56 - buffer_len_)
-                                  : (56 + kBlockSize - buffer_len_);
-  update(BytesView(padding, pad_len));
-  std::uint8_t len_bytes[8];
-  store_be64(len_bytes, bit_len);
-  update(BytesView(len_bytes, 8));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::fill(buffer_.begin() + buffer_len_, buffer_.end(), 0);
+    compress(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + buffer_len_, buffer_.end() - 8, 0);
+  store_be64(buffer_.data() + kBlockSize - 8, bit_len);
+  compress(buffer_.data(), 1);
 
   Digest digest;
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);

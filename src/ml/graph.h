@@ -40,6 +40,9 @@ enum class OpType : std::uint8_t {
   Scale,                ///< multiply by attr scalar (e.g. 1/255 normalize)
 };
 
+/// The highest OpType; loaders reject type bytes above it.
+inline constexpr OpType kLastOpType = OpType::Scale;
+
 [[nodiscard]] const char* op_name(OpType type);
 
 /// Static attributes of a node (strides, target shapes, scalars).

@@ -43,6 +43,30 @@ QuantObs& quant_obs() {
   return *o;
 }
 
+// Inputs an op of this type reads in the interpreter; 0 for a type byte the
+// interpreter does not run (graph-only types and bytes past the enum).
+std::uint32_t lite_arity(std::uint8_t type) {
+  switch (static_cast<OpType>(type)) {
+    case OpType::MatMul:
+    case OpType::Add:
+    case OpType::Conv2D:
+      return 2;
+    case OpType::Relu:
+    case OpType::Softmax:
+    case OpType::MaxPool2D:
+    case OpType::AvgPool2D:
+    case OpType::GlobalAvgPool:
+    case OpType::Sigmoid:
+    case OpType::Tanh:
+    case OpType::Reshape:
+    case OpType::ArgMax:
+    case OpType::Scale:
+      return 1;
+    default:
+      return 0;
+  }
+}
+
 }  // namespace
 
 FlatModel FlatModel::from_frozen(const Graph& graph,
@@ -259,16 +283,19 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   for (std::uint32_t i = 0; i < n_ops; ++i) {
     LiteOp op;
     need(1);
-    op.type = static_cast<OpType>(data[cursor++]);
+    const std::uint8_t type = data[cursor++];
+    const std::uint32_t arity = lite_arity(type);
+    if (arity == 0) throw std::runtime_error("FlatModel: unsupported op type");
+    op.type = static_cast<OpType>(type);
     op.attrs.stride = i64();
     op.attrs.window = i64();
     const std::uint32_t scalar_bits = u32();
     std::memcpy(&op.attrs.scalar, &scalar_bits, 4);
     op.attrs.target_shape = shape();
-    const std::uint32_t n_inputs = u32();
-    need_records(n_inputs, 4);
-    op.inputs.reserve(n_inputs);
-    for (std::uint32_t j = 0; j < n_inputs; ++j) {
+    if (u32() != arity) {
+      throw std::runtime_error("FlatModel: wrong number of op inputs");
+    }
+    for (std::uint32_t j = 0; j < arity; ++j) {
       op.inputs.push_back(static_cast<std::int32_t>(u32()));
     }
     op.output = static_cast<std::int32_t>(u32());
@@ -276,6 +303,44 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   }
   model.input_ = static_cast<std::int32_t>(u32());
   model.output_ = static_cast<std::int32_t>(u32());
+  // The interpreter indexes tensors by these fields unchecked, so the
+  // program must be well formed: indices in range, and every op input a
+  // weight, the model input or an earlier op's output. Each activation is
+  // produced once, and the model output is produced at all.
+  const auto in_range = [&](std::int32_t idx) {
+    return idx >= 0 && static_cast<std::size_t>(idx) < model.tensors_.size();
+  };
+  if (!in_range(model.input_) || !in_range(model.output_)) {
+    throw std::runtime_error("FlatModel: model input or output out of range");
+  }
+  std::vector<bool> defined(model.tensors_.size());
+  for (std::size_t t = 0; t < defined.size(); ++t) {
+    defined[t] = model.tensors_[t].is_weight();
+  }
+  if (defined[static_cast<std::size_t>(model.input_)]) {
+    throw std::runtime_error("FlatModel: model input is a weight");
+  }
+  defined[static_cast<std::size_t>(model.input_)] = true;
+  for (const LiteOp& op : model.ops_) {
+    for (const std::int32_t idx : op.inputs) {
+      if (!in_range(idx)) {
+        throw std::runtime_error("FlatModel: op input out of range");
+      }
+      if (!defined[static_cast<std::size_t>(idx)]) {
+        throw std::runtime_error("FlatModel: op input used before production");
+      }
+    }
+    if (!in_range(op.output)) {
+      throw std::runtime_error("FlatModel: op output out of range");
+    }
+    if (defined[static_cast<std::size_t>(op.output)]) {
+      throw std::runtime_error("FlatModel: op output produced twice");
+    }
+    defined[static_cast<std::size_t>(op.output)] = true;
+  }
+  if (!defined[static_cast<std::size_t>(model.output_)]) {
+    throw std::runtime_error("FlatModel: model output never produced");
+  }
   const std::int64_t n_weights = i64();
   if (n_weights < 0) {
     throw std::runtime_error("FlatModel: negative weight count");

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace stf::ml {
 namespace {
@@ -74,6 +75,15 @@ class Reader {
     std::memcpy(&v, &bits, 4);
     return v;
   }
+  /// A u32 count of records of at least `min_bytes` each, checked against
+  /// the bytes left before anything is sized from it.
+  std::uint32_t count(std::size_t min_bytes) {
+    const std::uint32_t n = u32();
+    if (n > (data_.size() - cursor_) / min_bytes) {
+      throw std::runtime_error("deserialize: truncated input");
+    }
+    return n;
+  }
   std::string str() {
     const std::uint32_t len = u32();
     need(len);
@@ -88,12 +98,23 @@ class Reader {
     for (auto& d : s) d = i64();
     return s;
   }
+  // Non-negative dims whose element count fits in the bytes left, so the
+  // value buffer is never sized beyond the input.
   Tensor tensor() {
     Shape s = shape();
-    const std::int64_t n = num_elements(s);
-    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(float);
-    need(bytes);
-    std::vector<float> values(static_cast<std::size_t>(n));
+    const std::uint64_t max_elements =
+        (data_.size() - cursor_) / sizeof(float);
+    std::uint64_t n = 1;  // saturates at max_elements + 1
+    for (const auto d : s) {
+      if (d < 0) throw std::runtime_error("deserialize: negative dimension");
+      const auto dim = static_cast<std::uint64_t>(d);
+      n = dim != 0 && n > max_elements / dim ? max_elements + 1 : n * dim;
+    }
+    if (n > max_elements) {
+      throw std::runtime_error("deserialize: truncated input");
+    }
+    const std::size_t bytes = n * sizeof(float);
+    std::vector<float> values(n);
     std::memcpy(values.data(), data_.data() + cursor_, bytes);
     cursor_ += bytes;
     return Tensor(std::move(s), std::move(values));
@@ -102,7 +123,7 @@ class Reader {
 
  private:
   void need(std::size_t n) const {
-    if (cursor_ + n > data_.size()) {
+    if (n > data_.size() - cursor_) {
       throw std::runtime_error("deserialize: truncated input");
     }
   }
@@ -143,10 +164,12 @@ Graph deserialize_graph(crypto::BytesView data) {
   const std::uint32_t count = r.u32();
   Graph graph;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const auto type = static_cast<OpType>(r.u8());
+    const std::uint8_t type = r.u8();
+    if (type > static_cast<std::uint8_t>(kLastOpType)) {
+      throw std::runtime_error("deserialize_graph: unknown op type");
+    }
     std::string name = r.str();
-    const std::uint32_t n_inputs = r.u32();
-    std::vector<NodeId> inputs(n_inputs);
+    std::vector<NodeId> inputs(r.count(4));
     for (auto& in : inputs) in = static_cast<NodeId>(r.u32());
     NodeAttrs attrs;
     attrs.stride = r.i64();
@@ -155,8 +178,12 @@ Graph deserialize_graph(crypto::BytesView data) {
     attrs.target_shape = r.shape();
     std::optional<Tensor> value;
     if (r.u8() != 0) value = r.tensor();
-    graph.add_node(type, std::move(name), std::move(inputs), std::move(attrs),
-                   std::move(value));
+    try {
+      graph.add_node(static_cast<OpType>(type), std::move(name),
+                     std::move(inputs), std::move(attrs), std::move(value));
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error(std::string("deserialize_graph: ") + e.what());
+    }
   }
   if (!r.done()) throw std::runtime_error("deserialize_graph: trailing bytes");
   return graph;

@@ -11,7 +11,7 @@
 #include "crypto/bytes.h"
 #include "crypto/drbg.h"
 #include "crypto/gcm.h"
-#include "crypto/gcm_internal.h"
+#include "crypto/backend.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 #include "crypto/x25519.h"
@@ -20,16 +20,19 @@ namespace stf::crypto {
 namespace {
 
 using internal::Backend;
+using internal::Primitive;
 
 std::string hex_digest(const Sha256::Digest& d) {
   return to_hex(BytesView(d.data(), d.size()));
 }
 
-// The AES-GCM implementations this CPU runs: the portable reference always,
-// the AES-NI/PCLMULQDQ path where the CPU has it.
-std::vector<Backend> backends() {
+// The implementations of `primitive` this CPU runs: the portable reference
+// always, the hardware path (AES-NI/PCLMULQDQ or SHA-NI) where the CPU has it.
+std::vector<Backend> backends(Primitive primitive) {
   std::vector<Backend> out = {Backend::kPortable};
-  if (internal::hardware_supported()) out.push_back(Backend::kHardware);
+  if (internal::hardware_supported(primitive)) {
+    out.push_back(Backend::kHardware);
+  }
   return out;
 }
 
@@ -37,98 +40,212 @@ const char* name(Backend b) {
   return b == Backend::kHardware ? "hardware" : "portable";
 }
 
+Sha256::Digest sha256_on(Backend b, BytesView data) {
+  Sha256 h(b);
+  h.update(data);
+  return h.finish();
+}
+
 TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(hex_digest(Sha256::hash({})),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  for (Backend b : backends(Primitive::kSha256)) {
+    EXPECT_EQ(hex_digest(sha256_on(b, {})),
+              "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
+        << name(b);
+  }
 }
 
 TEST(Sha256Test, Abc) {
   const auto msg = to_bytes("abc");
-  EXPECT_EQ(hex_digest(Sha256::hash(msg)),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  for (Backend b : backends(Primitive::kSha256)) {
+    EXPECT_EQ(hex_digest(sha256_on(b, msg)),
+              "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+        << name(b);
+  }
 }
 
 TEST(Sha256Test, TwoBlockMessage) {
   const auto msg =
       to_bytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  EXPECT_EQ(hex_digest(Sha256::hash(msg)),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  for (Backend b : backends(Primitive::kSha256)) {
+    EXPECT_EQ(hex_digest(sha256_on(b, msg)),
+              "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
+        << name(b);
+  }
 }
 
 TEST(Sha256Test, MillionAs) {
-  Sha256 h;
   const Bytes chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  EXPECT_EQ(hex_digest(h.finish()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+  for (Backend b : backends(Primitive::kSha256)) {
+    Sha256 h(b);
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    EXPECT_EQ(hex_digest(h.finish()),
+              "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+        << name(b);
+  }
 }
 
 TEST(Sha256Test, IncrementalMatchesOneShot) {
   const auto msg = to_bytes("The quick brown fox jumps over the lazy dog");
-  for (std::size_t split = 0; split <= msg.size(); ++split) {
-    Sha256 h;
-    h.update(BytesView(msg.data(), split));
-    h.update(BytesView(msg.data() + split, msg.size() - split));
-    EXPECT_EQ(h.finish(), Sha256::hash(msg)) << "split=" << split;
+  for (Backend b : backends(Primitive::kSha256)) {
+    for (std::size_t split = 0; split <= msg.size(); ++split) {
+      Sha256 h(b);
+      h.update(BytesView(msg.data(), split));
+      h.update(BytesView(msg.data() + split, msg.size() - split));
+      EXPECT_EQ(h.finish(), Sha256::hash(msg)) << name(b) << " split=" << split;
+    }
   }
 }
 
 TEST(Sha256Test, PaddingBoundaryLengths) {
   // Lengths straddling the 55/56/63/64 padding boundaries must all hash
   // without corrupting internal state.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const Bytes msg(len, 0x5a);
-    Sha256 a;
-    a.update(msg);
-    const auto one_shot = a.finish();
-    Sha256 b;
-    for (std::size_t i = 0; i < len; ++i) b.update(BytesView(&msg[i], 1));
-    EXPECT_EQ(one_shot, b.finish()) << "len=" << len;
+  for (Backend backend : backends(Primitive::kSha256)) {
+    for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
+      const Bytes msg(len, 0x5a);
+      Sha256 a(backend);
+      a.update(msg);
+      const auto one_shot = a.finish();
+      Sha256 b(backend);
+      for (std::size_t i = 0; i < len; ++i) b.update(BytesView(&msg[i], 1));
+      EXPECT_EQ(one_shot, b.finish()) << name(backend) << " len=" << len;
+    }
+  }
+}
+
+// Every length 0-300, then the lengths around a 64 KiB message.
+std::vector<std::size_t> sha_sweep_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n = 65531; n <= 65541; ++n) lengths.push_back(n);
+  return lengths;
+}
+
+Bytes sweep_message(std::size_t len) {
+  Bytes m(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    m[i] = static_cast<std::uint8_t>(i * 131 + len);
+  }
+  return m;
+}
+
+// SHA-256 over every sweep message's digest, as produced by the
+// implementation before the hardware path existed. Both paths must keep it.
+TEST(Sha256Test, SweepDigestsMatchPinnedDigest) {
+  for (Backend b : backends(Primitive::kSha256)) {
+    Sha256 all;
+    for (const std::size_t n : sha_sweep_lengths()) {
+      all.update(sha256_on(b, sweep_message(n)));
+    }
+    EXPECT_EQ(hex_digest(all.finish()),
+              "ebd2b20f2c084fdaafbae3d1c16ff1f6f09a4a3ff53e2cb685a83c6741ea40f0")
+        << name(b);
+  }
+}
+
+// Up to 130 bytes, every two-way split of the input too: the buffered
+// partial block and the bulk path must meet at every offset.
+TEST(Sha256Test, HardwareMatchesPortableAcrossLengthsAndSplits) {
+  if (!internal::hardware_supported(Primitive::kSha256)) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+  for (const std::size_t n : sha_sweep_lengths()) {
+    const Bytes msg = sweep_message(n);
+    const auto expect = sha256_on(Backend::kPortable, msg);
+    ASSERT_EQ(sha256_on(Backend::kHardware, msg), expect) << "len=" << n;
+    if (n > 130) continue;
+    for (std::size_t split = 0; split <= n; ++split) {
+      Sha256 h(Backend::kHardware);
+      h.update(BytesView(msg.data(), split));
+      h.update(BytesView(msg.data() + split, n - split));
+      ASSERT_EQ(h.finish(), expect) << "len=" << n << " split=" << split;
+    }
+  }
+}
+
+// hmac_sha256 on the default implementation, HmacSha256 on each one.
+void expect_hmac(BytesView key, BytesView data, const std::string& expect) {
+  EXPECT_EQ(hex_digest(hmac_sha256(key, data)), expect);
+  for (Backend b : backends(Primitive::kSha256)) {
+    EXPECT_EQ(hex_digest(HmacSha256(key, b).mac(data)), expect) << name(b);
   }
 }
 
 TEST(HmacTest, Rfc4231Case1) {
-  const Bytes key(20, 0x0b);
-  const auto data = to_bytes("Hi There");
-  EXPECT_EQ(hex_digest(hmac_sha256(key, data)),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  expect_hmac(Bytes(20, 0x0b), to_bytes("Hi There"),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
 TEST(HmacTest, Rfc4231Case2) {
-  const auto key = to_bytes("Jefe");
-  const auto data = to_bytes("what do ya want for nothing?");
-  EXPECT_EQ(hex_digest(hmac_sha256(key, data)),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  expect_hmac(to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
 TEST(HmacTest, Rfc4231Case6LongKey) {
-  const Bytes key(131, 0xaa);
-  const auto data = to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
-  EXPECT_EQ(hex_digest(hmac_sha256(key, data)),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+  expect_hmac(
+      Bytes(131, 0xaa),
+      to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+      "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// Keys shorter than, equal to and longer than a block (longer ones are
+// hashed first). A keyed object gives hmac_sha256's bytes whether the
+// message comes whole or in parts, and after a rekey; the digest of all
+// of them is pinned from the implementation before the keyed object.
+TEST(HmacTest, KeyedObjectMatchesOneShot) {
+  Sha256 all;
+  for (const std::size_t key_len : {0u, 32u, 64u, 65u, 200u}) {
+    const Bytes key = sweep_message(key_len);
+    for (Backend b : backends(Primitive::kSha256)) {
+      const HmacSha256 keyed(key, b);
+      HmacSha256 rekeyed(to_bytes("some other key"), b);
+      rekeyed.rekey(key);
+      for (const std::size_t n : {0u, 1u, 32u, 55u, 56u, 64u, 65u, 200u}) {
+        const Bytes msg = sweep_message(n);
+        const auto expect = hmac_sha256(key, msg);
+        const auto where = std::string(name(b)) + " key=" +
+                           std::to_string(key_len) + " len=" +
+                           std::to_string(n);
+        EXPECT_EQ(keyed.mac(msg), expect) << where;
+        EXPECT_EQ(rekeyed.mac(msg), expect) << where;
+        const BytesView view(msg);
+        EXPECT_EQ(keyed.mac({view.first(n / 3), {}, view.subspan(n / 3)}),
+                  expect)
+            << where;
+        if (b == Backend::kPortable) all.update(expect);
+      }
+    }
+  }
+  EXPECT_EQ(hex_digest(all.finish()),
+            "a33444fb4226b6f637980b5b4f1db782079b0b6f9f5906b66bab0a7d77ba81c2");
+}
+
+// hkdf on the default implementation; extract + expand through HmacSha256
+// on each one.
+void expect_hkdf(BytesView salt, BytesView ikm, BytesView info,
+                 const std::string& expect) {
+  EXPECT_EQ(to_hex(hkdf(salt, ikm, info, 42)), expect);
+  for (Backend b : backends(Primitive::kSha256)) {
+    const HmacSha256 prk(HmacSha256(salt, b).mac(ikm), b);
+    EXPECT_EQ(to_hex(hkdf_expand(prk, info, 42)), expect) << name(b);
+  }
 }
 
 TEST(HkdfTest, Rfc5869Case1) {
-  const Bytes ikm(22, 0x0b);
-  const auto salt = from_hex("000102030405060708090a0b0c");
-  const auto info = from_hex("f0f1f2f3f4f5f6f7f8f9");
-  const auto okm = hkdf(salt, ikm, info, 42);
-  EXPECT_EQ(to_hex(okm),
-            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
-            "34007208d5b887185865");
+  expect_hkdf(from_hex("000102030405060708090a0b0c"), Bytes(22, 0x0b),
+              from_hex("f0f1f2f3f4f5f6f7f8f9"),
+              "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+              "34007208d5b887185865");
 }
 
 TEST(HkdfTest, Rfc5869Case3EmptySaltInfo) {
-  const Bytes ikm(22, 0x0b);
-  const auto okm = hkdf({}, ikm, {}, 42);
-  EXPECT_EQ(to_hex(okm),
-            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
-            "9d201395faa4b61a96c8");
+  expect_hkdf({}, Bytes(22, 0x0b), {},
+              "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+              "9d201395faa4b61a96c8");
 }
 
 TEST(AesTest, Fips197Aes128) {
   const auto key = from_hex("000102030405060708090a0b0c0d0e0f");
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     Aes aes(key, b);
     auto block = from_hex("00112233445566778899aabbccddeeff");
     aes.encrypt_block(block.data());
@@ -139,7 +256,7 @@ TEST(AesTest, Fips197Aes128) {
 TEST(AesTest, Fips197Aes256) {
   const auto key =
       from_hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     Aes aes(key, b);
     auto block = from_hex("00112233445566778899aabbccddeeff");
     aes.encrypt_block(block.data());
@@ -173,7 +290,7 @@ TEST(AesTest, CtrCounterWrapsWithoutCarryIntoNonce) {
   for (const std::size_t key_size : {16u, 32u}) {
     const Bytes key(key_size, 0x24);
     const Aes reference(key, Backend::kPortable);
-    for (Backend b : backends()) {
+    for (Backend b : backends(Primitive::kAesGcm)) {
       const Aes aes(key, b);
       std::uint8_t iv[16];
       std::memcpy(iv, nonce.data(), 12);
@@ -207,7 +324,7 @@ TEST(GcmTest, NistVectorWithAad) {
       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091");
   const auto expect_tag = from_hex("5bc94fbc3221a5db94fae95ae7121a47");
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     AesGcm gcm(key, b);
     const auto sealed = gcm.seal(iv, aad, plaintext);
     ASSERT_EQ(sealed.size(), expect_ct.size() + expect_tag.size());
@@ -236,7 +353,7 @@ TEST(GcmTest, NistCase3FourBlocksNoAad) {
       "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e"
       "21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
       "4d5c2af327cd64a62cf35abd2ba6fab4";
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     AesGcm gcm(key, b);
     const auto sealed = gcm.seal(iv, {}, plaintext);
     EXPECT_EQ(to_hex(sealed), expect) << name(b);
@@ -259,7 +376,7 @@ TEST(GcmTest, NistCase16Aes256WithAad) {
       "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
       "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
       "76fc6ece0f4e1768cddf8853bb2d551b";
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     AesGcm gcm(key, b);
     const auto sealed = gcm.seal(iv, aad, plaintext);
     EXPECT_EQ(to_hex(sealed), expect) << name(b);
@@ -272,7 +389,7 @@ TEST(GcmTest, NistCase16Aes256WithAad) {
 TEST(GcmTest, EmptyPlaintextProducesTagOnly) {
   const auto key = from_hex("00000000000000000000000000000000");
   const auto iv = from_hex("000000000000000000000000");
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     AesGcm gcm(key, b);
     const auto sealed = gcm.seal(iv, {}, {});
     ASSERT_EQ(sealed.size(), AesGcm::kTagSize);
@@ -348,7 +465,7 @@ std::vector<GcmCase> sweep_cases() {
 // implementation before the hardware path existed. Both paths must keep it.
 TEST(GcmTest, SweepOutputsMatchPinnedDigest) {
   const auto cases = sweep_cases();
-  for (Backend b : backends()) {
+  for (Backend b : backends(Primitive::kAesGcm)) {
     Sha256 digest;
     for (const auto& c : cases) {
       digest.update(AesGcm(c.key, b).seal(c.nonce, c.aad, c.plaintext));
@@ -360,7 +477,7 @@ TEST(GcmTest, SweepOutputsMatchPinnedDigest) {
 }
 
 TEST(GcmTest, HardwareMatchesPortableAcrossLengths) {
-  if (!internal::hardware_supported()) {
+  if (!internal::hardware_supported(Primitive::kAesGcm)) {
     GTEST_SKIP() << "CPU lacks AES-NI/PCLMULQDQ";
   }
   for (const auto& c : sweep_cases()) {
@@ -437,6 +554,34 @@ TEST(DrbgTest, ReseedChangesStream) {
   (void)b.generate(16);
   b.reseed(to_bytes("extra entropy"));
   EXPECT_NE(a.generate(32), b.generate(32));
+}
+
+// A transcript through every DRBG entry point: generate at lengths around
+// one HMAC output, uniform draws (a third of them near 2^63, where rejection
+// sampling redraws), and a reseed with and without input. The digest is
+// pinned from the implementation before the keyed HMAC object.
+TEST(DrbgTest, TranscriptMatchesPinnedDigest) {
+  for (Backend b : backends(Primitive::kSha256)) {
+    HmacDrbg drbg(to_bytes("drbg-transcript"), b);
+    Sha256 transcript;
+    for (const std::size_t len : {1u, 31u, 32u, 33u, 1024u}) {
+      transcript.update(drbg.generate(len));
+    }
+    for (std::uint64_t i = 0; i < 1000; ++i) {
+      const std::uint64_t bound =
+          i % 3 == 0 ? (std::uint64_t{1} << 63) + i : 1 + i * 977;
+      std::uint8_t raw[8];
+      store_be64(raw, drbg.uniform(bound));
+      transcript.update(BytesView(raw, 8));
+    }
+    drbg.reseed(to_bytes("reseed-input"));
+    transcript.update(drbg.generate(64));
+    drbg.reseed({});
+    transcript.update(drbg.generate(64));
+    EXPECT_EQ(hex_digest(transcript.finish()),
+              "e0e2d55e466a774e581fe7fe117f5e3c423e1b9f652e5eccdfc23f7f17b79fdc")
+        << name(b);
+  }
 }
 
 TEST(DrbgTest, UniformStaysInBounds) {

@@ -640,6 +640,78 @@ TEST(LiteTest, DeserializeRejectsForgedCountsAndRanges) {
   EXPECT_EQ(lite::FlatModel::deserialize(blob).weights(), model.weights());
 }
 
+// Forged op programs are rejected at load with a typed error, so the
+// interpreter never indexes a tensor slot out of range or reads an
+// activation before it exists (each used to crash or throw logic_error in
+// invoke).
+TEST(LiteTest, DeserializeRejectsForgedProgram) {
+  Graph g = mnist_mlp(8, 3);
+  Session session(g);
+  const auto model =
+      lite::FlatModel::from_frozen(freeze(g, session), "input", "probs");
+  const crypto::Bytes blob = model.serialize();
+  ASSERT_GE(model.ops().size(), 2u);
+  ASSERT_EQ(model.ops()[0].inputs.size(), 2u);
+
+  // Walk the version-2 layout to the first op's fields and the model's
+  // input/output indices.
+  std::size_t at = 4 + 4 + 1;  // magic, version, quantized flag
+  const auto u32 = [&] {
+    const std::uint32_t v = crypto::load_be32(blob.data() + at);
+    at += 4;
+    return v;
+  };
+  const std::uint32_t n_tensors = u32();
+  for (std::uint32_t i = 0; i < n_tensors; ++i) at += 8 * u32() + 8 + 4;
+  const std::uint32_t n_ops = u32();
+  std::size_t op0_type = 0, op0_input = 0, op0_output = 0;
+  for (std::uint32_t i = 0; i < n_ops; ++i) {
+    const std::size_t type_at = at;
+    at += 1 + 8 + 8 + 4;      // type, stride, window, scalar
+    at += 8 * u32();          // target shape
+    const std::size_t inputs_at = at + 4;
+    at += 4 * u32();          // inputs
+    if (i == 0) {
+      op0_type = type_at;
+      op0_input = inputs_at;
+      op0_output = at;
+    }
+    at += 4;  // output
+  }
+  const std::size_t model_input = at;
+  const std::size_t model_output = at + 4;
+
+  const auto forged = [&](std::size_t field, std::uint32_t value) {
+    crypto::Bytes b = blob;
+    crypto::store_be32(b.data() + field, value);
+    return b;
+  };
+  const auto rejects = [](const crypto::Bytes& b, const char* what) {
+    EXPECT_THROW((void)lite::FlatModel::deserialize(b), std::runtime_error)
+        << what;
+  };
+  rejects(forged(op0_input, 1'000'000), "op input index 1,000,000");
+  rejects(forged(op0_input, static_cast<std::uint32_t>(-5)),
+          "op input index -5");
+  rejects(forged(op0_output, 1'000'000), "op output index 1,000,000");
+  crypto::Bytes bad_type = blob;
+  bad_type[op0_type] = 250;
+  rejects(bad_type, "op type 250");
+  rejects(forged(op0_input,
+                 static_cast<std::uint32_t>(model.ops()[1].output)),
+          "op input produced by a later op");
+  rejects(forged(op0_output, static_cast<std::uint32_t>(model.input_tensor())),
+          "op output overwrites the model input");
+  rejects(forged(model_input, 1'000'000), "model input index 1,000,000");
+  rejects(forged(model_output, static_cast<std::uint32_t>(-1)),
+          "model output index -1");
+  // The untouched blob still loads and runs.
+  const auto restored = lite::FlatModel::deserialize(blob);
+  lite::LiteInterpreter interp(restored);
+  EXPECT_EQ(interp.invoke(synthetic_mnist(1, 4).sample(0)).shape(),
+            (Shape{1, 10}));
+}
+
 TEST(LiteTest, ConvnetLowersAndRuns) {
   const Graph g = mnist_convnet(9);
   Session session(g);  // the dense head holds variables: freeze them

@@ -351,8 +351,40 @@ TEST(KvStoreProperty, MatchesReferenceUnderRandomOps) {
 // Serialization fuzzing: random corruption must never crash or mis-load
 // ---------------------------------------------------------------------------
 
+// The contract for bytes from outside the enclave: a valid graph or a
+// std::runtime_error. Any other exception (bad_alloc, length_error,
+// invalid_argument, ...) escapes the test body and fails it.
 TEST(SerializeProperty, CorruptedGraphNeverCrashes) {
   const auto blob = ml::serialize_graph(ml::mnist_mlp(8, 3));
+  // Node 0's input count, forged to 0xFFFFFFFF, must be rejected before
+  // 16 GiB of input ids are allocated.
+  const std::size_t n_inputs_at =
+      4 + 4 + 4 + 1 + 4 + crypto::load_be32(blob.data() + 13);
+  Bytes forged = blob;
+  crypto::store_be32(forged.data() + n_inputs_at, 0xFFFFFFFFu);
+  EXPECT_THROW((void)ml::deserialize_graph(forged), std::runtime_error);
+  // An op type byte past the enum.
+  forged = blob;
+  forged[12] = 250;
+  EXPECT_THROW((void)ml::deserialize_graph(forged), std::runtime_error);
+  // The first stored tensor's leading dim, forged negative and huge.
+  std::size_t at = 12;
+  std::size_t dim_at = 0;
+  while (dim_at == 0) {
+    at += 1;                                            // type
+    at += 4 + crypto::load_be32(blob.data() + at);      // name
+    at += 4 + 4 * crypto::load_be32(blob.data() + at);  // input ids
+    at += 8 + 8 + 4;                                    // stride, window, scalar
+    at += 4 + 8 * crypto::load_be32(blob.data() + at);  // target shape
+    if (blob[at++] != 0) dim_at = at + 4;               // value: rank, dims
+  }
+  for (const std::int64_t dim : {std::int64_t{-1}, std::int64_t{1} << 40}) {
+    forged = blob;
+    crypto::store_be64(forged.data() + dim_at, static_cast<std::uint64_t>(dim));
+    EXPECT_THROW((void)ml::deserialize_graph(forged), std::runtime_error)
+        << "dim=" << dim;
+  }
+
   crypto::HmacDrbg rng(to_bytes("graph-fuzz"));
   for (int trial = 0; trial < 200; ++trial) {
     Bytes corrupted = blob;
@@ -365,8 +397,8 @@ TEST(SerializeProperty, CorruptedGraphNeverCrashes) {
       const ml::Graph g = ml::deserialize_graph(corrupted);
       // If it parsed, it must at least be structurally sound.
       (void)g.node_count();
-    } catch (const std::exception&) {
-      // rejecting is always fine
+    } catch (const std::runtime_error&) {
+      // rejecting with a typed error is always fine
     }
   }
 }

@@ -4,7 +4,9 @@
 // SLO-aware shedding.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/loadgen.h"
 #include "core/serving.h"
@@ -125,6 +127,38 @@ TEST(LoadGenTest, SeededTracesAreByteReproducible) {
     const LoadTrace c = generate_load(cfg);
     EXPECT_NE(a.fingerprint(), c.fingerprint()) << to_string(p);
     cfg.seed = 7;
+  }
+}
+
+// Fingerprints pinned from the generator before the keyed-HMAC DRBG: every
+// arrival, deadline and image byte is unchanged, on each arrival process.
+TEST(LoadGenTest, FingerprintsMatchPinnedDigests) {
+  const std::map<std::pair<std::uint64_t, ArrivalProcess>, std::string>
+      pinned = {
+          {{1, ArrivalProcess::Poisson},
+           "a5ce8cb4d255a40e50feaba5eaa44cd24f2641913b17ed794f9dcbf0b643ba40"},
+          {{1, ArrivalProcess::Bursty},
+           "79f1ca57cfc67c7356f5521ffae62b6310a1a079a1a2bf5f59d9cfbfd589972e"},
+          {{1, ArrivalProcess::Diurnal},
+           "76c50e148ea19d34833dac231b044ab2634b04f5f58c2cacb4da8cfbd49dbd84"},
+          {{2, ArrivalProcess::Poisson},
+           "b3faa135f3906ac9626494bdca8da5827e101ef1fe247c4deaf06d4d65937f7a"},
+          {{2, ArrivalProcess::Bursty},
+           "5df2e09ed2754c73ee3408f97d37f4a8ead7e087be3ed0f73db4421c1d154279"},
+          {{2, ArrivalProcess::Diurnal},
+           "77f8f95084f856f263d28bb3c20430e1772aae4123d782a9084eb78d000465c0"},
+      };
+  for (const auto& [key, expect] : pinned) {
+    LoadGenConfig cfg;
+    cfg.seed = key.first;
+    cfg.process = key.second;
+    cfg.offered_rps = 900;
+    cfg.request_count = 300;
+    cfg.input_dim = 64;
+    cfg.input_pool = 8;
+    cfg.slo_s = 0.1;
+    EXPECT_EQ(generate_load(cfg).fingerprint(), expect)
+        << "seed=" << key.first << " " << to_string(key.second);
   }
 }
 
