@@ -93,6 +93,39 @@ ConvShape conv_shape(std::int64_t n, std::int64_t h, std::int64_t w,
                      std::int64_t c, std::int64_t fh, std::int64_t fw,
                      std::int64_t k, std::int64_t stride);
 
+/// Window pooling geometry: NHWC [n,h,w,c] -> [n,oh,ow,c], no padding.
+struct PoolShape {
+  std::int64_t n, h, w, c, oh, ow, window, stride;
+};
+
+/// Each output element is finish(acc), acc folded with `fold` over its
+/// window from `init`. One output row (b, oy) per index, rows disjoint. The
+/// float pools and the int8 MaxPool share this loop.
+template <typename T, typename U, typename Fold, typename Finish>
+void pool2d(const KernelContext& ctx, const PoolShape& s, std::int64_t grain,
+            const T* in, U* out, T init, Fold fold, Finish finish) {
+  parallel_for(ctx, 0, s.n * s.oh, grain, [&](std::int64_t r0,
+                                               std::int64_t r1) {
+    for (std::int64_t row = r0; row < r1; ++row) {
+      const std::int64_t b = row / s.oh;
+      const std::int64_t oy = row % s.oh;
+      for (std::int64_t ox = 0; ox < s.ow; ++ox) {
+        for (std::int64_t ci = 0; ci < s.c; ++ci) {
+          T acc = init;
+          for (std::int64_t fy = 0; fy < s.window; ++fy) {
+            for (std::int64_t fx = 0; fx < s.window; ++fx) {
+              const std::int64_t iy = oy * s.stride + fy;
+              const std::int64_t ix = ox * s.stride + fx;
+              acc = fold(acc, in[((b * s.h + iy) * s.w + ix) * s.c + ci]);
+            }
+          }
+          out[((b * s.oh + oy) * s.ow + ox) * s.c + ci] = finish(acc);
+        }
+      }
+    }
+  });
+}
+
 /// out[n*oh*ow, k] = im2col(input) · filter. The im2col scratch is
 /// thread-local and reused across calls.
 void conv2d_forward(const KernelContext& ctx, const ConvShape& s,

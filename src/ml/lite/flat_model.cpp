@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 
 #include "ml/ops.h"
+#include "ml/wire.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/span.h"
@@ -65,6 +65,147 @@ std::uint32_t lite_arity(std::uint8_t type) {
     default:
       return 0;
   }
+}
+
+// Where a weight tensor lies in the arena: byte offset and byte length.
+std::pair<std::uint64_t, std::uint64_t> arena_span(const FlatModel& model,
+                                                   const LiteTensorDesc& d) {
+  const std::uint64_t elem_size = model.is_quantized() ? 1 : sizeof(float);
+  return {static_cast<std::uint64_t>(d.weight_offset) * elem_size,
+          static_cast<std::uint64_t>(num_elements(d.shape)) * elem_size};
+}
+
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(what);
+}
+
+// The one shape rule per op type: the shape `op` produces from the shapes
+// of its inputs, or std::invalid_argument for anything it cannot run. It
+// makes the checks ops:: makes, and it is the only source of shapes for the
+// int8 kernels and the only place a Reshape target is inferred; `batch`
+// scales a fully specified target written for batch 1.
+Shape output_shape(const LiteOp& op, const std::vector<Shape>& shapes,
+                   std::int64_t batch) {
+  const std::uint32_t arity = lite_arity(static_cast<std::uint8_t>(op.type));
+  require(arity != 0 && op.inputs.size() == arity,
+          "Lite interpreter: unsupported op");
+  const auto shape_of = [&](std::size_t i) -> const Shape& {
+    return shapes[static_cast<std::size_t>(op.inputs[i])];
+  };
+  const Shape& a = shape_of(0);
+  const std::int64_t stride = op.attrs.stride, window = op.attrs.window;
+  switch (op.type) {
+    case OpType::MatMul: {
+      const Shape& b = shape_of(1);
+      require(a.size() == 2 && b.size() == 2,
+              "matmul: rank-2 tensors required");
+      require(b[0] == a[1], "matmul: inner dimensions do not match");
+      return {a[0], b[1]};
+    }
+    case OpType::Add: {
+      const Shape& b = shape_of(1);
+      require(a == b || (b.size() == 1 && !a.empty() && a.back() == b[0]),
+              "add: shapes neither equal nor bias-broadcastable");
+      return a;
+    }
+    case OpType::Softmax:
+      require(a.size() == 2, "softmax: rank-2 tensor required");
+      return a;
+    case OpType::ArgMax:
+      require(a.size() == 2, "argmax: rank-2 tensor required");
+      return {a[0]};
+    case OpType::GlobalAvgPool:
+      require(a.size() == 4, "global_avg_pool: NHWC input required");
+      return {a[0], a[3]};
+    case OpType::Conv2D: {
+      const Shape& f = shape_of(1);
+      require(a.size() == 4 && f.size() == 4,
+              "conv2d: NHWC input and HWIO filter required");
+      require(stride >= 1, "conv2d: stride must be >= 1");
+      require(f[2] == a[3], "conv2d: filter channel mismatch");
+      const kernels::ConvShape s = kernels::conv_shape(
+          a[0], a[1], a[2], a[3], f[0], f[1], f[3], stride);
+      return {s.n, s.oh, s.ow, s.k};
+    }
+    case OpType::MaxPool2D:
+    case OpType::AvgPool2D:
+      require(a.size() == 4, "pool2d: NHWC input required");
+      require(window >= 1 && stride >= 1, "pool2d: bad window/stride");
+      require(a[1] >= window && a[2] >= window,
+              "pool2d: window larger than input");
+      return {a[0], (a[1] - window) / stride + 1,
+              (a[2] - window) / stride + 1, a[3]};
+    case OpType::Reshape: {
+      const std::int64_t size = num_elements(a);
+      Shape target = op.attrs.target_shape;
+      std::int64_t known = 1;
+      int infer = -1;
+      for (std::size_t i = 0; i < target.size(); ++i) {
+        if (target[i] == -1 && infer < 0) {
+          infer = static_cast<int>(i);
+          continue;
+        }
+        require(target[i] >= 0 && !__builtin_mul_overflow(known, target[i],
+                                                          &known),
+                "reshape: bad target shape");
+      }
+      if (infer >= 0) {
+        require(known > 0, "reshape: bad target shape");
+        target[static_cast<std::size_t>(infer)] = size / known;
+      } else if (batch > 1 && !target.empty() && size % batch == 0 &&
+                 known == size / batch) {
+        // Fully specified target written for batch 1: scale the leading
+        // dimension so the reshape stays element-count exact.
+        target[0] *= batch;
+      }
+      require(num_elements(target) == size, "reshape: element count mismatch");
+      return target;
+    }
+    default:  // Relu, Sigmoid, Tanh, Scale: elementwise
+      return a;
+  }
+}
+
+// Ops with an int8 kernel, which run on codes under int8_compute: MatMul
+// and Conv2D with a weight operand, Add, Relu, MaxPool2D and Reshape.
+bool runs_on_codes(const LiteOp& op, const std::vector<LiteTensorDesc>& t) {
+  switch (op.type) {
+    case OpType::MatMul:
+    case OpType::Conv2D:
+      return t[static_cast<std::size_t>(op.inputs[1])].is_weight();
+    case OpType::Add:
+    case OpType::Relu:
+    case OpType::MaxPool2D:
+    case OpType::Reshape:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Every tensor's shape for an input shaped `input`: weights keep theirs,
+// each op's output comes from the shape rule. `batch` is the input's
+// leading dimension (1 for single requests); a batched output keeps it.
+std::vector<Shape> infer_shapes(const FlatModel& model, const Shape& input,
+                                std::int64_t batch) {
+  const auto& tensors = model.tensors();
+  std::vector<Shape> shapes(tensors.size());
+  for (std::size_t t = 0; t < tensors.size(); ++t) {
+    if (tensors[t].is_weight()) shapes[t] = tensors[t].shape;
+  }
+  shapes[static_cast<std::size_t>(model.input_tensor())] = input;
+  // Every activation holds at least one element, so no kernel (nor GPU
+  // offload's per-batch-row sampling) divides by an empty dimension.
+  require(num_elements(input) > 0, "Lite interpreter: empty input");
+  for (const LiteOp& op : model.ops()) {
+    Shape& out = shapes[static_cast<std::size_t>(op.output)];
+    out = output_shape(op, shapes, batch);
+    require(num_elements(out) > 0, "Lite interpreter: empty activation");
+  }
+  const Shape& out = shapes[static_cast<std::size_t>(model.output_tensor())];
+  require(batch == 1 || (!out.empty() && out[0] == batch),
+          "invoke_batch: the model output has no batch dimension");
+  return shapes;
 }
 
 }  // namespace
@@ -134,175 +275,94 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
 }
 
 crypto::Bytes FlatModel::serialize() const {
-  crypto::Bytes out;
-  auto u32 = [&out](std::uint32_t v) {
-    std::uint8_t b[4];
-    crypto::store_be32(b, v);
-    crypto::append(out, crypto::BytesView(b, 4));
-  };
-  auto i64 = [&out](std::int64_t v) {
-    std::uint8_t b[8];
-    crypto::store_be64(b, static_cast<std::uint64_t>(v));
-    crypto::append(out, crypto::BytesView(b, 8));
-  };
-  auto shape = [&](const Shape& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    for (const auto d : s) i64(d);
-  };
-
-  u32(kLiteMagic);
-  u32(calibrated_ ? kVersionCalibrated : kVersion);
-  out.push_back(quantized_ ? 1 : 0);
-  u32(static_cast<std::uint32_t>(tensors_.size()));
+  wire::Writer w;
+  w.u32(kLiteMagic);
+  w.u32(calibrated_ ? kVersionCalibrated : kVersion);
+  w.u8(quantized_ ? 1 : 0);
+  w.u32(static_cast<std::uint32_t>(tensors_.size()));
   for (const auto& t : tensors_) {
-    shape(t.shape);
-    i64(t.weight_offset);
-    std::uint32_t scale_bits;
-    std::memcpy(&scale_bits, &t.quant_scale, 4);
-    u32(scale_bits);
+    w.shape(t.shape);
+    w.i64(t.weight_offset);
+    w.f32(t.quant_scale);
     if (calibrated_) {
-      std::uint32_t range_bits;
-      std::memcpy(&range_bits, &t.act_min, 4);
-      u32(range_bits);
-      std::memcpy(&range_bits, &t.act_max, 4);
-      u32(range_bits);
+      w.f32(t.act_min);
+      w.f32(t.act_max);
     }
   }
-  u32(static_cast<std::uint32_t>(ops_.size()));
+  w.u32(static_cast<std::uint32_t>(ops_.size()));
   for (const auto& op : ops_) {
-    out.push_back(static_cast<std::uint8_t>(op.type));
-    i64(op.attrs.stride);
-    i64(op.attrs.window);
-    std::uint32_t scalar_bits;
-    std::memcpy(&scalar_bits, &op.attrs.scalar, 4);
-    u32(scalar_bits);
-    shape(op.attrs.target_shape);
-    u32(static_cast<std::uint32_t>(op.inputs.size()));
-    for (const auto in : op.inputs) u32(static_cast<std::uint32_t>(in));
-    u32(static_cast<std::uint32_t>(op.output));
+    w.u8(static_cast<std::uint8_t>(op.type));
+    w.i64(op.attrs.stride);
+    w.i64(op.attrs.window);
+    w.f32(op.attrs.scalar);
+    w.shape(op.attrs.target_shape);
+    w.u32(static_cast<std::uint32_t>(op.inputs.size()));
+    for (const auto in : op.inputs) w.u32(static_cast<std::uint32_t>(in));
+    w.u32(static_cast<std::uint32_t>(op.output));
   }
-  u32(static_cast<std::uint32_t>(input_));
-  u32(static_cast<std::uint32_t>(output_));
-  if (quantized_) {
-    i64(static_cast<std::int64_t>(qweights_.size()));
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(qweights_.data());
-    crypto::append(out, crypto::BytesView(raw, qweights_.size()));
-  } else {
-    i64(static_cast<std::int64_t>(weights_.size()));
-    const auto* raw = reinterpret_cast<const std::uint8_t*>(weights_.data());
-    crypto::append(out,
-                   crypto::BytesView(raw, weights_.size() * sizeof(float)));
-  }
-  return out;
+  w.u32(static_cast<std::uint32_t>(input_));
+  w.u32(static_cast<std::uint32_t>(output_));
+  w.i64(static_cast<std::int64_t>(quantized_ ? qweights_.size()
+                                             : weights_.size()));
+  w.bytes(crypto::BytesView(
+      quantized_ ? reinterpret_cast<const std::uint8_t*>(qweights_.data())
+                 : reinterpret_cast<const std::uint8_t*>(weights_.data()),
+      weight_bytes()));
+  return w.take();
 }
 
 FlatModel FlatModel::deserialize(crypto::BytesView data) {
-  // Model files come from outside the enclave. Every count is checked
-  // against the bytes still unread before anything is sized from it, and
-  // every weight tensor must lie inside the arena — the interpreter reads
-  // float MatMul weights in place, with no copy to catch a bad range.
-  std::size_t cursor = 0;
-  auto need = [&](std::uint64_t n) {
-    if (n > data.size() - cursor) {
-      throw std::runtime_error("FlatModel: truncated model file");
-    }
-  };
-  // `count` records of at least `min_bytes` each must fit in what is left.
-  auto need_records = [&](std::uint64_t count, std::uint64_t min_bytes) {
-    if (count > (data.size() - cursor) / min_bytes) {
-      throw std::runtime_error("FlatModel: truncated model file");
-    }
-  };
-  auto u32 = [&]() {
-    need(4);
-    const auto v = crypto::load_be32(data.data() + cursor);
-    cursor += 4;
-    return v;
-  };
-  auto i64 = [&]() {
-    need(8);
-    const auto v =
-        static_cast<std::int64_t>(crypto::load_be64(data.data() + cursor));
-    cursor += 8;
-    return v;
-  };
-  auto shape = [&]() {
-    const std::uint32_t rank = u32();
-    if (rank > 16) throw std::runtime_error("FlatModel: implausible rank");
-    Shape s(rank);
-    for (auto& d : s) d = i64();
-    return s;
-  };
-  // A tensor shape (unlike a Reshape target, where -1 means "infer") has
-  // non-negative dims whose product fits in int64.
-  auto tensor_shape = [&]() {
-    Shape s = shape();
-    std::int64_t elements = 1;
-    for (const auto d : s) {
-      if (d < 0) throw std::runtime_error("FlatModel: negative dimension");
-      if (d != 0 && elements > std::numeric_limits<std::int64_t>::max() / d) {
-        throw std::runtime_error("FlatModel: shape size overflows");
-      }
-      elements *= d;
-    }
-    return s;
-  };
-
-  if (u32() != kLiteMagic) throw std::runtime_error("FlatModel: bad magic");
-  const std::uint32_t version = u32();
+  // Model files come from outside the enclave. The wire cursor checks every
+  // count against the bytes still unread before anything is sized from it,
+  // and every weight tensor must lie inside the arena — the interpreter
+  // reads weights in place, with no copy to catch a bad range.
+  wire::Reader r(data, "FlatModel");
+  if (r.u32() != kLiteMagic) r.fail("bad magic");
+  const std::uint32_t version = r.u32();
   if (version != kVersion && version != kVersionCalibrated) {
-    throw std::runtime_error("FlatModel: bad version");
+    r.fail("bad version");
   }
 
   FlatModel model;
   model.calibrated_ = version == kVersionCalibrated;
-  need(1);
-  model.quantized_ = data[cursor++] != 0;
-  const std::uint32_t n_tensors = u32();
+  model.quantized_ = r.u8() != 0;
+  const std::size_t elem_size = model.quantized_ ? 1 : sizeof(float);
   // rank + weight_offset + quant_scale (+ act_min/act_max when calibrated)
-  need_records(n_tensors, model.calibrated_ ? 24 : 16);
+  const std::uint32_t n_tensors = r.count(model.calibrated_ ? 24 : 16);
   model.tensors_.reserve(n_tensors);
   for (std::uint32_t i = 0; i < n_tensors; ++i) {
     LiteTensorDesc desc;
-    desc.shape = tensor_shape();
-    desc.weight_offset = i64();
-    const std::uint32_t scale_bits = u32();
-    std::memcpy(&desc.quant_scale, &scale_bits, 4);
+    desc.shape = r.dims(elem_size);
+    desc.weight_offset = r.i64();
+    desc.quant_scale = r.f32();
     if (model.calibrated_) {
-      std::uint32_t range_bits = u32();
-      std::memcpy(&desc.act_min, &range_bits, 4);
-      range_bits = u32();
-      std::memcpy(&desc.act_max, &range_bits, 4);
+      desc.act_min = r.f32();
+      desc.act_max = r.f32();
     }
     model.tensors_.push_back(std::move(desc));
   }
-  const std::uint32_t n_ops = u32();
   // type + stride + window + scalar + target rank + n_inputs + output
-  need_records(n_ops, 33);
+  const std::uint32_t n_ops = r.count(33);
   model.ops_.reserve(n_ops);
   for (std::uint32_t i = 0; i < n_ops; ++i) {
     LiteOp op;
-    need(1);
-    const std::uint8_t type = data[cursor++];
+    const std::uint8_t type = r.u8();
     const std::uint32_t arity = lite_arity(type);
-    if (arity == 0) throw std::runtime_error("FlatModel: unsupported op type");
+    if (arity == 0) r.fail("unsupported op type");
     op.type = static_cast<OpType>(type);
-    op.attrs.stride = i64();
-    op.attrs.window = i64();
-    const std::uint32_t scalar_bits = u32();
-    std::memcpy(&op.attrs.scalar, &scalar_bits, 4);
-    op.attrs.target_shape = shape();
-    if (u32() != arity) {
-      throw std::runtime_error("FlatModel: wrong number of op inputs");
-    }
+    op.attrs.stride = r.i64();
+    op.attrs.window = r.i64();
+    op.attrs.scalar = r.f32();
+    op.attrs.target_shape = r.shape();
+    if (r.u32() != arity) r.fail("wrong number of op inputs");
     for (std::uint32_t j = 0; j < arity; ++j) {
-      op.inputs.push_back(static_cast<std::int32_t>(u32()));
+      op.inputs.push_back(static_cast<std::int32_t>(r.u32()));
     }
-    op.output = static_cast<std::int32_t>(u32());
+    op.output = static_cast<std::int32_t>(r.u32());
     model.ops_.push_back(std::move(op));
   }
-  model.input_ = static_cast<std::int32_t>(u32());
-  model.output_ = static_cast<std::int32_t>(u32());
+  model.input_ = static_cast<std::int32_t>(r.u32());
+  model.output_ = static_cast<std::int32_t>(r.u32());
   // The interpreter indexes tensors by these fields unchecked, so the
   // program must be well formed: indices in range, and every op input a
   // weight, the model input or an earlier op's output. Each activation is
@@ -311,61 +371,67 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
     return idx >= 0 && static_cast<std::size_t>(idx) < model.tensors_.size();
   };
   if (!in_range(model.input_) || !in_range(model.output_)) {
-    throw std::runtime_error("FlatModel: model input or output out of range");
+    r.fail("model input or output out of range");
   }
   std::vector<bool> defined(model.tensors_.size());
   for (std::size_t t = 0; t < defined.size(); ++t) {
     defined[t] = model.tensors_[t].is_weight();
   }
-  if (defined[static_cast<std::size_t>(model.input_)]) {
-    throw std::runtime_error("FlatModel: model input is a weight");
-  }
-  defined[static_cast<std::size_t>(model.input_)] = true;
+  const auto defined_at = [&](std::int32_t idx) {
+    return defined[static_cast<std::size_t>(idx)];
+  };
+  if (defined_at(model.input_)) r.fail("model input is a weight");
+  defined_at(model.input_) = true;
   for (const LiteOp& op : model.ops_) {
     for (const std::int32_t idx : op.inputs) {
-      if (!in_range(idx)) {
-        throw std::runtime_error("FlatModel: op input out of range");
+      if (!in_range(idx)) r.fail("op input out of range");
+      if (!defined_at(idx)) r.fail("op input used before production");
+      // What no input can make runnable is rejected here, at load.
+      const LiteTensorDesc& d = model.tensors_[static_cast<std::size_t>(idx)];
+      if (!d.is_weight()) continue;
+      if (num_elements(d.shape) == 0) r.fail("weight operand has no elements");
+      if ((op.type == OpType::MatMul && d.shape.size() != 2) ||
+          (op.type == OpType::Conv2D && d.shape.size() != 4)) {
+        r.fail("MatMul weight or Conv2D filter of the wrong rank");
       }
-      if (!defined[static_cast<std::size_t>(idx)]) {
-        throw std::runtime_error("FlatModel: op input used before production");
+    }
+    if (!in_range(op.output)) r.fail("op output out of range");
+    if (defined_at(op.output)) r.fail("op output produced twice");
+    defined_at(op.output) = true;
+    const bool pool =
+        op.type == OpType::MaxPool2D || op.type == OpType::AvgPool2D;
+    if ((pool || op.type == OpType::Conv2D) &&
+        (op.attrs.stride < 1 || (pool && op.attrs.window < 1))) {
+      r.fail("window or stride below 1");
+    }
+    if (op.type == OpType::Reshape) {
+      const Shape& target = op.attrs.target_shape;
+      if (std::count(target.begin(), target.end(), -1) > 1 ||
+          std::any_of(target.begin(), target.end(),
+                      [](std::int64_t d) { return d == 0 || d < -1; })) {
+        r.fail("bad reshape target");
       }
     }
-    if (!in_range(op.output)) {
-      throw std::runtime_error("FlatModel: op output out of range");
-    }
-    if (defined[static_cast<std::size_t>(op.output)]) {
-      throw std::runtime_error("FlatModel: op output produced twice");
-    }
-    defined[static_cast<std::size_t>(op.output)] = true;
   }
-  if (!defined[static_cast<std::size_t>(model.output_)]) {
-    throw std::runtime_error("FlatModel: model output never produced");
-  }
-  const std::int64_t n_weights = i64();
-  if (n_weights < 0) {
-    throw std::runtime_error("FlatModel: negative weight count");
-  }
-  const std::uint64_t elem_size = model.quantized_ ? 1 : sizeof(float);
-  need_records(static_cast<std::uint64_t>(n_weights), elem_size);
+  if (!defined_at(model.output_)) r.fail("model output never produced");
+  const std::int64_t n_weights = r.i64();
+  if (n_weights < 0) r.fail("negative weight count");
+  const crypto::BytesView arena =
+      r.bytes(static_cast<std::uint64_t>(n_weights), elem_size);
   for (const auto& desc : model.tensors_) {
     if (desc.is_weight() &&
         num_elements(desc.shape) > n_weights - desc.weight_offset) {
-      throw std::runtime_error("FlatModel: weight tensor outside the arena");
+      r.fail("weight tensor outside the arena");
     }
   }
-  const std::size_t weight_bytes =
-      static_cast<std::size_t>(n_weights) * elem_size;
   if (model.quantized_) {
     model.qweights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.qweights_.data(), data.data() + cursor, weight_bytes);
+    std::memcpy(model.qweights_.data(), arena.data(), arena.size());
   } else {
     model.weights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.weights_.data(), data.data() + cursor, weight_bytes);
+    std::memcpy(model.weights_.data(), arena.data(), arena.size());
   }
-  cursor += weight_bytes;
-  if (cursor != data.size()) {
-    throw std::runtime_error("FlatModel: trailing bytes");
-  }
+  if (!r.done()) r.fail("trailing bytes");
   return model;
 }
 
@@ -389,11 +455,7 @@ FlatModel FlatModel::quantized() const {
     desc.quant_scale = max_abs > 0 ? max_abs / 127.0f : 1.0f;
     desc.weight_offset = static_cast<std::int64_t>(q.qweights_.size());
     for (std::int64_t i = 0; i < n; ++i) {
-      const float scaled = w[i] / desc.quant_scale;
-      const int qv = static_cast<int>(scaled >= 0 ? scaled + 0.5f
-                                                  : scaled - 0.5f);
-      q.qweights_.push_back(static_cast<std::int8_t>(
-          std::max(-127, std::min(127, qv))));
+      q.qweights_.push_back(kernels::quantize_one(w[i], desc.quant_scale));
     }
   }
   return q;
@@ -476,7 +538,6 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
   if (env_ != nullptr && weight_streaming_) {
     // Streaming schedule over the linear program: for each op, the weight
     // windows it reads, plus the windows dead after it (their last reader).
-    const std::uint64_t elem_size = model_.is_quantized() ? 1 : sizeof(float);
     const auto& ops = model_.ops();
     op_weight_spans_.resize(ops.size());
     op_dead_spans_.resize(ops.size());
@@ -485,9 +546,7 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
       for (const std::int32_t idx : ops[j].inputs) {
         const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
         if (!desc.is_weight()) continue;
-        op_weight_spans_[j].emplace_back(
-            static_cast<std::uint64_t>(desc.weight_offset) * elem_size,
-            static_cast<std::uint64_t>(num_elements(desc.shape)) * elem_size);
+        op_weight_spans_[j].push_back(arena_span(model_, desc));
         last_use[idx] = j;
       }
     }
@@ -495,9 +554,7 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
       for (const std::int32_t idx : ops[j].inputs) {
         const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
         if (!desc.is_weight() || last_use.at(idx) != j) continue;
-        op_dead_spans_[j].emplace_back(
-            static_cast<std::uint64_t>(desc.weight_offset) * elem_size,
-            static_cast<std::uint64_t>(num_elements(desc.shape)) * elem_size);
+        op_dead_spans_[j].push_back(arena_span(model_, desc));
       }
     }
   }
@@ -511,7 +568,7 @@ LiteInterpreter::~LiteInterpreter() {
 }
 
 Tensor LiteInterpreter::invoke(const Tensor& input) {
-  return int8_compute_ ? execute_int8(input, 1) : execute(input, 1);
+  return forward(input, 1);
 }
 
 Tensor LiteInterpreter::invoke_observed(
@@ -522,14 +579,11 @@ Tensor LiteInterpreter::invoke_observed(
         "invoke_observed: calibration runs on the float path");
   }
   observer_ = &observer;
-  try {
-    Tensor out = execute(input, 1);
-    observer_ = nullptr;
-    return out;
-  } catch (...) {
-    observer_ = nullptr;
-    throw;
-  }
+  struct Reset {
+    LiteInterpreter* self;
+    ~Reset() { self->observer_ = nullptr; }
+  } reset{this};
+  return forward(input, 1);
 }
 
 std::vector<Tensor> LiteInterpreter::invoke_batch(
@@ -558,18 +612,13 @@ std::vector<Tensor> LiteInterpreter::invoke_batch(
   Shape batched_shape = first.shape();
   batched_shape[0] = batch;
   Tensor batched(batched_shape);
-  const std::int64_t row = first.size();
-  for (std::int64_t b = 0; b < batch; ++b) {
-    std::copy(inputs[static_cast<std::size_t>(b)]->data(),
-              inputs[static_cast<std::size_t>(b)]->data() + row,
-              batched.data() + b * row);
+  float* row = batched.data();
+  for (const Tensor* t : inputs) {
+    row = std::copy(t->data(), t->data() + t->size(), row);
   }
 
-  Tensor out = int8_compute_ ? execute_int8(batched, batch)
-                             : execute(batched, batch);
-  if (out.rank() == 0 || out.dim(0) != batch) {
-    throw std::logic_error("invoke_batch: output lost the batch dimension");
-  }
+  // forward() has checked that the output keeps the batch dimension.
+  Tensor out = forward(batched, batch);
 
   // Split the batched output back into per-request [1, ...] tensors.
   Shape out_shape = out.shape();
@@ -578,71 +627,121 @@ std::vector<Tensor> LiteInterpreter::invoke_batch(
   std::vector<Tensor> results;
   results.reserve(static_cast<std::size_t>(batch));
   for (std::int64_t b = 0; b < batch; ++b) {
-    Tensor slice(out_shape);
-    std::copy(out.data() + b * out_row, out.data() + (b + 1) * out_row,
-              slice.data());
-    results.push_back(std::move(slice));
+    const float* row = out.data() + b * out_row;
+    results.emplace_back(out_shape, std::vector<float>(row, row + out_row));
   }
   return results;
 }
 
-Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
-  std::vector<Tensor> values(model_.tensors().size());
-  std::vector<bool> ready(model_.tensors().size(), false);
-  values[static_cast<std::size_t>(model_.input_tensor())] = input;
-  ready[static_cast<std::size_t>(model_.input_tensor())] = true;
+Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
+  // Every shape first: an input or program some op cannot run is rejected
+  // here, before the invoke charges anything.
+  const std::vector<Shape> shapes = infer_shapes(model_, input.shape(), batch);
+  const std::vector<LiteTensorDesc>& tensors = model_.tensors();
+  const auto& ops = model_.ops();
+
+  // One value slot per tensor: float values, int8 codes (in `scale`), or
+  // both once a value has crossed domains.
+  struct Value {
+    Tensor f;
+    std::vector<std::int8_t> q;
+    float scale = 1.0f;
+    bool has_f = false, has_q = false;
+  };
+  std::vector<Value> values(tensors.size());
+  const auto slot = [&](std::int32_t idx) -> Value& {
+    return values[static_cast<std::size_t>(idx)];
+  };
+  const auto desc_of = [&](std::int32_t idx) -> const LiteTensorDesc& {
+    return tensors[static_cast<std::size_t>(idx)];
+  };
+  const auto shape_of = [&](std::int32_t idx) -> const Shape& {
+    return shapes[static_cast<std::size_t>(idx)];
+  };
   last_flops_ = 0;
   last_int8_ops_ = 0;
-  if (observer_ != nullptr) (*observer_)(model_.input_tensor(), input);
+  double macs = 0;
+  double requants = 0;
+  double conversions = 0;  // int8 ops of domain conversions, per charging span
 
-  auto materialize = [&](std::int32_t idx) -> const Tensor& {
-    auto& slot = values[static_cast<std::size_t>(idx)];
-    if (!ready[static_cast<std::size_t>(idx)]) {
-      const LiteTensorDesc& desc = model_.tensors()[static_cast<std::size_t>(idx)];
-      if (!desc.is_weight()) {
-        throw std::logic_error("Lite: activation used before production");
-      }
-      const std::int64_t n = num_elements(desc.shape);
-      std::vector<float> data(static_cast<std::size_t>(n));
-      if (model_.is_quantized()) {
-        const std::int8_t* qw = model_.qweights().data() + desc.weight_offset;
-        for (std::int64_t i = 0; i < n; ++i) {
-          data[static_cast<std::size_t>(i)] =
-              static_cast<float>(qw[i]) * desc.quant_scale;
-        }
-        last_flops_ += static_cast<double>(n);  // dequantization work
-      } else {
-        std::copy(model_.weights().begin() + desc.weight_offset,
-                  model_.weights().begin() + desc.weight_offset + n,
-                  data.begin());
-      }
-      slot = Tensor(desc.shape, std::move(data));
-      ready[static_cast<std::size_t>(idx)] = true;
+  // The accessors. Weights are read where they lie in the arena (float
+  // MatMul weights in place, int8 codes always); a value crosses into the
+  // other domain on first use there, and the crossing counts as int8 work.
+  const auto quantize = [&](std::int32_t idx, const Tensor& from) {
+    Value& v = slot(idx);
+    v.scale = desc_of(idx).act_scale();
+    v.q.resize(static_cast<std::size_t>(from.size()));
+    std::transform(from.data(), from.data() + from.size(), v.q.begin(),
+                   [&](float x) { return kernels::quantize_one(x, v.scale); });
+    v.has_q = true;
+    conversions += static_cast<double>(from.size());
+    requants += static_cast<double>(from.size());
+  };
+  struct Codes {
+    const std::int8_t* data;
+    float scale;
+  };
+  const auto codes = [&](std::int32_t idx) -> Codes {
+    const LiteTensorDesc& d = desc_of(idx);
+    if (d.is_weight()) {
+      return {model_.qweights().data() + d.weight_offset, d.quant_scale};
     }
-    return slot;
+    Value& v = slot(idx);
+    if (!v.has_q) quantize(idx, v.f);
+    return {v.q.data(), v.scale};
   };
-  // MatMul reads a float weight in place from the arena, the way
-  // execute_int8 reads int8 codes through its weight_view; nullptr when
-  // `idx` is not one. Copies stay only where they are the semantics or the
-  // API: the dequantizing int8-storage path, GPU offload, and the small
-  // bias and Conv2D filter tensors.
-  const auto weight_view = [&](std::int32_t idx) -> const float* {
-    const LiteTensorDesc& d = model_.tensors()[static_cast<std::size_t>(idx)];
-    if (!d.is_weight() || model_.is_quantized()) return nullptr;
-    return model_.weights().data() + d.weight_offset;
+  const auto floats = [&](std::int32_t idx) -> const Tensor& {
+    Value& v = slot(idx);
+    if (v.has_f) return v.f;
+    const LiteTensorDesc& d = desc_of(idx);
+    const std::int64_t n = num_elements(shape_of(idx));
+    std::vector<float> data(static_cast<std::size_t>(n));
+    if (d.is_weight() && !model_.is_quantized()) {
+      const float* w = model_.weights().data() + d.weight_offset;
+      std::copy(w, w + n, data.begin());
+    } else {
+      const Codes c = codes(idx);
+      std::transform(c.data, c.data + n, data.begin(), [&](std::int8_t q) {
+        return static_cast<float>(q) * c.scale;
+      });
+      // A dequantized weight is charged as float work (the int8-storage
+      // path); an activation leaving the int8 domain as int8 work.
+      if (d.is_weight()) {
+        last_flops_ += static_cast<double>(n);
+      } else {
+        conversions += static_cast<double>(n);
+        requants += static_cast<double>(n);
+      }
+    }
+    v.f = Tensor(shape_of(idx), std::move(data));
+    v.has_f = true;
+    return v.f;
   };
+
+  const std::int32_t in_idx = model_.input_tensor();
+  if (int8_compute_) {
+    quantize(in_idx, input);
+    if (env_ != nullptr) env_->compute_int8(conversions);
+    last_int8_ops_ += conversions;
+  } else {
+    slot(in_idx).f = input;
+    slot(in_idx).has_f = true;
+    if (observer_ != nullptr) (*observer_)(in_idx, input);
+  }
 
   // The first op has no predecessor to prefetch it; issue its windows up
   // front so repeated invokes don't demand-fault what the previous invoke
-  // streamed out.
+  // streamed out. Quantized arenas stream 1-byte windows, 4x more layers
+  // per EPC window than their float expansions would.
   if (env_ != nullptr && weight_streaming_ && !op_weight_spans_.empty()) {
     for (const auto& [off, len] : op_weight_spans_.front()) {
       env_->prefetch(weights_region_, off, len);
     }
   }
 
-  for (std::size_t j = 0; j < model_.ops().size(); ++j) {
-    const LiteOp& op = model_.ops()[j];
+  for (std::size_t j = 0; j < ops.size(); ++j) {
+    const LiteOp& op = ops[j];
+    conversions = 0;
     // Per-op causal leaf (docs/TRACING.md): the virtual time this op spent
     // in the env (paging + compute), recorded as an ml.lite.op span that
     // attaches to whatever trace context the caller installed. Gated on the
@@ -658,7 +757,7 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
           env_->advise_evict(weights_region_, off, len);
         }
       }
-      if (j + 1 < model_.ops().size()) {
+      if (j + 1 < ops.size()) {
         for (const auto& [off, len] : op_weight_spans_[j + 1]) {
           env_->prefetch(weights_region_, off, len);
         }
@@ -666,501 +765,193 @@ Tensor LiteInterpreter::execute(const Tensor& input, std::int64_t batch) {
     }
 
     // Cost accounting: weight reads hit the weights region at their true
-    // offset (page-accurate for the EPC model); activations ping-pong.
+    // offset (page-accurate for the EPC model); activations ping-pong, at
+    // the bytes stored (1 per element as int8 codes).
     if (env_ != nullptr) {
       for (const std::int32_t idx : op.inputs) {
-        const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
-        if (desc.is_weight()) {
-          const std::uint64_t elem_size =
-              model_.is_quantized() ? 1 : sizeof(float);
-          env_->access(weights_region_,
-                       static_cast<std::uint64_t>(desc.weight_offset) *
-                           elem_size,
-                       static_cast<std::uint64_t>(num_elements(desc.shape)) *
-                           elem_size,
-                       false);
+        if (desc_of(idx).is_weight()) {
+          const auto [off, len] = arena_span(model_, desc_of(idx));
+          env_->access(weights_region_, off, len, false);
         } else {
+          const std::uint64_t bytes =
+              static_cast<std::uint64_t>(num_elements(shape_of(idx))) *
+              (slot(idx).has_q ? 1 : sizeof(float));
           env_->access(activation_region_, 0,
-                       std::min<std::uint64_t>(
-                           values[static_cast<std::size_t>(idx)].byte_size(),
-                           activation_bytes_),
-                       false);
+                       std::min(bytes, activation_bytes_), false);
         }
       }
     }
 
+    // The math, in the op's domain. On int8 codes: int32 accumulation with
+    // requantization fused into the output tensor's calibrated scale
+    // (docs/QUANTIZATION.md). Every per-element map is exact and integer
+    // accumulation is exact, so row b of a batched pass equals the single
+    // pass over input b bit for bit.
+    const bool int8_out = int8_compute_ && runs_on_codes(op, tensors);
+    const Shape& out_shape = shape_of(op.output);
+    const std::int64_t total = num_elements(out_shape);
+    std::vector<std::int8_t> qout;
+    float out_scale = desc_of(op.output).act_scale();
+    double op_ops = 0;  // int8 ops of the op proper (2*MACs + requants)
     ops::OpResult r;
-    auto in = [&](std::size_t i) -> const Tensor& {
-      return materialize(op.inputs.at(i));
-    };
-    // Linear layers go to the untrusted GPU when offload is active; r.flops
-    // then carries the in-enclave verification arithmetic (charged below
-    // exactly like any op's compute), while GPU flops and PCIe bytes were
-    // already billed inside the engine under profile.gpu / profile.pcie.
-    // The plan signature is batch-independent, so batched and single runs
-    // share one set of precomputed verification randomness.
-    const bool offload = gpu_offload_enabled();
-    switch (op.type) {
-      case OpType::MatMul:
-        if (offload) {
-          r = gpu_engine_->matmul(
-              in(0), in(1),
-              "lite:op" + std::to_string(j) + ":mm:" +
-                  std::to_string(in(0).dim(1)) + "x" +
-                  std::to_string(in(1).dim(1)));
-        } else if (const float* w = weight_view(op.inputs.at(1))) {
-          r = ops::matmul(
-              in(0),
-              model_.tensors()[static_cast<std::size_t>(op.inputs[1])].shape,
-              w, kernel_ctx_);
-        } else {
-          r = ops::matmul(in(0), in(1), kernel_ctx_);
+    if (int8_out) {
+      const Codes a = codes(op.inputs[0]);
+      const Shape& as = shape_of(op.inputs[0]);
+      qout.resize(static_cast<std::size_t>(total));
+      std::int8_t* po = qout.data();
+      // Elementwise: po[i] = the value fn(i), requantized.
+      const auto map_codes = [&](const auto& fn) {
+        kernels::parallel_for(kernel_ctx_, 0, total, 4096,
+                              [&](std::int64_t i0, std::int64_t i1) {
+                                for (std::int64_t i = i0; i < i1; ++i) {
+                                  po[i] = kernels::quantize_one(fn(i),
+                                                                out_scale);
+                                }
+                              });
+      };
+      switch (op.type) {
+        case OpType::MatMul: {
+          const Codes w = codes(op.inputs[1]);
+          const std::int64_t m = as[0], k = as[1], n = out_shape[1];
+          kernels::gemm_s8(kernel_ctx_, m, k, n, a.data, w.data,
+                           a.scale * w.scale / out_scale, po);
+          const double op_macs = static_cast<double>(m) * k * n;
+          op_ops = 2 * op_macs + static_cast<double>(total);
+          macs += op_macs;
+          break;
         }
-        break;
-      case OpType::Add: r = ops::add(in(0), in(1), kernel_ctx_); break;
-      case OpType::Relu: r = ops::relu(in(0), kernel_ctx_); break;
-      case OpType::Softmax: r = ops::softmax(in(0)); break;
-      case OpType::Sigmoid: r = ops::sigmoid(in(0), kernel_ctx_); break;
-      case OpType::Tanh: r = ops::tanh_op(in(0), kernel_ctx_); break;
-      case OpType::Conv2D:
-        if (offload) {
-          r = gpu_engine_->conv2d(
-              in(0), in(1), op.attrs.stride,
-              "lite:op" + std::to_string(j) + ":conv:" +
-                  std::to_string(in(0).dim(3)) + "to" +
-                  std::to_string(in(1).dim(3)) + ":f" +
-                  std::to_string(in(1).dim(0)) + "s" +
-                  std::to_string(op.attrs.stride));
-        } else {
-          r = ops::conv2d(in(0), in(1), op.attrs.stride, kernel_ctx_);
+        case OpType::Conv2D: {
+          const Codes w = codes(op.inputs[1]);
+          const Shape& fs = shape_of(op.inputs[1]);  // HWIO
+          const kernels::ConvShape cs = kernels::conv_shape(
+              as[0], as[1], as[2], as[3], fs[0], fs[1], fs[3],
+              op.attrs.stride);
+          kernels::conv2d_forward_s8(kernel_ctx_, cs, a.data, w.data,
+                                     a.scale * w.scale / out_scale, po);
+          const double op_macs =
+              static_cast<double>(cs.out_pixels()) * cs.patch_size() * cs.k;
+          op_ops = 2 * op_macs + static_cast<double>(total);
+          macs += op_macs;
+          break;
         }
-        break;
-      case OpType::MaxPool2D:
-        r = ops::max_pool2d(in(0), op.attrs.window, op.attrs.stride,
-                            kernel_ctx_);
-        break;
-      case OpType::AvgPool2D:
-        r = ops::avg_pool2d(in(0), op.attrs.window, op.attrs.stride,
-                            kernel_ctx_);
-        break;
-      case OpType::GlobalAvgPool: r = ops::global_avg_pool(in(0)); break;
-      case OpType::Reshape: {
-        Shape target = op.attrs.target_shape;
-        std::int64_t known = 1;
-        int infer = -1;
-        for (std::size_t i = 0; i < target.size(); ++i) {
-          if (target[i] == -1) {
-            infer = static_cast<int>(i);
-          } else {
-            known *= target[i];
-          }
+        case OpType::Add: {
+          const Codes b = codes(op.inputs[1]);
+          const std::int64_t bn = num_elements(shape_of(op.inputs[1]));
+          map_codes([&](std::int64_t i) {
+            return static_cast<float>(a.data[i]) * a.scale +
+                   static_cast<float>(b.data[i % bn]) * b.scale;
+          });
+          op_ops = 2.0 * static_cast<double>(total);
+          break;
         }
-        if (infer >= 0) {
-          target[static_cast<std::size_t>(infer)] = in(0).size() / known;
-        } else if (batch > 1 && known * batch == in(0).size() &&
-                   !target.empty()) {
-          // Fully specified target written for batch 1: scale the leading
-          // dimension so the reshape stays element-count exact.
-          target[0] *= batch;
+        case OpType::Relu:
+          map_codes([&](std::int64_t i) {
+            return static_cast<float>(std::max<std::int8_t>(a.data[i], 0)) *
+                   a.scale;
+          });
+          op_ops = static_cast<double>(total);
+          break;
+        case OpType::MaxPool2D: {
+          // Max commutes with the positive per-tensor scale, so the window
+          // max runs on raw codes.
+          const std::int64_t window = op.attrs.window;
+          kernels::pool2d(
+              kernel_ctx_,
+              {as[0], as[1], as[2], as[3], out_shape[1], out_shape[2], window,
+               op.attrs.stride},
+              1, a.data, po, std::int8_t{-127},
+              [](std::int8_t acc, std::int8_t v) { return std::max(acc, v); },
+              [&](std::int8_t acc) {
+                return kernels::quantize_one(static_cast<float>(acc) * a.scale,
+                                             out_scale);
+              });
+          op_ops = static_cast<double>(total) * window * window;
+          break;
         }
-        r = {in(0).reshaped(std::move(target)), 0};
-        break;
+        case OpType::Reshape:  // a reshape never changes any value
+          std::copy(a.data, a.data + total, po);
+          out_scale = a.scale;
+          break;
+        default:
+          break;
       }
-      case OpType::ArgMax: r = ops::argmax(in(0)); break;
-      case OpType::Scale:
-        r = ops::scale(in(0), op.attrs.scalar, kernel_ctx_);
-        break;
-      default:
-        throw std::logic_error("Lite interpreter: unsupported op");
+      if (op.type != OpType::Reshape) requants += static_cast<double>(total);
+    } else {
+      const Tensor& a = floats(op.inputs[0]);
+      // Offloaded linear layers bill GPU flops and PCIe bytes inside the
+      // engine; r.flops is the in-enclave verification, charged below. The
+      // plan signature is batch-independent, so batched and single runs
+      // share one set of precomputed verification randomness.
+      const bool offload = gpu_offload_enabled();
+      switch (op.type) {
+        case OpType::MatMul: {
+          const Shape& bs = shape_of(op.inputs[1]);
+          const LiteTensorDesc& bd = desc_of(op.inputs[1]);
+          if (offload) {
+            r = gpu_engine_->matmul(
+                a, floats(op.inputs[1]),
+                "lite:op" + std::to_string(j) + ":mm:" +
+                    std::to_string(a.dim(1)) + "x" + std::to_string(bs[1]));
+          } else if (bd.is_weight() && !model_.is_quantized()) {
+            r = ops::matmul(a, bs,
+                            model_.weights().data() + bd.weight_offset,
+                            kernel_ctx_);
+          } else {
+            r = ops::matmul(a, floats(op.inputs[1]), kernel_ctx_);
+          }
+          break;
+        }
+        case OpType::Add:
+          r = ops::add(a, floats(op.inputs[1]), kernel_ctx_);
+          break;
+        case OpType::Relu: r = ops::relu(a, kernel_ctx_); break;
+        case OpType::Softmax: r = ops::softmax(a); break;
+        case OpType::Sigmoid: r = ops::sigmoid(a, kernel_ctx_); break;
+        case OpType::Tanh: r = ops::tanh_op(a, kernel_ctx_); break;
+        case OpType::Conv2D: {
+          const Tensor& f = floats(op.inputs[1]);
+          if (offload) {
+            r = gpu_engine_->conv2d(
+                a, f, op.attrs.stride,
+                "lite:op" + std::to_string(j) + ":conv:" +
+                    std::to_string(a.dim(3)) + "to" +
+                    std::to_string(f.dim(3)) + ":f" +
+                    std::to_string(f.dim(0)) + "s" +
+                    std::to_string(op.attrs.stride));
+          } else {
+            r = ops::conv2d(a, f, op.attrs.stride, kernel_ctx_);
+          }
+          break;
+        }
+        case OpType::MaxPool2D:
+          r = ops::max_pool2d(a, op.attrs.window, op.attrs.stride,
+                              kernel_ctx_);
+          break;
+        case OpType::AvgPool2D:
+          r = ops::avg_pool2d(a, op.attrs.window, op.attrs.stride,
+                              kernel_ctx_);
+          break;
+        case OpType::GlobalAvgPool: r = ops::global_avg_pool(a); break;
+        case OpType::Reshape: r = {a.reshaped(out_shape), 0}; break;
+        case OpType::ArgMax: r = ops::argmax(a); break;
+        case OpType::Scale:
+          r = ops::scale(a, op.attrs.scalar, kernel_ctx_);
+          break;
+        default:
+          break;
+      }
+      last_flops_ += r.flops;
     }
-    last_flops_ += r.flops;
 
+    const double op_int8 = op_ops + conversions;
     if (env_ != nullptr) {
-      const std::uint64_t out_bytes = r.output.byte_size();
+      const std::uint64_t out_bytes =
+          int8_out ? qout.size() : r.output.byte_size();
       // Grow the ping-pong buffer pair to hold the largest activation.
       if (out_bytes * 2 > activation_bytes_) {
         env_->release(activation_region_);
         activation_bytes_ = out_bytes * 2;
         activation_region_ = env_->alloc("lite/activations", activation_bytes_);
-      }
-      env_->access(activation_region_, activation_bytes_ - out_bytes,
-                   out_bytes, true);
-      env_->compute(r.flops);
-    }
-    if (trace_ops) {
-      static const std::uint32_t op_span =
-          obs::SpanTracer::global().intern(obs::names::kSpanLiteOp);
-      const std::uint64_t op_end_ns = env_->now_ns();
-      if (op_end_ns > op_start_ns) {
-        obs::SpanTracer::global().record(op_span, op_start_ns, op_end_ns);
-      }
-    }
-    values[static_cast<std::size_t>(op.output)] = std::move(r.output);
-    ready[static_cast<std::size_t>(op.output)] = true;
-    if (observer_ != nullptr) {
-      (*observer_)(op.output, values[static_cast<std::size_t>(op.output)]);
-    }
-  }
-  return values[static_cast<std::size_t>(model_.output_tensor())];
-}
-
-Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
-  // Hybrid-domain execution over int8 codes (docs/QUANTIZATION.md):
-  // MatMul / Conv2D / Add / Relu / MaxPool2D / Reshape run natively on int8
-  // — int32 accumulation, fused requantization into each output tensor's
-  // calibrated scale — while the remaining ops (Softmax, Sigmoid, Tanh,
-  // AvgPool, ArgMax, Scale) dequantize to float and the next int8 consumer
-  // requantizes. Weights are read zero-copy from the int8 arena: no float
-  // dequantization pass and no per-element dequant charge. All per-element
-  // maps are exact and the integer GEMM/conv accumulation is exact, so row
-  // b of a batched pass equals the single-request pass for input b
-  // bit-for-bit with no reduction-order caveat.
-  struct QTensor {
-    Shape shape;
-    std::vector<std::int8_t> data;
-    float scale = 1.0f;
-  };
-  const std::size_t n_tensors = model_.tensors().size();
-  std::vector<Tensor> fvalues(n_tensors);
-  std::vector<QTensor> qvalues(n_tensors);
-  std::vector<std::uint8_t> f_ready(n_tensors, 0);
-  std::vector<std::uint8_t> q_ready(n_tensors, 0);
-  last_flops_ = 0;
-  last_int8_ops_ = 0;
-  double macs_total = 0;
-  double requants_total = 0;
-  double conv_ops = 0;  // int8 ops of domain conversions, per charging span
-
-  const auto desc_of = [&](std::int32_t idx) -> const LiteTensorDesc& {
-    return model_.tensors()[static_cast<std::size_t>(idx)];
-  };
-  const auto quantize_into = [&](const Tensor& t, float scale, QTensor& out) {
-    out.shape = t.shape();
-    out.scale = scale;
-    out.data.resize(static_cast<std::size_t>(t.size()));
-    const float* src = t.data();
-    for (std::int64_t i = 0; i < t.size(); ++i) {
-      out.data[static_cast<std::size_t>(i)] =
-          kernels::quantize_one(src[i], scale);
-    }
-    conv_ops += static_cast<double>(t.size());
-    requants_total += static_cast<double>(t.size());
-  };
-  const auto as_q = [&](std::int32_t idx) -> const QTensor& {
-    const auto s = static_cast<std::size_t>(idx);
-    if (!q_ready[s]) {
-      if (!f_ready[s]) {
-        throw std::logic_error("Lite: activation used before production");
-      }
-      quantize_into(fvalues[s], desc_of(idx).act_scale(), qvalues[s]);
-      q_ready[s] = 1;
-    }
-    return qvalues[s];
-  };
-  const auto as_f = [&](std::int32_t idx) -> const Tensor& {
-    const auto s = static_cast<std::size_t>(idx);
-    if (!f_ready[s]) {
-      if (!q_ready[s]) {
-        throw std::logic_error("Lite: activation used before production");
-      }
-      const QTensor& q = qvalues[s];
-      std::vector<float> data(q.data.size());
-      for (std::size_t i = 0; i < q.data.size(); ++i) {
-        data[i] = static_cast<float>(q.data[i]) * q.scale;
-      }
-      fvalues[s] = Tensor(q.shape, std::move(data));
-      f_ready[s] = 1;
-      conv_ops += static_cast<double>(q.data.size());
-      requants_total += static_cast<double>(q.data.size());
-    }
-    return fvalues[s];
-  };
-  struct WView {
-    const std::int8_t* data;
-    float scale;
-  };
-  const auto weight_view = [&](std::int32_t idx) -> WView {
-    const LiteTensorDesc& d = desc_of(idx);
-    return {model_.qweights().data() + d.weight_offset, d.quant_scale};
-  };
-
-  const std::int32_t in_idx = model_.input_tensor();
-  quantize_into(input, desc_of(in_idx).act_scale(),
-                qvalues[static_cast<std::size_t>(in_idx)]);
-  q_ready[static_cast<std::size_t>(in_idx)] = 1;
-  if (env_ != nullptr) env_->compute_int8(conv_ops);
-  last_int8_ops_ += conv_ops;
-
-  // Streaming composes unchanged: the spans were built with 1-byte elements
-  // for quantized arenas, and 1-byte weights stream 4x more layers per EPC
-  // window than their float expansions would.
-  if (env_ != nullptr && weight_streaming_ && !op_weight_spans_.empty()) {
-    for (const auto& [off, len] : op_weight_spans_.front()) {
-      env_->prefetch(weights_region_, off, len);
-    }
-  }
-
-  for (std::size_t j = 0; j < model_.ops().size(); ++j) {
-    const LiteOp& op = model_.ops()[j];
-    conv_ops = 0;
-    // Per-op causal leaf, mirroring the float path (docs/TRACING.md).
-    const bool trace_ops = env_ != nullptr && obs::tracing_enabled();
-    const std::uint64_t op_start_ns = trace_ops ? env_->now_ns() : 0;
-
-    if (env_ != nullptr && weight_streaming_) {
-      if (j >= 1) {
-        for (const auto& [off, len] : op_dead_spans_[j - 1]) {
-          env_->advise_evict(weights_region_, off, len);
-        }
-      }
-      if (j + 1 < model_.ops().size()) {
-        for (const auto& [off, len] : op_weight_spans_[j + 1]) {
-          env_->prefetch(weights_region_, off, len);
-        }
-      }
-    }
-
-    // Cost accounting mirrors the float path; activation traffic is charged
-    // at the bytes actually stored — 1 byte per element in the int8 domain.
-    if (env_ != nullptr) {
-      for (const std::int32_t idx : op.inputs) {
-        const LiteTensorDesc& d = desc_of(idx);
-        if (d.is_weight()) {
-          env_->access(weights_region_,
-                       static_cast<std::uint64_t>(d.weight_offset),
-                       static_cast<std::uint64_t>(num_elements(d.shape)),
-                       false);
-        } else {
-          const auto s = static_cast<std::size_t>(idx);
-          const std::uint64_t bytes =
-              q_ready[s] ? qvalues[s].data.size() : fvalues[s].byte_size();
-          env_->access(activation_region_, 0,
-                       std::min<std::uint64_t>(bytes, activation_bytes_),
-                       false);
-        }
-      }
-    }
-
-    bool int8_out = false;
-    QTensor qout;
-    ops::OpResult r;
-    double op_ops = 0;  // int8 ops of the op proper (2*MACs + requants)
-
-    const auto in0 = [&]() { return op.inputs.at(0); };
-    switch (op.type) {
-      case OpType::MatMul: {
-        if (!desc_of(op.inputs.at(1)).is_weight()) {
-          r = ops::matmul(as_f(in0()), as_f(op.inputs[1]), kernel_ctx_);
-          break;
-        }
-        const QTensor& qa = as_q(in0());
-        const WView w = weight_view(op.inputs[1]);
-        const std::int64_t m = qa.shape[0];
-        const std::int64_t k = qa.shape[1];
-        const std::int64_t n = desc_of(op.inputs[1]).shape[1];
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = {m, n};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(m * n));
-        kernels::gemm_s8(kernel_ctx_, m, k, n, qa.data.data(), w.data,
-                         qa.scale * w.scale / so, qout.data.data());
-        const double macs = static_cast<double>(m) * k * n;
-        op_ops = 2 * macs + static_cast<double>(m) * n;
-        macs_total += macs;
-        requants_total += static_cast<double>(m) * n;
-        int8_out = true;
-        break;
-      }
-      case OpType::Conv2D: {
-        if (!desc_of(op.inputs.at(1)).is_weight()) {
-          r = ops::conv2d(as_f(in0()), as_f(op.inputs[1]), op.attrs.stride,
-                          kernel_ctx_);
-          break;
-        }
-        const QTensor& qa = as_q(in0());
-        const WView w = weight_view(op.inputs[1]);
-        const Shape& fs = desc_of(op.inputs[1]).shape;  // HWIO
-        const kernels::ConvShape cs = kernels::conv_shape(
-            qa.shape[0], qa.shape[1], qa.shape[2], qa.shape[3], fs[0], fs[1],
-            fs[3], op.attrs.stride);
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = {cs.n, cs.oh, cs.ow, cs.k};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(cs.out_pixels() * cs.k));
-        kernels::conv2d_forward_s8(kernel_ctx_, cs, qa.data.data(), w.data,
-                                   qa.scale * w.scale / so, qout.data.data());
-        const double macs =
-            static_cast<double>(cs.out_pixels()) * cs.patch_size() * cs.k;
-        const double out_elems =
-            static_cast<double>(cs.out_pixels()) * cs.k;
-        op_ops = 2 * macs + out_elems;
-        macs_total += macs;
-        requants_total += out_elems;
-        int8_out = true;
-        break;
-      }
-      case OpType::Add: {
-        const QTensor& qa = as_q(in0());
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = qa.shape;
-        qout.scale = so;
-        qout.data.resize(qa.data.size());
-        const float sa = qa.scale;
-        const LiteTensorDesc& bd = desc_of(op.inputs.at(1));
-        const std::int8_t* pb;
-        float sb;
-        std::int64_t bn;
-        if (bd.is_weight()) {
-          const WView w = weight_view(op.inputs[1]);
-          pb = w.data;
-          sb = w.scale;
-          bn = num_elements(bd.shape);
-        } else {
-          const QTensor& qb = as_q(op.inputs[1]);
-          pb = qb.data.data();
-          sb = qb.scale;
-          bn = static_cast<std::int64_t>(qb.data.size());
-        }
-        const std::int8_t* pa = qa.data.data();
-        std::int8_t* po = qout.data.data();
-        const auto total = static_cast<std::int64_t>(qa.data.size());
-        kernels::parallel_for(
-            kernel_ctx_, 0, total, 4096,
-            [&](std::int64_t i0, std::int64_t i1) {
-              for (std::int64_t i = i0; i < i1; ++i) {
-                po[i] = kernels::quantize_one(
-                    static_cast<float>(pa[i]) * sa +
-                        static_cast<float>(pb[i % bn]) * sb,
-                    so);
-              }
-            });
-        op_ops = 2.0 * static_cast<double>(total);
-        requants_total += static_cast<double>(total);
-        int8_out = true;
-        break;
-      }
-      case OpType::Relu: {
-        const QTensor& qa = as_q(in0());
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = qa.shape;
-        qout.scale = so;
-        qout.data.resize(qa.data.size());
-        const float sa = qa.scale;
-        const std::int8_t* pa = qa.data.data();
-        std::int8_t* po = qout.data.data();
-        const auto total = static_cast<std::int64_t>(qa.data.size());
-        kernels::parallel_for(
-            kernel_ctx_, 0, total, 4096,
-            [&](std::int64_t i0, std::int64_t i1) {
-              for (std::int64_t i = i0; i < i1; ++i) {
-                const std::int8_t v = pa[i] > 0 ? pa[i] : std::int8_t{0};
-                po[i] = kernels::quantize_one(static_cast<float>(v) * sa, so);
-              }
-            });
-        op_ops = static_cast<double>(total);
-        requants_total += static_cast<double>(total);
-        int8_out = true;
-        break;
-      }
-      case OpType::MaxPool2D: {
-        // Same geometry as ops::pool2d; max commutes with the positive
-        // per-tensor scale, so the window max runs on raw codes.
-        const QTensor& qa = as_q(in0());
-        const std::int64_t n = qa.shape[0], h = qa.shape[1], w = qa.shape[2],
-                           c = qa.shape[3];
-        const std::int64_t window = op.attrs.window,
-                           stride = op.attrs.stride;
-        const std::int64_t oh = (h - window) / stride + 1;
-        const std::int64_t ow = (w - window) / stride + 1;
-        const float so = desc_of(op.output).act_scale();
-        qout.shape = {n, oh, ow, c};
-        qout.scale = so;
-        qout.data.resize(static_cast<std::size_t>(n * oh * ow * c));
-        const float sa = qa.scale;
-        const std::int8_t* pi = qa.data.data();
-        std::int8_t* po = qout.data.data();
-        kernels::parallel_for(
-            kernel_ctx_, 0, n * oh, 1,
-            [&](std::int64_t r0, std::int64_t r1) {
-              for (std::int64_t row = r0; row < r1; ++row) {
-                const std::int64_t b = row / oh;
-                const std::int64_t oy = row % oh;
-                for (std::int64_t ox = 0; ox < ow; ++ox) {
-                  for (std::int64_t ci = 0; ci < c; ++ci) {
-                    std::int8_t acc = -127;
-                    for (std::int64_t fy = 0; fy < window; ++fy) {
-                      for (std::int64_t fx = 0; fx < window; ++fx) {
-                        const std::int64_t iy = oy * stride + fy;
-                        const std::int64_t ix = ox * stride + fx;
-                        const std::int8_t v =
-                            pi[((b * h + iy) * w + ix) * c + ci];
-                        if (v > acc) acc = v;
-                      }
-                    }
-                    po[((b * oh + oy) * ow + ox) * c + ci] =
-                        kernels::quantize_one(static_cast<float>(acc) * sa,
-                                              so);
-                  }
-                }
-              }
-            });
-        op_ops = static_cast<double>(n) * oh * ow * c * window * window;
-        requants_total += static_cast<double>(n) * oh * ow * c;
-        int8_out = true;
-        break;
-      }
-      case OpType::Reshape: {
-        const QTensor& qa = as_q(in0());
-        const auto in_size = static_cast<std::int64_t>(qa.data.size());
-        Shape target = op.attrs.target_shape;
-        std::int64_t known = 1;
-        int infer = -1;
-        for (std::size_t i = 0; i < target.size(); ++i) {
-          if (target[i] == -1) {
-            infer = static_cast<int>(i);
-          } else {
-            known *= target[i];
-          }
-        }
-        if (infer >= 0) {
-          target[static_cast<std::size_t>(infer)] = in_size / known;
-        } else if (batch > 1 && known * batch == in_size && !target.empty()) {
-          target[0] *= batch;
-        }
-        qout.shape = std::move(target);
-        qout.scale = qa.scale;  // a reshape never changes any value
-        qout.data = qa.data;
-        int8_out = true;
-        break;
-      }
-      case OpType::Softmax: r = ops::softmax(as_f(in0())); break;
-      case OpType::Sigmoid: r = ops::sigmoid(as_f(in0()), kernel_ctx_); break;
-      case OpType::Tanh: r = ops::tanh_op(as_f(in0()), kernel_ctx_); break;
-      case OpType::AvgPool2D:
-        r = ops::avg_pool2d(as_f(in0()), op.attrs.window, op.attrs.stride,
-                            kernel_ctx_);
-        break;
-      case OpType::GlobalAvgPool:
-        r = ops::global_avg_pool(as_f(in0()));
-        break;
-      case OpType::ArgMax: r = ops::argmax(as_f(in0())); break;
-      case OpType::Scale:
-        r = ops::scale(as_f(in0()), op.attrs.scalar, kernel_ctx_);
-        break;
-      default:
-        throw std::logic_error("Lite interpreter: unsupported op");
-    }
-
-    const double op_int8 = op_ops + conv_ops;
-    if (!int8_out) last_flops_ += r.flops;
-    if (env_ != nullptr) {
-      const std::uint64_t out_bytes =
-          int8_out ? qout.data.size() : r.output.byte_size();
-      if (out_bytes * 2 > activation_bytes_) {
-        env_->release(activation_region_);
-        activation_bytes_ = out_bytes * 2;
-        activation_region_ = env_->alloc("lite/activations",
-                                         activation_bytes_);
       }
       env_->access(activation_region_, activation_bytes_ - out_bytes,
                    out_bytes, true);
@@ -1177,27 +968,31 @@ Tensor LiteInterpreter::execute_int8(const Tensor& input, std::int64_t batch) {
     }
     last_int8_ops_ += op_int8;
 
-    const auto out_slot = static_cast<std::size_t>(op.output);
+    Value& out = slot(op.output);
     if (int8_out) {
-      qvalues[out_slot] = std::move(qout);
-      q_ready[out_slot] = 1;
+      out.q = std::move(qout);
+      out.scale = out_scale;
+      out.has_q = true;
     } else {
-      fvalues[out_slot] = std::move(r.output);
-      f_ready[out_slot] = 1;
+      out.f = std::move(r.output);
+      out.has_f = true;
+      if (observer_ != nullptr) (*observer_)(op.output, out.f);
     }
   }
 
-  quant_obs().invokes.add();
-  quant_obs().macs.add(static_cast<std::uint64_t>(macs_total));
-
-  // The public contract returns float tensors; dequantize the output if the
-  // final op stayed in the int8 domain.
-  conv_ops = 0;
-  const Tensor& out = as_f(model_.output_tensor());
-  if (env_ != nullptr && conv_ops > 0) env_->compute_int8(conv_ops);
-  last_int8_ops_ += conv_ops;
-  quant_obs().requants.add(static_cast<std::uint64_t>(requants_total));
-  return out;
+  // The public contract returns floats: codes left by the last op are
+  // dequantized, in a charging span of their own.
+  conversions = 0;
+  const std::int32_t out_idx = model_.output_tensor();
+  (void)floats(out_idx);
+  if (int8_compute_) {
+    if (env_ != nullptr && conversions > 0) env_->compute_int8(conversions);
+    last_int8_ops_ += conversions;
+    quant_obs().invokes.add();
+    quant_obs().macs.add(static_cast<std::uint64_t>(macs));
+    quant_obs().requants.add(static_cast<std::uint64_t>(requants));
+  }
+  return std::move(slot(out_idx).f);
 }
 
 }  // namespace stf::ml::lite

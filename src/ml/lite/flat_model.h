@@ -67,6 +67,11 @@ class FlatModel {
                                const std::string& output_name = "probs");
 
   [[nodiscard]] crypto::Bytes serialize() const;
+  /// Parses a model file from outside the enclave. Throws
+  /// std::runtime_error for malformed bytes, for a malformed program, and
+  /// for what no input could run: a Reshape target with a 0 or < -1 dim or
+  /// two -1s, a window or stride below 1, a MatMul weight not of rank 2, a
+  /// Conv2D filter not of rank 4, a weight operand with no elements.
   static FlatModel deserialize(crypto::BytesView data);
 
   /// Post-training int8 weight quantization (§7.2): per-tensor symmetric
@@ -139,7 +144,10 @@ class LiteInterpreter {
   /// the simulated untrusted GPU and are verified in-enclave per `slalom`
   /// (docs/GPU_OFFLOAD.md); outputs stay bit-identical to the offload-off
   /// path, and a lying GPU raises VerificationError from invoke. Mutually
-  /// exclusive with int8_compute (the GPU path is float-only).
+  /// exclusive with int8_compute (the GPU path is float-only). Every
+  /// domain runs in one forward loop, after one shape pass: an input or
+  /// program some op cannot run throws std::invalid_argument from invoke
+  /// before anything is charged.
   explicit LiteInterpreter(const FlatModel& model,
                            tee::MemoryEnv* env = nullptr,
                            kernels::KernelContext kernel_ctx =
@@ -203,13 +211,11 @@ class LiteInterpreter {
   [[nodiscard]] GpuOffloadEngine* gpu_engine() { return gpu_engine_.get(); }
 
  private:
-  /// Shared forward-pass body. `batch` is the leading batch dimension of
-  /// `input` (1 for single requests); it only matters for Reshape ops with
-  /// fully specified target shapes, which are scaled to the batch.
-  Tensor execute(const Tensor& input, std::int64_t batch);
-  /// int8_compute forward-pass body: hybrid-domain execution over int8
-  /// codes (docs/QUANTIZATION.md).
-  Tensor execute_int8(const Tensor& input, std::int64_t batch);
+  /// The forward pass, for every domain: float ops, int8 codes under
+  /// int8_compute (docs/QUANTIZATION.md), GPU offload of MatMul/Conv2D.
+  /// `batch` is the leading batch dimension of `input` (1 for single
+  /// requests); it scales fully specified Reshape targets.
+  Tensor forward(const Tensor& input, std::int64_t batch);
 
   const FlatModel& model_;
   tee::MemoryEnv* env_;

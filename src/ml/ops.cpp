@@ -191,35 +191,23 @@ OpResult pool2d(const Tensor& input, std::int64_t window, std::int64_t stride,
   const std::int64_t ow = (w - window) / stride + 1;
   require(oh >= 1 && ow >= 1, "pool2d: window larger than input");
   Tensor out({n, oh, ow, c});
-  const float* pi = input.data();
-  float* po = out.data();
-  // One output row (ow * c elements) per index; rows are disjoint.
+  const kernels::PoolShape s{n, h, w, c, oh, ow, window, stride};
   const std::int64_t grain =
       std::max<std::int64_t>(1, kElementwiseGrain / std::max<std::int64_t>(
                                                         1, ow * c));
-  kernels::parallel_for(ctx, 0, n * oh, grain, [&](std::int64_t r0,
-                                                   std::int64_t r1) {
-    for (std::int64_t row = r0; row < r1; ++row) {
-      const std::int64_t b = row / oh;
-      const std::int64_t oy = row % oh;
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        for (std::int64_t ci = 0; ci < c; ++ci) {
-          float acc = max_pool ? -std::numeric_limits<float>::infinity() : 0.0f;
-          for (std::int64_t fy = 0; fy < window; ++fy) {
-            for (std::int64_t fx = 0; fx < window; ++fx) {
-              const std::int64_t iy = oy * stride + fy;
-              const std::int64_t ix = ox * stride + fx;
-              const float v = pi[((b * h + iy) * w + ix) * c + ci];
-              acc = max_pool ? std::max(acc, v) : acc + v;
-            }
-          }
-          po[((b * oh + oy) * ow + ox) * c + ci] =
-              max_pool ? acc
-                       : acc / static_cast<float>(window * window);
-        }
-      }
-    }
-  });
+  if (max_pool) {
+    kernels::pool2d(
+        ctx, s, grain, input.data(), out.data(),
+        -std::numeric_limits<float>::infinity(),
+        [](float acc, float v) { return std::max(acc, v); },
+        [](float acc) { return acc; });
+  } else {
+    const auto area = static_cast<float>(window * window);
+    kernels::pool2d(
+        ctx, s, grain, input.data(), out.data(), 0.0f,
+        [](float acc, float v) { return acc + v; },
+        [area](float acc) { return acc / area; });
+  }
   const double flops =
       static_cast<double>(n) * oh * ow * c * window * window;
   return {std::move(out), flops};

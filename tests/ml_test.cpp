@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "crypto/sha256.h"
 #include "ml/dataset.h"
 #include "ml/graph.h"
 #include "ml/lite/flat_model.h"
@@ -519,6 +521,81 @@ TEST(ModelsTest, ConvnetClassifiesBatch) {
 
 // --- Lite --------------------------------------------------------------------
 
+// Byte offsets of the fields tests forge in a serialized FlatModel (version
+// 2 or calibrated version 3): each tensor's first dim, and per op its type
+// byte, stride, window, first Reshape target dim and first input index.
+struct BlobLayout {
+  std::vector<std::size_t> dims, type, stride, window, target, inputs, output;
+  std::size_t model_input = 0;
+};
+
+BlobLayout walk_flat_model(const crypto::Bytes& blob) {
+  std::size_t at = 4;  // magic
+  const auto u32 = [&] {
+    const std::uint32_t v = crypto::load_be32(blob.data() + at);
+    at += 4;
+    return v;
+  };
+  const bool calibrated = u32() == 3;
+  at += 1;  // quantized flag
+  BlobLayout l;
+  const std::uint32_t n_tensors = u32();
+  for (std::uint32_t i = 0; i < n_tensors; ++i) {
+    const std::uint32_t rank = u32();
+    l.dims.push_back(at);
+    at += 8 * rank + 8 + 4 + (calibrated ? 8 : 0);
+  }
+  const std::uint32_t n_ops = u32();
+  for (std::uint32_t i = 0; i < n_ops; ++i) {
+    l.type.push_back(at);
+    l.stride.push_back(at + 1);
+    l.window.push_back(at + 9);
+    at += 1 + 8 + 8 + 4;  // type, stride, window, scalar
+    const std::uint32_t rank = u32();
+    l.target.push_back(at);
+    at += 8 * rank;
+    const std::uint32_t n_inputs = u32();
+    l.inputs.push_back(at);
+    at += 4 * n_inputs;
+    l.output.push_back(at);
+    at += 4;
+  }
+  l.model_input = at;
+  return l;
+}
+
+// `blob` with the 8-byte field at each offset overwritten.
+crypto::Bytes forged64(
+    crypto::Bytes blob,
+    std::initializer_list<std::pair<std::size_t, std::int64_t>> fields) {
+  for (const auto& [at, v] : fields) {
+    crypto::store_be64(blob.data() + at, static_cast<std::uint64_t>(v));
+  }
+  return blob;
+}
+
+// A hardware-mode enclave with a 24-page EPC, so the order of an invoke's
+// charges shows in its paging.
+struct SmallEnclave {
+  static tee::CostModel cost() {
+    tee::CostModel c;
+    c.epc_bytes = 24 * c.page_size;
+    return c;
+  }
+  tee::Platform platform{"p", tee::TeeMode::Hardware, cost()};
+  std::unique_ptr<tee::Enclave> enclave = platform.launch_enclave(
+      {.name = "lite", .content = crypto::to_bytes("lite"), .binary_bytes = 0});
+  tee::EnclaveEnv env{*enclave};
+};
+
+std::size_t first_op(const lite::FlatModel& m, OpType type) {
+  for (std::size_t j = 0; j < m.ops().size(); ++j) {
+    if (m.ops()[j].type == type) return j;
+  }
+  ADD_FAILURE() << "no such op";
+  return 0;
+}
+
 TEST(LiteTest, ConverterRejectsUnfrozenAndTrainingGraphs) {
   Graph g = mnist_mlp(8, 2);
   EXPECT_THROW((void)lite::FlatModel::from_frozen(g, "input", "probs"),
@@ -643,7 +720,8 @@ TEST(LiteTest, DeserializeRejectsForgedCountsAndRanges) {
 // Forged op programs are rejected at load with a typed error, so the
 // interpreter never indexes a tensor slot out of range or reads an
 // activation before it exists (each used to crash or throw logic_error in
-// invoke).
+// invoke), and no program is accepted that no input could run (a Reshape
+// target {0,-1} used to end in SIGFPE).
 TEST(LiteTest, DeserializeRejectsForgedProgram) {
   Graph g = mnist_mlp(8, 3);
   Session session(g);
@@ -652,34 +730,9 @@ TEST(LiteTest, DeserializeRejectsForgedProgram) {
   const crypto::Bytes blob = model.serialize();
   ASSERT_GE(model.ops().size(), 2u);
   ASSERT_EQ(model.ops()[0].inputs.size(), 2u);
-
-  // Walk the version-2 layout to the first op's fields and the model's
-  // input/output indices.
-  std::size_t at = 4 + 4 + 1;  // magic, version, quantized flag
-  const auto u32 = [&] {
-    const std::uint32_t v = crypto::load_be32(blob.data() + at);
-    at += 4;
-    return v;
-  };
-  const std::uint32_t n_tensors = u32();
-  for (std::uint32_t i = 0; i < n_tensors; ++i) at += 8 * u32() + 8 + 4;
-  const std::uint32_t n_ops = u32();
-  std::size_t op0_type = 0, op0_input = 0, op0_output = 0;
-  for (std::uint32_t i = 0; i < n_ops; ++i) {
-    const std::size_t type_at = at;
-    at += 1 + 8 + 8 + 4;      // type, stride, window, scalar
-    at += 8 * u32();          // target shape
-    const std::size_t inputs_at = at + 4;
-    at += 4 * u32();          // inputs
-    if (i == 0) {
-      op0_type = type_at;
-      op0_input = inputs_at;
-      op0_output = at;
-    }
-    at += 4;  // output
-  }
-  const std::size_t model_input = at;
-  const std::size_t model_output = at + 4;
+  const BlobLayout l = walk_flat_model(blob);
+  const std::size_t model_input = l.model_input;
+  const std::size_t model_output = l.model_input + 4;
 
   const auto forged = [&](std::size_t field, std::uint32_t value) {
     crypto::Bytes b = blob;
@@ -690,26 +743,160 @@ TEST(LiteTest, DeserializeRejectsForgedProgram) {
     EXPECT_THROW((void)lite::FlatModel::deserialize(b), std::runtime_error)
         << what;
   };
-  rejects(forged(op0_input, 1'000'000), "op input index 1,000,000");
-  rejects(forged(op0_input, static_cast<std::uint32_t>(-5)),
+  rejects(forged(l.inputs[0], 1'000'000), "op input index 1,000,000");
+  rejects(forged(l.inputs[0], static_cast<std::uint32_t>(-5)),
           "op input index -5");
-  rejects(forged(op0_output, 1'000'000), "op output index 1,000,000");
+  rejects(forged(l.output[0], 1'000'000), "op output index 1,000,000");
   crypto::Bytes bad_type = blob;
-  bad_type[op0_type] = 250;
+  bad_type[l.type[0]] = 250;
   rejects(bad_type, "op type 250");
-  rejects(forged(op0_input,
+  rejects(forged(l.inputs[0],
                  static_cast<std::uint32_t>(model.ops()[1].output)),
           "op input produced by a later op");
-  rejects(forged(op0_output, static_cast<std::uint32_t>(model.input_tensor())),
+  rejects(forged(l.output[0], static_cast<std::uint32_t>(model.input_tensor())),
           "op output overwrites the model input");
   rejects(forged(model_input, 1'000'000), "model input index 1,000,000");
   rejects(forged(model_output, static_cast<std::uint32_t>(-1)),
           "model output index -1");
-  // The untouched blob still loads and runs.
+
+  // What no input can make runnable, on the convnet's program.
+  const Graph cg = mnist_convnet(9);
+  Session conv_session(cg);
+  const auto conv =
+      lite::FlatModel::from_frozen(freeze(cg, conv_session), "input", "probs");
+  const crypto::Bytes cblob = conv.serialize();
+  const BlobLayout c = walk_flat_model(cblob);
+  const std::size_t reshape = first_op(conv, OpType::Reshape);  // {-1,28,28,1}
+  const std::size_t pool = first_op(conv, OpType::MaxPool2D);
+  const std::size_t conv2d = first_op(conv, OpType::Conv2D);
+  const std::size_t matmul = first_op(conv, OpType::MatMul);
+  const std::size_t bias_op = first_op(conv, OpType::Add);
+  const std::int32_t bias = conv.ops()[bias_op].inputs[1];
+  ASSERT_TRUE(conv.tensors()[static_cast<std::size_t>(bias)].is_weight());
+  const std::size_t target = c.target[reshape];
+  rejects(forged64(cblob, {{target, 0}}), "Reshape target {0,28,28,1}");
+  rejects(forged64(cblob, {{target, 0}, {target + 8, -1}}),
+          "Reshape target {0,-1,28,1}");
+  rejects(forged64(cblob, {{target + 8, -2}}), "Reshape target {-1,-2,28,1}");
+  rejects(forged64(cblob, {{target + 8, -1}}), "Reshape target {-1,-1,28,1}");
+  rejects(forged64(cblob, {{c.window[pool], 0}}), "MaxPool window 0");
+  rejects(forged64(cblob, {{c.stride[pool], 0}}), "MaxPool stride 0");
+  rejects(forged64(cblob, {{c.stride[conv2d], -1}}), "Conv2D stride -1");
+  rejects(forged64(cblob, {{c.dims[static_cast<std::size_t>(bias)], 0}}),
+          "bias with no elements");
+  const auto rewired = [&](std::size_t op, std::int32_t weight) {
+    crypto::Bytes b = cblob;
+    crypto::store_be32(b.data() + c.inputs[op] + 4,
+                       static_cast<std::uint32_t>(weight));
+    return b;
+  };
+  rejects(rewired(matmul, bias), "MatMul weight of rank 1");
+  rejects(rewired(conv2d, conv.ops()[matmul].inputs[1]),
+          "Conv2D filter of rank 2");
+  // The untouched blobs still load and run.
   const auto restored = lite::FlatModel::deserialize(blob);
   lite::LiteInterpreter interp(restored);
   EXPECT_EQ(interp.invoke(synthetic_mnist(1, 4).sample(0)).shape(),
             (Shape{1, 10}));
+  const auto conv_restored = lite::FlatModel::deserialize(cblob);
+  lite::LiteInterpreter conv_interp(conv_restored);
+  EXPECT_EQ(conv_interp.invoke(synthetic_mnist(1, 4).sample(0)).shape(),
+            (Shape{1, 10}));
+}
+
+// Requests and programs an op cannot run end in std::invalid_argument in
+// both domains, before the invoke charges anything: the int8 kernels take
+// their shapes from the rule the float ops are checked by, so none of these
+// cases can index past a tensor (SIGSEGV), divide by zero (SIGFPE) or, for
+// {1,100}, compute a wrong answer on int8 codes. The forged programs pass
+// the load-time checks, which cannot know the shape of the input.
+TEST(LiteTest, MalformedInputsFailTypedInBothDomains) {
+  const Dataset d = synthetic_mnist(5, 12);
+  std::vector<Tensor> calib;
+  for (std::int64_t i = 0; i < 4; ++i) calib.push_back(d.sample(i));
+  const Tensor valid = d.sample(4);
+
+  for (const bool convnet : {false, true}) {
+    const Graph g = convnet ? mnist_convnet(9) : mnist_mlp(32, 5);
+    Session session(g);
+    const auto q =
+        lite::FlatModel::from_frozen(freeze(g, session), "input", "probs")
+            .quantized(calib);
+    const crypto::Bytes blob = q.serialize();
+    const BlobLayout l = walk_flat_model(blob);
+    const lite::LiteOp& mm = q.ops()[first_op(q, OpType::MatMul)];
+    const auto w = static_cast<std::size_t>(mm.inputs[1]);
+    const Shape& ws = q.tensors()[w].shape;
+    const auto bias = static_cast<std::size_t>(
+        q.ops()[first_op(q, OpType::Add)].inputs[1]);
+    std::vector<lite::FlatModel> forged;
+    forged.push_back(lite::FlatModel::deserialize(forged64(
+        blob, {{l.dims[w], ws[1]}, {l.dims[w] + 8, ws[0]}})));
+    forged.push_back(lite::FlatModel::deserialize(
+        forged64(blob, {{l.dims[bias], q.tensors()[bias].shape[0] - 1}})));
+    if (convnet) {  // 29 > the 28x28 input of the first pool
+      forged.push_back(lite::FlatModel::deserialize(forged64(
+          blob, {{l.window[first_op(q, OpType::MaxPool2D)], 29}})));
+    }
+    // Rank 1 {784} is a valid convnet request: its Reshape flattens any rank.
+    std::vector<Shape> bad_requests = {{1, 100}, {1, 5000}};
+    if (!convnet) bad_requests.push_back({784});
+
+    for (const bool int8_compute : {false, true}) {
+      SCOPED_TRACE(std::string(convnet ? "convnet" : "mlp") +
+                   (int8_compute ? " int8" : " float"));
+      SmallEnclave used;
+      lite::LiteInterpreter interp(q, &used.env,
+                                   kernels::KernelContext::shared(),
+                                   /*weight_streaming=*/false, int8_compute);
+      for (const Shape& shape : bad_requests) {
+        EXPECT_THROW((void)interp.invoke(Tensor(shape)),
+                     std::invalid_argument)
+            << shape_to_string(shape);
+      }
+      for (const lite::FlatModel& model : forged) {
+        lite::LiteInterpreter bad(model, nullptr,
+                                  kernels::KernelContext::shared(),
+                                  /*weight_streaming=*/false, int8_compute);
+        EXPECT_THROW((void)bad.invoke(valid), std::invalid_argument);
+      }
+      // The rejected invokes charged nothing: a valid one afterwards costs
+      // what it costs a fresh interpreter.
+      SmallEnclave fresh;
+      lite::LiteInterpreter reference(q, &fresh.env,
+                                      kernels::KernelContext::shared(),
+                                      /*weight_streaming=*/false,
+                                      int8_compute);
+      const std::uint64_t t0 = used.platform.clock().now_ns();
+      const std::uint64_t r0 = fresh.platform.clock().now_ns();
+      EXPECT_EQ(interp.invoke(valid), reference.invoke(valid));
+      EXPECT_EQ(used.platform.clock().now_ns() - t0,
+                fresh.platform.clock().now_ns() - r0);
+      EXPECT_EQ(interp.last_invoke_flops(), reference.last_invoke_flops());
+      EXPECT_EQ(interp.last_invoke_int8_ops(),
+                reference.last_invoke_int8_ops());
+    }
+  }
+
+  // A program lowered from a graph never passes through deserialize(), so
+  // the invoke-time rule rejects what the load-time checks would have.
+  const auto lowered_rejects = [&](const char* what, auto build) {
+    Graph graph;
+    GraphBuilder b(graph);
+    build(b, b.placeholder("input"));
+    const auto model = lite::FlatModel::from_frozen(graph, "input", "out");
+    lite::LiteInterpreter interp(model);
+    EXPECT_THROW((void)interp.invoke(valid), std::invalid_argument) << what;
+  };
+  lowered_rejects("Reshape target {0,-1}", [](GraphBuilder& b, NodeId x) {
+    b.reshape("out", x, {0, -1});
+  });
+  lowered_rejects("MaxPool stride 0", [](GraphBuilder& b, NodeId x) {
+    b.max_pool("out", b.reshape("image", x, {-1, 28, 28, 1}), 2, 0);
+  });
+  lowered_rejects("bias with no elements", [](GraphBuilder& b, NodeId x) {
+    b.add("out", x, b.constant("bias", Tensor({0})));
+  });
 }
 
 TEST(LiteTest, ConvnetLowersAndRuns) {
@@ -905,6 +1092,87 @@ TEST(LiteTest, ActivationFootprintSmallerThanWeights) {
   (void)interp.invoke(d.sample(0));
   EXPECT_LT(interp.activation_bytes(), model.weight_bytes() / 100)
       << "Lite keeps a tiny activation footprint next to the weights";
+}
+
+// Pins everything an invoke computes and charges, per interpreter config,
+// model and batch size: the outputs, last_invoke_flops, last_invoke_int8_ops,
+// the invoke's virtual ns and its EPC loads and evictions, plus the
+// serialized version-2 and calibrated version-3 bytes. The 24-page EPC
+// makes the order of the memory charges show in the paging. The digest was
+// computed from the interpreter with separate float and int8 loops; a
+// mismatch means an output or a charge moved.
+TEST(LiteTest, InvokeAccountingMatchesPinnedDigest) {
+  struct Config {
+    bool quantized, streaming, int8_compute, gpu_offload;
+  };
+  const Config configs[] = {
+      {false, false, false, false},  // float
+      {false, true, false, false},   // float + streaming
+      {true, false, false, false},   // int8 storage (dequantizing)
+      {true, true, true, false},     // int8_compute + streaming
+      {false, false, false, true},   // GPU offload
+  };
+  struct Program {
+    Graph graph;
+    const char* output;  // fc2/bias and pool1 end on an int8-domain op
+  };
+  const Program programs[] = {{mnist_mlp(32, 5), "probs"},
+                              {mnist_mlp(32, 5), "fc2/bias"},
+                              {mnist_convnet(9), "probs"},
+                              {mnist_convnet(9), "pool1"}};
+  const Dataset calibration = synthetic_mnist(4, 21);
+  const Dataset requests = synthetic_mnist(8, 33);
+  std::vector<Tensor> calib;
+  for (std::int64_t i = 0; i < 4; ++i) calib.push_back(calibration.sample(i));
+  std::vector<Tensor> samples;
+  for (std::int64_t i = 0; i < 8; ++i) samples.push_back(requests.sample(i));
+
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  const auto put_double = [&](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    put(bits);
+  };
+  for (const Program& program : programs) {
+    Session session(program.graph);
+    const auto model = lite::FlatModel::from_frozen(
+        freeze(program.graph, session), "input", program.output);
+    const auto q = model.quantized(calib);
+    digest.update(model.serialize());
+    digest.update(q.serialize());
+    for (const Config& c : configs) {
+      SmallEnclave e;
+      lite::LiteInterpreter interp(c.quantized ? q : model, &e.env,
+                                   kernels::KernelContext::shared(),
+                                   c.streaming, c.int8_compute, c.gpu_offload);
+      for (const std::size_t batch : {1u, 3u, 8u}) {
+        std::vector<const Tensor*> inputs;
+        for (std::size_t i = 0; i < batch; ++i) inputs.push_back(&samples[i]);
+        const std::uint64_t t0 = e.platform.clock().now_ns();
+        const tee::EpcStats e0 = e.platform.epc().stats();
+        const std::vector<Tensor> outs = interp.invoke_batch(inputs);
+        const tee::EpcStats e1 = e.platform.epc().stats();
+        put(e.platform.clock().now_ns() - t0);
+        put(e1.loads - e0.loads);
+        put(e1.evictions - e0.evictions);
+        put_double(interp.last_invoke_flops());
+        put_double(interp.last_invoke_int8_ops());
+        for (const Tensor& out : outs) {
+          for (const auto d : out.shape()) put(static_cast<std::uint64_t>(d));
+          digest.update(crypto::BytesView(
+              reinterpret_cast<const std::uint8_t*>(out.data()),
+              out.byte_size()));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "7a29bfe070b386b98f3e6b6ad44c2d3508ec25d65711b135838323c661a2151b");
 }
 
 }  // namespace

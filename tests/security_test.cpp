@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
 #include "cas/attest_client.h"
 #include "core/securetf.h"
+#include "ml/dataset.h"
+#include "ml/models.h"
+#include "ml/serialize.h"
 #include "runtime/shielded_link.h"
 #include "tee/platform.h"
 
@@ -386,6 +390,72 @@ TEST(SoftwareUpdateTest, PolicyUpgradeRefusesOldBuild) {
   EXPECT_TRUE(cas::attest_with_cas(f.cas, f.worker_platform, *v2, f.net,
                                    f.worker_node, f.cas_node, f.rng, "svc")
                   .ok);
+}
+
+
+// ---------------------------------------------------------------------------
+// Access-pattern side channel (Privado)
+// ---------------------------------------------------------------------------
+
+// What the host sees of an in-enclave Lite inference, its virtual latency
+// and its EPC faults, loads and evictions, depends on the model and the
+// batch shape only, never on the input values. A zero-skip or early-exit
+// shortcut would make the page trace depend on the input, which is the leak
+// Privado exploits. 8 MB model against a 6 MB EPC, so the float paths page.
+TEST(AccessPatternTest, LiteCostDependsOnShapesNotValues) {
+  ml::Graph g = ml::sized_classifier("privado", 8ull << 20);
+  ml::Session s(g);
+  const auto fm =
+      ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input", "probs");
+  const ml::Dataset d = ml::synthetic_cifar10(8, 41);
+  std::vector<ml::Tensor> calib;
+  for (std::int64_t i = 0; i < 4; ++i) calib.push_back(d.sample(i));
+  const auto q = fm.quantized(calib);
+
+  // Four requests of each kind: random images, all zeros, images x1000.
+  std::vector<ml::Tensor> random, zeros, scaled;
+  for (std::int64_t i = 0; i < 4; ++i) {
+    random.push_back(d.sample(4 + i));
+    zeros.emplace_back(random.back().shape());
+    scaled.push_back(random.back());
+    for (std::int64_t j = 0; j < scaled.back().size(); ++j) {
+      scaled.back().at(j) *= 1000.0f;
+    }
+  }
+  using Observed = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                              std::uint64_t>;  // ns, faults, loads, evictions
+  const auto observe = [&](bool streaming, bool int8_compute,
+                           const std::vector<ml::Tensor>& requests) {
+    core::SecureTfConfig cfg;
+    cfg.mode = tee::TeeMode::Hardware;
+    cfg.model.epc_bytes = 6ull << 20;
+    core::SecureTfContext ctx(cfg);
+    core::InferenceOptions opts;
+    opts.weight_streaming = streaming;
+    opts.int8_compute = int8_compute;
+    auto svc = ctx.create_lite_service(int8_compute ? q : fm, opts);
+    std::vector<Observed> per_request;
+    for (const ml::Tensor& x : requests) {
+      const std::uint64_t t0 = ctx.platform().clock().now_ns();
+      const tee::EpcStats e0 = ctx.platform().epc().stats();
+      (void)svc->classify(x);
+      const tee::EpcStats e1 = ctx.platform().epc().stats();
+      per_request.emplace_back(ctx.platform().clock().now_ns() - t0,
+                               e1.faults - e0.faults, e1.loads - e0.loads,
+                               e1.evictions - e0.evictions);
+    }
+    return per_request;
+  };
+  const std::pair<bool, bool> configs[] = {
+      {false, false}, {true, false}, {true, true}};  // streaming, int8
+  for (const auto& [streaming, int8_compute] : configs) {
+    const auto expected = observe(streaming, int8_compute, random);
+    EXPECT_GT(std::get<2>(expected.front()), 0u) << "the first request pages";
+    EXPECT_EQ(observe(streaming, int8_compute, zeros), expected)
+        << "streaming=" << streaming << " int8=" << int8_compute;
+    EXPECT_EQ(observe(streaming, int8_compute, scaled), expected)
+        << "streaming=" << streaming << " int8=" << int8_compute;
+  }
 }
 
 }  // namespace
