@@ -39,15 +39,50 @@ TrainObs& train_obs() {
   return *o;
 }
 
-tee::EnclaveImage worker_image(const ClusterConfig& cfg, unsigned serial) {
+// Every node runs the same full-TensorFlow image. The instance name is not
+// measured, so one CAS policy covers the fleet.
+tee::EnclaveImage worker_image(const ClusterConfig& cfg, std::string name) {
   return tee::EnclaveImage{
-      .name = "tf-worker-" + std::to_string(serial),
+      .name = std::move(name),
       .content = crypto::to_bytes("stf-full-tensorflow-worker-v1"),
       .binary_bytes = cfg.worker_binary_bytes,
   };
 }
 
+// One message over a plain or shielded link: the sender pays for the send,
+// the receiver waits for the arrival. A message that never arrives is the
+// same TransientError the resilient transport raises.
+template <typename End>
+crypto::Bytes carry(End& from, End& to, crypto::BytesView payload) {
+  from.send(payload);
+  std::optional<crypto::Bytes> got = to.recv();
+  if (!got.has_value()) {
+    throw runtime::TransientError("training link: message lost");
+  }
+  return std::move(*got);
+}
+
+crypto::Bytes carry(runtime::ResilientChannel& from,
+                    runtime::ResilientChannel& to, crypto::BytesView payload) {
+  return runtime::ResilientChannel::deliver(from, to, payload);
+}
+
 }  // namespace
+
+crypto::Bytes TrainingCluster::Link::to_worker(crypto::BytesView payload) {
+  return std::visit([&](auto& e) { return carry(e.ps, e.worker, payload); },
+                    ends_);
+}
+
+crypto::Bytes TrainingCluster::Link::to_ps(crypto::BytesView payload) {
+  return std::visit([&](auto& e) { return carry(e.worker, e.ps, payload); },
+                    ends_);
+}
+
+std::uint64_t TrainingCluster::Link::retransmits() const {
+  const auto* r = std::get_if<Ends<runtime::ResilientChannel>>(&ends_);
+  return r == nullptr ? 0 : r->worker.retransmits() + r->ps.retransmits();
+}
 
 TrainingCluster::TrainingCluster(const ml::Graph& graph, ClusterConfig config,
                                  cas::CasServer* cas,
@@ -59,6 +94,9 @@ TrainingCluster::TrainingCluster(const ml::Graph& graph, ClusterConfig config,
       authority_(authority),
       session_name_(std::move(session_name)),
       rng_(crypto::to_bytes("cluster-" + std::to_string(config_.seed))) {
+  if (config_.batch_size < 1) {
+    throw std::invalid_argument("cluster: batch_size must be at least 1");
+  }
   if (config_.faults.enabled) {
     if (!config_.network_shield) {
       throw std::invalid_argument(
@@ -75,32 +113,12 @@ TrainingCluster::TrainingCluster(const ml::Graph& graph, ClusterConfig config,
     fault_plane_ = std::make_unique<faults::FaultPlane>(config_.faults.seed);
     fault_plane_->attach(net_);
   }
-  // Parameter server node.
-  if (authority_ != nullptr) {
-    ps_platform_ = std::make_unique<tee::Platform>(
-        "ps", config_.mode, config_.model, *authority_);
-  } else {
-    ps_platform_ = std::make_unique<tee::Platform>("ps", config_.mode,
-                                                   config_.model);
-  }
-  ps_node_ = net_.add_node("ps", ps_platform_->base_clock());
-  tee::MemoryEnv* ps_env = nullptr;
-  if (config_.mode == tee::TeeMode::Native) {
-    ps_native_env_ = std::make_unique<tee::NativeEnv>(
-        config_.model, ps_platform_->base_clock());
-    ps_env = ps_native_env_.get();
-  } else {
-    ps_enclave_ = ps_platform_->launch_enclave(worker_image(config_, 9999));
-    ps_enclave_->set_runtime_overhead(config_.model.runtime_overhead_training);
-    ps_env_ = std::make_unique<tee::EnclaveEnv>(*ps_enclave_);
-    ps_env = ps_env_.get();
-  }
-  master_session_ = std::make_unique<ml::Session>(graph_, ps_env);
+  ps_ = make_node("ps", config_.model);
 
   // Register an attestation policy so spawned workers can join.
   if (cas_ != nullptr) {
     cas::EnclavePolicy policy;
-    policy.expected_mrenclave = worker_image(config_, 0).measure();
+    policy.expected_mrenclave = worker_image(config_, "").measure();
     policy.secrets = {{"data-key", rng_.generate(32)}};
     cas_->register_policy(session_name_, policy);
   }
@@ -108,90 +126,80 @@ TrainingCluster::TrainingCluster(const ml::Graph& graph, ClusterConfig config,
   for (unsigned i = 0; i < config_.num_workers; ++i) spawn_worker();
 }
 
-tee::MemoryEnv* TrainingCluster::env_of(WorkerState& w) {
-  if (w.enclave_env) return w.enclave_env.get();
-  return w.native_env.get();
+TrainingCluster::Node TrainingCluster::make_node(const std::string& name,
+                                                 const tee::CostModel& model) {
+  Node n;
+  if (authority_ != nullptr) {
+    n.platform = std::make_unique<tee::Platform>(name, config_.mode, model,
+                                                 *authority_);
+  } else {
+    n.platform = std::make_unique<tee::Platform>(name, config_.mode, model);
+  }
+  n.id = net_.add_node(name, n.clock());
+  if (config_.mode == tee::TeeMode::Native) {
+    n.env = std::make_unique<tee::NativeEnv>(n.platform->model(), n.clock());
+  } else {
+    n.enclave = n.platform->launch_enclave(worker_image(config_, name));
+    n.enclave->set_runtime_overhead(model.runtime_overhead_training);
+    n.env = std::make_unique<tee::EnclaveEnv>(*n.enclave);
+  }
+  n.session = std::make_unique<ml::Session>(graph_, n.env.get());
+  return n;
 }
 
 void TrainingCluster::spawn_worker() {
-  WorkerState w;
   const unsigned serial = worker_serial_++;
-  const std::string name = "worker-" + std::to_string(serial);
-  tee::CostModel worker_model = config_.model;
+  tee::CostModel model = config_.model;
   if (serial < config_.worker_speed_factors.size()) {
     const double factor = config_.worker_speed_factors[serial];
     if (factor <= 0) {
       throw std::invalid_argument("worker speed factor must be positive");
     }
-    worker_model.flops_per_second *= factor;  // straggler simulation
+    model.flops_per_second *= factor;  // straggler simulation
   }
-  if (authority_ != nullptr) {
-    w.platform = std::make_unique<tee::Platform>(name, config_.mode,
-                                                 worker_model, *authority_);
-  } else {
-    w.platform = std::make_unique<tee::Platform>(name, config_.mode,
-                                                 worker_model);
-  }
-  w.node = net_.add_node(name, w.platform->base_clock());
-
-  tee::MemoryEnv* env = nullptr;
-  if (config_.mode == tee::TeeMode::Native) {
-    w.native_env = std::make_unique<tee::NativeEnv>(config_.model,
-                                                    w.platform->base_clock());
-    env = w.native_env.get();
-  } else {
-    // The worker image is the measured worker_image(cfg, 0) content for
-    // every serial (same binary), so one CAS policy covers the fleet.
-    tee::EnclaveImage image = worker_image(config_, 0);
-    image.name = name;
-    w.enclave = w.platform->launch_enclave(std::move(image));
-    w.enclave->set_runtime_overhead(config_.model.runtime_overhead_training);
-    w.enclave_env = std::make_unique<tee::EnclaveEnv>(*w.enclave);
-    env = w.enclave_env.get();
-
+  const std::string name = "worker-" + std::to_string(serial);
+  WorkerState w;
+  w.node = make_node(name, model);
+  if (w.node.enclave) {
     // Attestation gate: the worker only joins after CAS releases secrets.
     if (cas_ != nullptr) {
-      const auto outcome =
-          cas::attest_with_cas(*cas_, *w.platform, *w.enclave, net_, w.node,
-                               net_.add_node(name + "-cas-link",
-                                             cas_->platform().base_clock()),
-                               rng_, session_name_);
+      const auto outcome = cas::attest_with_cas(
+          *cas_, *w.node.platform, *w.node.enclave, net_, w.node.id,
+          net_.add_node(name + "-cas-link", cas_->platform().base_clock()),
+          rng_, session_name_);
       if (!outcome.ok) {
         throw std::runtime_error("worker attestation failed: " +
                                  outcome.error);
       }
       ++attested_;
     }
-
     // Framework temporaries region (allocator arenas etc.).
-    w.scratch = std::make_unique<tee::RegionId>(w.enclave->alloc_region(
-        "framework-scratch", config_.framework_scratch_bytes));
+    w.scratch = w.node.enclave->alloc_region("framework-scratch",
+                                             config_.framework_scratch_bytes);
   }
-  w.session = std::make_unique<ml::Session>(graph_, env);
 
-  // Connection to the parameter server; shielded if configured.
-  if (config_.network_shield) {
-    auto link = runtime::ShieldedLink::establish(
-        net_, w.node, ps_node_, config_.model, w.platform->base_clock(),
-        ps_platform_->base_clock(), rng_);
-    if (config_.faults.enabled) {
-      // Wrap both directions in resilient framing, then turn the weather on
-      // for this link only (the handshake above ran on clear skies).
-      w.r_to_ps = runtime::ResilientChannel(
-          std::move(link.a_to_b), w.platform->base_clock(),
-          config_.faults.retry, config_.faults.seed ^ (2ull * serial + 1));
-      w.r_ps_to = runtime::ResilientChannel(
-          std::move(link.b_to_a), ps_platform_->base_clock(),
-          config_.faults.retry, config_.faults.seed ^ (2ull * serial + 2));
-      fault_plane_->set_link_faults(w.node, ps_node_, config_.faults.link);
-    } else {
-      w.to_ps = std::move(link.a_to_b);
-      w.ps_to = std::move(link.b_to_a);
-    }
+  // The link to the parameter server, over exactly one transport.
+  if (!config_.network_shield) {
+    auto [worker_end, ps_end] = net_.connect(w.node.id, ps_.id);
+    w.link = Link(worker_end, ps_end);
   } else {
-    auto [worker_side, ps_side] = net_.connect(w.node, ps_node_);
-    w.plain_to_ps = worker_side;
-    w.ps_plain = ps_side;
+    auto shield = runtime::ShieldedLink::establish(
+        net_, w.node.id, ps_.id, config_.model, w.node.clock(), ps_.clock(),
+        rng_);
+    if (!config_.faults.enabled) {
+      w.link = Link(std::move(shield.a_to_b), std::move(shield.b_to_a));
+    } else {
+      // Resilient framing on both ends, then weather on this link only
+      // (the handshake above ran on clear skies).
+      runtime::ResilientChannel worker_end(
+          std::move(shield.a_to_b), w.node.clock(), config_.faults.retry,
+          config_.faults.seed ^ (2ull * serial + 1));
+      runtime::ResilientChannel ps_end(
+          std::move(shield.b_to_a), ps_.clock(), config_.faults.retry,
+          config_.faults.seed ^ (2ull * serial + 2));
+      w.link = Link(std::move(worker_end), std::move(ps_end));
+      fault_plane_->set_link_faults(w.node.id, ps_.id, config_.faults.link);
+    }
   }
   workers_.push_back(std::move(w));
 }
@@ -208,7 +216,7 @@ void TrainingCluster::schedule_worker_crash(std::size_t index,
     throw std::logic_error(
         "schedule_worker_crash: enable config.faults first");
   }
-  crash_schedule_[round].push_back(index);
+  crash_schedule_.emplace(round, index);
 }
 
 const faults::FaultStats& TrainingCluster::fault_stats() const {
@@ -231,269 +239,129 @@ void TrainingCluster::ensure_workers_alive() {
   for (std::int64_t i = 0; i < dead; ++i) spawn_worker();
 }
 
+// Aligns the PS and every live worker to the latest of their clocks.
+std::uint64_t TrainingCluster::barrier() {
+  std::uint64_t t = ps_.clock().now_ns();
+  for (const auto& w : workers_) {
+    if (w.alive) t = std::max(t, w.node.clock().now_ns());
+  }
+  ps_.clock().advance_to(t);
+  for (auto& w : workers_) {
+    if (w.alive) w.node.clock().advance_to(t);
+  }
+  return t;
+}
+
+// One training step of `w` on the next batch. The framework's code, static
+// data and temporaries all get touched first: this is what fights the EPC
+// in HW mode.
+std::map<std::string, ml::Tensor> TrainingCluster::step(
+    WorkerState& w, const ml::Dataset& data, std::int64_t& next_batch) {
+  if (w.node.enclave) {
+    w.node.enclave->touch_binary();
+    w.node.enclave->access(w.scratch, 0, config_.framework_scratch_bytes,
+                           true);
+  }
+  const auto feeds = data.batch_feeds(next_batch, config_.batch_size);
+  next_batch = (next_batch + 1) % (data.size() / config_.batch_size);
+  return w.node.session->gradients("loss", feeds);
+}
+
+// Synchronous rounds. Every exchange rides the worker's link, so the same
+// loop runs over plain, shielded and resilient transports: a worker whose
+// parameters or gradient the link cannot deliver sits the round out, a
+// missing gradient costs the PS one round timeout instead of a hang, the
+// update averages over whatever arrived, and crashed workers are respawned
+// — re-attesting through CAS — before the next round. Everything downstream
+// of the fixed seeds is bit-reproducible.
 TrainStats TrainingCluster::train(const ml::Dataset& data,
                                   std::int64_t total_samples) {
-  ensure_workers_alive();
   if (workers_.empty()) throw std::logic_error("no workers");
-  if (config_.faults.enabled) return train_resilient(data, total_samples);
-  if (config_.async_updates) return train_async(data, total_samples);
+  if (data.size() < config_.batch_size) {
+    throw std::invalid_argument("train: the dataset holds less than a batch");
+  }
+  if (config_.async_updates) {
+    if (total_samples < config_.batch_size) {
+      throw std::invalid_argument("train: need at least one full batch");
+    }
+    ensure_workers_alive();
+    return train_async(data, total_samples / config_.batch_size);
+  }
   const std::int64_t per_round =
       config_.batch_size * static_cast<std::int64_t>(workers_.size());
-  if (total_samples % per_round != 0) {
-    total_samples -= total_samples % per_round;  // whole rounds only
-  }
-  if (total_samples <= 0) {
+  const std::int64_t rounds = total_samples / per_round;  // whole rounds only
+  if (total_samples < per_round) {
     throw std::invalid_argument("train: need at least one full round");
   }
-  const std::int64_t rounds = total_samples / per_round;
-
-  // Barrier helper: align a set of clocks to the max.
-  auto barrier = [this] {
-    std::uint64_t t = ps_platform_->base_clock().now_ns();
-    for (const auto& w : workers_) {
-      t = std::max(t, w.platform->base_clock().now_ns());
-    }
-    ps_platform_->base_clock().advance_to(t);
-    for (auto& w : workers_) w.platform->base_clock().advance_to(t);
-    return t;
-  };
+  ensure_workers_alive();
 
   TrainStats stats;
   const std::uint64_t start_ns = barrier();
+  tee::SimClock& ps_clock = ps_.clock();
   std::int64_t next_batch = 0;
-  const std::int64_t batches_available = data.size() / config_.batch_size;
   float loss_sum = 0;
+  std::uint64_t contributions = 0;
 
   for (std::int64_t round = 0; round < rounds; ++round) {
     // Per-round cost attribution on the PS clock: category deltas plus the
     // warp term (shard-parallel set_ns rewinds) sum exactly to the round
     // span the tracer records below.
-    obs::ScopedAttribution profile(ps_platform_->base_clock(),
-                                   obs::names::kSpanTrainRound);
-    const std::uint64_t round_start = ps_platform_->base_clock().now_ns();
-    // 1. Server pushes current parameters to every worker. TensorFlow's
-    //    parameter server shards push in parallel: the per-worker shield
-    //    work overlaps, so the PS clock advances to the slowest push, not
-    //    the sum.
-    const auto params =
-        ml::serialize_tensor_map(master_session_->variable_snapshot());
-    {
-      tee::SimClock& ps_clock = ps_platform_->base_clock();
-      const std::uint64_t push_start = ps_clock.now_ns();
-      std::uint64_t slowest = push_start;
-      for (auto& w : workers_) {
-        ps_clock.set_ns(push_start);  // each shard starts concurrently
-        if (config_.network_shield) {
-          w.ps_to.send(params);
-        } else {
-          w.ps_plain.send(params);
-        }
-        slowest = std::max(slowest, ps_clock.now_ns());
-      }
-      ps_clock.set_ns(slowest);
-    }
-
-    // 2. Workers compute gradients on their own shard, in parallel lanes.
-    std::vector<crypto::Bytes> grad_msgs;
-    for (auto& w : workers_) {
-      // Worker-side spans/profiles land on the worker's own trace row.
-      obs::ScopedLane lane_scope(static_cast<std::uint16_t>(w.node), 0);
-      std::optional<crypto::Bytes> msg = config_.network_shield
-                                             ? w.to_ps.recv()
-                                             : w.plain_to_ps.recv();
-      if (!msg.has_value()) throw std::runtime_error("lost parameter push");
-      w.session->restore_variables(ml::deserialize_tensor_map(*msg));
-
-      // One training step's framework activity: code+static data and
-      // temporaries all get touched (this is what fights the EPC in HW).
-      if (w.enclave) {
-        w.enclave->touch_binary();
-        w.enclave->access(*w.scratch, 0, config_.framework_scratch_bytes,
-                          true);
-      }
-
-      const auto feeds =
-          data.batch_feeds(next_batch % batches_available, config_.batch_size);
-      next_batch = (next_batch + 1) % batches_available;
-      const auto grads = w.session->gradients("loss", feeds);
-      loss_sum += w.session->last_loss();
-
-      const auto encoded = ml::serialize_tensor_map(grads);
-      if (config_.network_shield) {
-        w.to_ps.send(encoded);
-      } else {
-        w.plain_to_ps.send(encoded);
-      }
-    }
-
-    // 3. Server gathers gradients (waiting for the slowest worker),
-    //    averages, and applies.
-    std::map<std::string, ml::Tensor> avg;
-    for (auto& w : workers_) {
-      std::optional<crypto::Bytes> msg =
-          config_.network_shield ? w.ps_to.recv() : w.ps_plain.recv();
-      if (!msg.has_value()) throw std::runtime_error("lost gradient push");
-      auto grads = ml::deserialize_tensor_map(*msg);
-      for (auto& [name, grad] : grads) {
-        auto it = avg.find(name);
-        if (it == avg.end()) {
-          avg.emplace(name, std::move(grad));
-        } else {
-          for (std::int64_t i = 0; i < grad.size(); ++i) {
-            it->second.at(i) += grad.at(i);
-          }
-        }
-      }
-    }
-    const float scale = 1.0f / static_cast<float>(workers_.size());
-    for (auto& [name, grad] : avg) {
-      for (std::int64_t i = 0; i < grad.size(); ++i) grad.at(i) *= scale;
-    }
-    master_session_->apply_gradients(avg, config_.learning_rate);
-
-    barrier();  // synchronous SGD: everyone waits for the round to finish
-    stats.samples_processed += per_round;
-    train_obs().rounds.add();
-    train_obs().samples_processed.add(static_cast<std::uint64_t>(per_round));
-    const std::uint64_t round_end = ps_platform_->base_clock().now_ns();
-    train_obs().round_ns.observe(round_end - round_start);
-    train_obs().round_quantile_ns.observe(round_end - round_start);
-    obs::SpanTracer::global().record(train_obs().round_span, round_start,
-                                     round_end);
-  }
-
-  const std::uint64_t end_ns = barrier();
-  stats.rounds = static_cast<std::uint64_t>(rounds);
-  stats.total_seconds = static_cast<double>(end_ns - start_ns) / 1e9;
-  stats.seconds_per_round =
-      stats.total_seconds / static_cast<double>(rounds);
-  stats.final_loss =
-      loss_sum / static_cast<float>(rounds * static_cast<std::int64_t>(
-                                                 workers_.size()));
-  for (const auto& w : workers_) {
-    stats.epc_faults += w.platform->epc().stats().faults;
-  }
-  return stats;
-}
-
-// Synchronous rounds under injected faults: every parameter/gradient
-// exchange runs over ResilientChannel (retry/backoff/dedup), a worker whose
-// gradient never arrives costs the PS one round_timeout instead of a hang,
-// the update averages over whatever arrived (scaled average), and crashed
-// workers are respawned — re-attesting through CAS — before the next round.
-// Everything downstream of the fixed fault seed is bit-reproducible.
-TrainStats TrainingCluster::train_resilient(const ml::Dataset& data,
-                                            std::int64_t total_samples) {
-  const std::int64_t per_round =
-      config_.batch_size * static_cast<std::int64_t>(workers_.size());
-  if (total_samples % per_round != 0) {
-    total_samples -= total_samples % per_round;  // whole rounds only
-  }
-  if (total_samples <= 0) {
-    throw std::invalid_argument("train: need at least one full round");
-  }
-  const std::int64_t rounds = total_samples / per_round;
-
-  // Barrier over the PS and whoever is still alive.
-  auto barrier = [this] {
-    std::uint64_t t = ps_platform_->base_clock().now_ns();
-    for (const auto& w : workers_) {
-      if (w.alive) t = std::max(t, w.platform->base_clock().now_ns());
-    }
-    ps_platform_->base_clock().advance_to(t);
-    for (auto& w : workers_) {
-      if (w.alive) w.platform->base_clock().advance_to(t);
-    }
-    return t;
-  };
-
-  TrainStats stats;
-  const std::uint64_t start_ns = barrier();
-  std::int64_t next_batch = 0;
-  const std::int64_t batches_available = data.size() / config_.batch_size;
-  float loss_sum = 0;
-  std::uint64_t contributions = 0;
-  tee::SimClock& ps_clock = ps_platform_->base_clock();
-
-  for (std::int64_t round = 0; round < rounds; ++round) {
-    // Same conservation contract as train(): categories + warp == round span.
     obs::ScopedAttribution profile(ps_clock, obs::names::kSpanTrainRound);
     const std::uint64_t round_start = ps_clock.now_ns();
     const auto params =
-        ml::serialize_tensor_map(master_session_->variable_snapshot());
+        ml::serialize_tensor_map(ps_.session->variable_snapshot());
 
-    // 1. Reliable parameter push, one PS shard per worker in parallel. A
-    //    push the retry budget cannot save just sidelines that worker for
-    //    the round.
+    // 1. The server pushes the parameters to every worker. TensorFlow's
+    //    parameter server shards push in parallel, so the PS clock advances
+    //    to the slowest push, not the sum. A push the link cannot deliver
+    //    sidelines that worker for the round.
     std::vector<bool> has_params(workers_.size(), false);
-    {
-      const std::uint64_t push_start = ps_clock.now_ns();
-      std::uint64_t slowest = push_start;
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        WorkerState& w = workers_[i];
-        ps_clock.set_ns(push_start);  // each shard starts concurrently
-        try {
-          const auto delivered =
-              runtime::ResilientChannel::deliver(w.r_ps_to, w.r_to_ps, params);
-          w.session->restore_variables(ml::deserialize_tensor_map(delivered));
-          has_params[i] = true;
-        } catch (const runtime::TransientError&) {
-          // Delivery failed for the whole retry budget; sit this round out.
-        }
-        slowest = std::max(slowest, ps_clock.now_ns());
+    const std::uint64_t push_start = ps_clock.now_ns();
+    std::uint64_t slowest = push_start;
+    for (std::size_t i = 0; i < workers_.size(); ++i) {
+      ps_clock.set_ns(push_start);  // each shard starts concurrently
+      try {
+        const auto got = workers_[i].link.to_worker(params);
+        workers_[i].node.session->restore_variables(
+            ml::deserialize_tensor_map(got));
+        has_params[i] = true;
+      } catch (const runtime::TransientError&) {
+        // Undeliverable for the whole retry budget; sit this round out.
       }
-      ps_clock.set_ns(slowest);
+      slowest = std::max(slowest, ps_clock.now_ns());
     }
+    ps_clock.set_ns(slowest);
 
-    // 2. Surviving workers compute and ship gradients. Scheduled crashes
-    //    strike here — parameters received, gradient never sent — the worst
-    //    case for the server.
-    const auto crash_it =
-        crash_schedule_.find(static_cast<std::uint64_t>(round));
-    auto crashes_now = [&](std::size_t i) {
-      return crash_it != crash_schedule_.end() &&
-             std::find(crash_it->second.begin(), crash_it->second.end(), i) !=
-                 crash_it->second.end();
-    };
+    // 2. Each worker steps on its own batch and sends its gradient straight
+    //    back. A scheduled crash strikes in between (parameters received,
+    //    gradient never sent): the worst case for the server.
     std::map<std::string, ml::Tensor> sum;
     std::uint64_t arrived = 0;
-    const std::uint64_t expected = workers_.size();
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       WorkerState& w = workers_[i];
       if (!has_params[i]) continue;
-      obs::ScopedLane lane_scope(static_cast<std::uint16_t>(w.node), 0);
-      if (w.enclave) {
-        w.enclave->touch_binary();
-        w.enclave->access(*w.scratch, 0, config_.framework_scratch_bytes,
-                          true);
-      }
-      const auto feeds =
-          data.batch_feeds(next_batch % batches_available, config_.batch_size);
-      next_batch = (next_batch + 1) % batches_available;
-      const auto grads = w.session->gradients("loss", feeds);
-
-      if (crashes_now(i)) {
-        // Crash-stop: the gradient dies with the worker. Its channel
+      // Worker-side spans/profiles land on the worker's own trace row.
+      obs::ScopedLane lane_scope(static_cast<std::uint16_t>(w.node.id), 0);
+      const auto grads = step(w, data, next_batch);
+      if (crash_schedule_.contains({static_cast<std::uint64_t>(round), i})) {
+        // Crash-stop: the gradient dies with the worker. Its link
         // telemetry is carried so stats.retransmits stays complete.
-        retransmits_carried_ +=
-            w.r_to_ps.retransmits() + w.r_ps_to.retransmits();
+        retransmits_carried_ += w.link.retransmits();
         w.alive = false;
-        fault_plane_->crash_now(w.node);
+        fault_plane_->crash_now(w.node.id);
         ++stats.worker_crashes;
         train_obs().worker_crashes.add();
         continue;
       }
-
       try {
-        const auto delivered = runtime::ResilientChannel::deliver(
-            w.r_to_ps, w.r_ps_to, ml::serialize_tensor_map(grads));
-        loss_sum += w.session->last_loss();
+        auto got = ml::deserialize_tensor_map(
+            w.link.to_ps(ml::serialize_tensor_map(grads)));
+        loss_sum += w.node.session->last_loss();
         ++contributions;
         ++arrived;
         stats.samples_processed += config_.batch_size;
         train_obs().samples_processed.add(
             static_cast<std::uint64_t>(config_.batch_size));
-        auto got = ml::deserialize_tensor_map(delivered);
         for (auto& [name, grad] : got) {
           auto it = sum.find(name);
           if (it == sum.end()) {
@@ -510,7 +378,8 @@ TrainStats TrainingCluster::train_resilient(const ml::Dataset& data,
     }
 
     // 3. Anything missing costs the PS exactly one round timeout; the
-    //    update is the scaled average over what arrived.
+    //    update is the average over the gradients that arrived.
+    const std::uint64_t expected = workers_.size();
     if (arrived < expected) {
       {
         // Waiting out the round timeout is fault-recovery time, not compute.
@@ -527,7 +396,7 @@ TrainStats TrainingCluster::train_resilient(const ml::Dataset& data,
       for (auto& [name, grad] : sum) {
         for (std::int64_t j = 0; j < grad.size(); ++j) grad.at(j) *= scale;
       }
-      master_session_->apply_gradients(sum, config_.learning_rate);
+      ps_.session->apply_gradients(sum, config_.learning_rate);
     }
 
     barrier();  // synchronous SGD: survivors wait for the round to finish
@@ -552,15 +421,11 @@ TrainStats TrainingCluster::train_resilient(const ml::Dataset& data,
                          : 0.0f;
   stats.retransmits = retransmits_carried_;
   for (const auto& w : workers_) {
-    stats.epc_faults += w.platform->epc().stats().faults;
-    stats.retransmits += w.r_to_ps.retransmits() + w.r_ps_to.retransmits();
+    stats.epc_faults += w.node.platform->epc().stats().faults;
+    stats.retransmits += w.link.retransmits();
   }
   return stats;
 }
-
-}  // namespace stf::distributed
-
-namespace stf::distributed {
 
 // Asynchronous parameter serving: a small discrete-event loop. The worker
 // whose virtual clock is furthest behind takes the next step: it pulls the
@@ -568,95 +433,58 @@ namespace stf::distributed {
 // applies it on arrival. No barriers — a straggler only slows its own
 // updates, not the fleet (at the cost of applying stale gradients).
 TrainStats TrainingCluster::train_async(const ml::Dataset& data,
-                                        std::int64_t total_samples) {
-  if (total_samples < config_.batch_size) {
-    throw std::invalid_argument("train: need at least one full batch");
-  }
-  const std::int64_t steps = total_samples / config_.batch_size;
-  const std::int64_t batches_available = data.size() / config_.batch_size;
-  tee::SimClock& ps_clock = ps_platform_->base_clock();
-
+                                        std::int64_t steps) {
   TrainStats stats;
-  std::uint64_t start_ns = ps_clock.now_ns();
-  for (const auto& w : workers_) {
-    start_ns = std::max(start_ns, w.platform->base_clock().now_ns());
-  }
-  ps_clock.advance_to(start_ns);
-  for (auto& w : workers_) w.platform->base_clock().advance_to(start_ns);
-
+  const std::uint64_t start_ns = barrier();
+  tee::SimClock& ps_clock = ps_.clock();
   float loss_sum = 0;
   std::int64_t next_batch = 0;
   // The PS is sharded: channel crypto and parameter serving run on
   // per-worker shard threads (concurrent); only the variable update itself
   // is a serial pipeline.
   std::uint64_t apply_pipeline_ns = ps_clock.now_ns();
-  for (std::int64_t step = 0; step < steps; ++step) {
+  for (std::int64_t n = 0; n < steps; ++n) {
     // Earliest-clock worker takes the next step.
-    std::size_t wi = 0;
-    for (std::size_t i = 1; i < workers_.size(); ++i) {
-      if (workers_[i].platform->base_clock().now_ns() <
-          workers_[wi].platform->base_clock().now_ns()) {
-        wi = i;
-      }
-    }
-    WorkerState& w = workers_[wi];
+    WorkerState& w = *std::min_element(
+        workers_.begin(), workers_.end(), [](const auto& a, const auto& b) {
+          return a.node.clock().now_ns() < b.node.clock().now_ns();
+        });
 
     // Pull: this worker's PS shard serves the *currently applied* parameters
     // the moment the request arrives — asynchronous serving never waits for
     // outstanding gradients (that is the whole point; the worker accepts
     // staleness).
-    ps_clock.set_ns(w.platform->base_clock().now_ns());
+    ps_clock.set_ns(w.node.clock().now_ns());
     const auto params =
-        ml::serialize_tensor_map(master_session_->variable_snapshot());
-    if (config_.network_shield) {
-      w.ps_to.send(params);
-    } else {
-      w.ps_plain.send(params);
-    }
-    auto msg = config_.network_shield ? w.to_ps.recv() : w.plain_to_ps.recv();
-    if (!msg.has_value()) throw std::runtime_error("lost parameter pull");
-    w.session->restore_variables(ml::deserialize_tensor_map(*msg));
+        ml::serialize_tensor_map(ps_.session->variable_snapshot());
+    w.node.session->restore_variables(
+        ml::deserialize_tensor_map(w.link.to_worker(params)));
+    const auto grads = step(w, data, next_batch);
+    loss_sum += w.node.session->last_loss();
 
-    if (w.enclave) {
-      w.enclave->touch_binary();
-      w.enclave->access(*w.scratch, 0, config_.framework_scratch_bytes, true);
-    }
-    const auto feeds =
-        data.batch_feeds(next_batch % batches_available, config_.batch_size);
-    next_batch = (next_batch + 1) % batches_available;
-    const auto grads = w.session->gradients("loss", feeds);
-    loss_sum += w.session->last_loss();
-
-    const auto encoded = ml::serialize_tensor_map(grads);
-    if (config_.network_shield) {
-      w.to_ps.send(encoded);
-    } else {
-      w.plain_to_ps.send(encoded);
-    }
     // Gradient reception + record crypto happen on this worker's shard
     // thread: rewind the PS clock so the work is charged from the arrival
     // time, concurrently with other shards.
     ps_clock.set_ns(0);
-    auto grad_msg = config_.network_shield ? w.ps_to.recv() : w.ps_plain.recv();
-    if (!grad_msg.has_value()) throw std::runtime_error("lost gradient push");
+    const auto got = w.link.to_ps(ml::serialize_tensor_map(grads));
     // Only the variable update itself serializes on the apply pipeline.
     ps_clock.advance_to(apply_pipeline_ns);
-    master_session_->apply_gradients(ml::deserialize_tensor_map(*grad_msg),
-                                     config_.learning_rate);
+    ps_.session->apply_gradients(ml::deserialize_tensor_map(got),
+                                 config_.learning_rate);
     apply_pipeline_ns = ps_clock.now_ns();
     stats.samples_processed += config_.batch_size;
   }
 
   std::uint64_t end_ns = std::max(ps_clock.now_ns(), apply_pipeline_ns);
   for (const auto& w : workers_) {
-    end_ns = std::max(end_ns, w.platform->base_clock().now_ns());
+    end_ns = std::max(end_ns, w.node.clock().now_ns());
   }
   stats.rounds = static_cast<std::uint64_t>(steps);
   stats.total_seconds = static_cast<double>(end_ns - start_ns) / 1e9;
   stats.seconds_per_round = stats.total_seconds / static_cast<double>(steps);
   stats.final_loss = loss_sum / static_cast<float>(steps);
   for (const auto& w : workers_) {
-    stats.epc_faults += w.platform->epc().stats().faults;
+    stats.epc_faults += w.node.platform->epc().stats().faults;
   }
   return stats;
 }

@@ -11,7 +11,10 @@
 
 #include <map>
 #include <memory>
-#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "cas/cas_server.h"
@@ -27,15 +30,16 @@
 
 namespace stf::distributed {
 
-/// Fault injection + resilient RPC for the cluster's data plane. When
-/// disabled the cluster runs the exact legacy happy path (all figure
-/// benches stay byte-identical). When enabled, every PS<->worker link gets
-/// the configured weather from a seeded FaultPlane, parameter/gradient
-/// exchanges run over ResilientChannel (retry/backoff/dedup), a worker that
-/// misses a round times out at the parameter server and the round completes
-/// with the surviving gradients, and crashed workers are respawned and
-/// re-attested through CAS before rejoining (the paper's elasticity story,
-/// challenge 4).
+/// Fault injection + resilient RPC for the cluster's data plane. Every run
+/// takes the same synchronous round; this only picks what carries it. When
+/// disabled, each PS<->worker link is the plain connection or the network
+/// shield, as configured (all figure benches stay byte-identical). When
+/// enabled, every link gets the configured weather from a seeded
+/// FaultPlane, parameter/gradient exchanges run over ResilientChannel
+/// (retry/backoff/dedup), a worker that misses a round times out at the
+/// parameter server and the round completes with the surviving gradients,
+/// and crashed workers are respawned and re-attested through CAS before
+/// rejoining (the paper's elasticity story, challenge 4).
 struct ClusterFaultConfig {
   bool enabled = false;
   /// Weather on each PS<->worker link (the control plane — CAS attestation
@@ -60,7 +64,7 @@ struct ClusterConfig {
   /// fleet means trailing workers run at nominal speed. Models stragglers.
   std::vector<double> worker_speed_factors;
   tee::CostModel model;
-  std::int64_t batch_size = 100;     ///< per worker, as in §5.4
+  std::int64_t batch_size = 100;     ///< per worker (>= 1), as in §5.4
   float learning_rate = 5e-4f;
   /// EPC footprint of the full-TensorFlow worker image (87.4 MB, §5.3 #4).
   std::uint64_t worker_binary_bytes = 87'400'000;
@@ -78,7 +82,7 @@ struct TrainStats {
   std::uint64_t rounds = 0;
   std::uint64_t samples_processed = 0;
   std::uint64_t epc_faults = 0;      ///< summed over workers (HW mode)
-  // Resilience telemetry (all zero on the happy path; deterministic for a
+  // Resilience telemetry (all zero without faults; deterministic for a
   // fixed fault seed).
   std::uint64_t worker_crashes = 0;   ///< scheduled mid-round crash-stops
   std::uint64_t degraded_rounds = 0;  ///< rounds finished with gradients missing
@@ -96,7 +100,10 @@ class TrainingCluster {
                   std::string session_name = "training");
 
   /// Runs data-parallel SGD over `total_samples` of `data` — synchronous
-  /// rounds by default, asynchronous updates if the config says so.
+  /// rounds by default, asynchronous updates if the config says so. Throws
+  /// std::invalid_argument, before any clock moves, if `data` holds less
+  /// than one batch or `total_samples` less than one round (one batch
+  /// when asynchronous).
   TrainStats train(const ml::Dataset& data, std::int64_t total_samples);
 
   /// Elastic scale-out: adds (and, with CAS, attests) one more worker.
@@ -112,40 +119,79 @@ class TrainingCluster {
   /// times out at the server and completes with the surviving gradients;
   /// the replacement re-attests through CAS before the next round. Only
   /// meaningful with config.faults.enabled (throws std::logic_error
-  /// otherwise: the legacy happy path has no timeout to save the round).
+  /// otherwise: crashing a node takes the fault plane).
   void schedule_worker_crash(std::size_t index, std::uint64_t round);
 
   /// Fault-plane telemetry (zeroed stats when faults are disabled).
   [[nodiscard]] const faults::FaultStats& fault_stats() const;
 
-  [[nodiscard]] ml::Session& master_session() { return *master_session_; }
+  [[nodiscard]] ml::Session& master_session() { return *ps_.session; }
   [[nodiscard]] unsigned worker_count() const {
     return static_cast<unsigned>(workers_.size());
   }
   [[nodiscard]] unsigned attested_workers() const { return attested_; }
 
  private:
-  struct WorkerState {
+  /// One machine of the cluster, built the same way for the parameter
+  /// server and every worker: platform, network node, memory environment
+  /// (a launched enclave in SIM/HW mode, plain DRAM in Native mode, both
+  /// on the node's own cost model) and the session that charges it.
+  struct Node {
     std::unique_ptr<tee::Platform> platform;
-    std::unique_ptr<tee::Enclave> enclave;        // SIM/HW modes
-    std::unique_ptr<tee::EnclaveEnv> enclave_env;
-    std::unique_ptr<tee::NativeEnv> native_env;   // Native mode
+    std::unique_ptr<tee::Enclave> enclave;  // SIM/HW modes
+    std::unique_ptr<tee::MemoryEnv> env;
     std::unique_ptr<ml::Session> session;
-    std::unique_ptr<tee::RegionId> scratch;       // framework temporaries
-    net::NodeId node = 0;
-    // Towards the parameter server:
-    net::Connection plain_to_ps, ps_plain;        // no-shield path
-    runtime::SecureChannel to_ps, ps_to;          // shield path
-    runtime::ResilientChannel r_to_ps, r_ps_to;   // faults-enabled path
+    net::NodeId id = 0;
+
+    [[nodiscard]] tee::SimClock& clock() const {
+      return platform->base_clock();
+    }
+  };
+
+  /// A worker's one connection to the parameter server, over the transport
+  /// spawn_worker() picked: a plain connection, the network shield, or
+  /// resilient RPC over the shield. Both ends live here because the
+  /// single-threaded simulation carries each message in line.
+  class Link {
+   public:
+    Link() = default;
+    template <typename End>
+    Link(End worker_end, End ps_end)
+        : ends_(Ends<End>{std::move(worker_end), std::move(ps_end)}) {}
+
+    /// Carries one message and returns it as received; each side's work
+    /// lands on its own clock. Throws runtime::TransientError if the
+    /// message is lost.
+    crypto::Bytes to_worker(crypto::BytesView payload);
+    crypto::Bytes to_ps(crypto::BytesView payload);
+    /// Resilient-RPC retransmissions of both ends (0 on other transports).
+    [[nodiscard]] std::uint64_t retransmits() const;
+
+   private:
+    template <typename End>
+    struct Ends {
+      End worker, ps;
+    };
+    std::variant<Ends<net::Connection>, Ends<runtime::SecureChannel>,
+                 Ends<runtime::ResilientChannel>>
+        ends_;
+  };
+
+  struct WorkerState {
+    Node node;
+    tee::RegionId scratch = 0;  // framework temporaries (SIM/HW modes)
+    Link link;
     bool alive = true;
   };
 
+  Node make_node(const std::string& name, const tee::CostModel& model);
   void spawn_worker();
   void ensure_workers_alive();
-  TrainStats train_async(const ml::Dataset& data, std::int64_t total_samples);
-  TrainStats train_resilient(const ml::Dataset& data,
-                             std::int64_t total_samples);
-  [[nodiscard]] tee::MemoryEnv* env_of(WorkerState& w);
+  std::uint64_t barrier();
+  std::map<std::string, ml::Tensor> step(WorkerState& w,
+                                         const ml::Dataset& data,
+                                         std::int64_t& next_batch);
+  TrainStats train_async(const ml::Dataset& data, std::int64_t steps);
 
   ml::Graph graph_;
   ClusterConfig config_;
@@ -155,19 +201,14 @@ class TrainingCluster {
   crypto::HmacDrbg rng_;
 
   net::SimNetwork net_;
-  std::unique_ptr<tee::Platform> ps_platform_;
-  std::unique_ptr<tee::Enclave> ps_enclave_;
-  std::unique_ptr<tee::EnclaveEnv> ps_env_;
-  std::unique_ptr<tee::NativeEnv> ps_native_env_;
-  std::unique_ptr<ml::Session> master_session_;
-  net::NodeId ps_node_ = 0;
+  Node ps_;
   std::vector<WorkerState> workers_;
   unsigned attested_ = 0;
   unsigned worker_serial_ = 0;
 
   // Resilience plumbing (engaged only when config_.faults.enabled).
   std::unique_ptr<faults::FaultPlane> fault_plane_;
-  std::map<std::uint64_t, std::vector<std::size_t>> crash_schedule_;
+  std::set<std::pair<std::uint64_t, std::size_t>> crash_schedule_;  // round, i
   std::uint64_t retransmits_carried_ = 0;  ///< telemetry of dead workers
 };
 

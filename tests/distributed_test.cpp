@@ -3,8 +3,11 @@
 // fault recovery.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <functional>
 
+#include "crypto/sha256.h"
 #include "distributed/training.h"
 #include "ml/models.h"
 
@@ -169,6 +172,101 @@ TEST(TrainingClusterTest, RejectsEmptyTrainingRun) {
   EXPECT_THROW((void)cluster.train(data, 10), std::invalid_argument);
 }
 
+// A batch_size of 0, or a dataset smaller than one batch, leaves nothing to
+// divide the run into. Both are typed errors raised before any clock moves,
+// so a cluster that rejected a run trains exactly like a fresh one.
+TEST(TrainingClusterTest, RejectsRunsItCannotDivide) {
+  const ml::Graph graph = ml::mnist_mlp(16, 3);
+  const ml::Dataset tiny = ml::synthetic_mnist(40, 7);  // batches are 50
+  const ml::Dataset data = ml::synthetic_mnist(200, 7);
+  const ClusterConfig sync = small_config(tee::TeeMode::Simulation, 2);
+  ClusterConfig faulty = sync;
+  faulty.faults.enabled = true;
+  ClusterConfig async = sync;
+  async.async_updates = true;
+  for (const ClusterConfig& cfg : {sync, faulty, async}) {
+    ClusterConfig no_batch = cfg;
+    no_batch.batch_size = 0;
+    EXPECT_THROW(TrainingCluster(graph, no_batch), std::invalid_argument);
+
+    TrainingCluster rejected(graph, cfg), fresh(graph, cfg);
+    EXPECT_THROW((void)rejected.train(tiny, 400), std::invalid_argument);
+    EXPECT_EQ(rejected.train(data, 400).total_seconds,
+              fresh.train(data, 400).total_seconds);
+  }
+}
+
+// A CAS on its own hardware platform, one per run so runs stay independent.
+struct CasHost {
+  tee::CostModel model;
+  tee::ProvisioningAuthority authority;
+  tee::Platform platform{"cas-host", tee::TeeMode::Hardware, model, authority};
+  cas::CasServer server{platform, authority, crypto::to_bytes("seed")};
+};
+
+// Pins every TrainStats field (floats and doubles by bit pattern) and the
+// parameter server's final variables over the cluster's transports and
+// membership events: plain, shielded and resilient links, stragglers, a
+// respawned worker under EPC pressure, a mid-round crash and asynchronous
+// updates. The digest was computed from the cluster with separate
+// happy-path and fault-tolerant round loops; a mismatch means a number or
+// a charge moved.
+TEST(TrainingClusterTest, RunsMatchPinnedDigest) {
+  const ml::Graph graph = ml::mnist_mlp(16, 3);
+  const ml::Dataset data = ml::synthetic_mnist(200, 7);
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  const auto run = [&](const ClusterConfig& cfg, std::int64_t samples,
+                       bool attest,
+                       const std::function<void(TrainingCluster&)>& before) {
+    CasHost cas;
+    TrainingCluster cluster(graph, cfg, attest ? &cas.server : nullptr,
+                            attest ? &cas.authority : nullptr);
+    if (before) before(cluster);
+    const TrainStats s = cluster.train(data, samples);
+    put(std::bit_cast<std::uint32_t>(s.final_loss));
+    put(std::bit_cast<std::uint64_t>(s.total_seconds));
+    put(std::bit_cast<std::uint64_t>(s.seconds_per_round));
+    for (const std::uint64_t v :
+         {s.rounds, s.samples_processed, s.epc_faults, s.worker_crashes,
+          s.degraded_rounds, s.lost_gradients, s.retransmits}) {
+      put(v);
+    }
+    digest.update(
+        ml::serialize_tensor_map(cluster.master_session().variable_snapshot()));
+  };
+
+  run(small_config(tee::TeeMode::Native, 2, false), 400, false, {});
+  run(small_config(tee::TeeMode::Simulation, 2, false), 400, false, {});
+  ClusterConfig stragglers = small_config(tee::TeeMode::Simulation, 3);
+  stragglers.worker_speed_factors = {1.0, 1.0, 0.2};
+  run(stragglers, 600, false, {});
+  ClusterConfig hw = small_config(tee::TeeMode::Hardware, 2);
+  hw.model.epc_bytes = 9ull << 20;  // binary + scratch + session overflow it
+  run(hw, 400, true, [](TrainingCluster& c) { c.fail_worker(1); });
+  ClusterConfig weather = small_config(tee::TeeMode::Simulation, 2);
+  weather.faults.enabled = true;
+  weather.faults.link.drop_prob = 0.2;
+  weather.faults.link.duplicate_prob = 0.05;
+  weather.faults.link.delay_prob = 0.1;
+  run(weather, 600, false, {});
+  ClusterConfig crash = small_config(tee::TeeMode::Simulation, 2);
+  crash.faults.enabled = true;
+  run(crash, 600, true,
+      [](TrainingCluster& c) { c.schedule_worker_crash(0, 1); });
+  ClusterConfig async = small_config(tee::TeeMode::Simulation, 2);
+  async.async_updates = true;
+  async.worker_speed_factors = {1.0, 0.1};
+  run(async, 400, false, {});
+
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "0c6dc7a6947ef15ad0d2a5304dc745d2fe815ff7155a8a8d7f5d9b18a1f822c2");
+}
+
 }  // namespace
 }  // namespace stf::distributed
 
@@ -211,20 +309,32 @@ TEST(AsyncTrainingTest, StragglerHurtsSyncMoreThanAsync) {
 
 TEST(AsyncTrainingTest, FastWorkersContributeMoreSteps) {
   // With a straggler, the async server still processes every step; the
-  // elapsed time approaches the fast workers' aggregate rate.
+  // elapsed time approaches the fast workers' aggregate rate. Native
+  // workers charge their own scaled cost model too, so a Native straggler
+  // slows the fleet, synchronous rounds most of all.
   const ml::Graph graph = ml::mnist_mlp(16, 3);
   const ml::Dataset data = ml::synthetic_mnist(200, 7);
-  ClusterConfig uniform = small_config(tee::TeeMode::Simulation, 2);
-  uniform.async_updates = true;
-  ClusterConfig skewed = uniform;
-  skewed.worker_speed_factors = {1.0, 0.1};
-  TrainingCluster cu(graph, uniform), cs(graph, skewed);
-  const double tu = cu.train(data, 1000).total_seconds;
-  const double ts = cs.train(data, 1000).total_seconds;
-  // The skewed fleet is slower than uniform but far better than the
-  // straggler alone (10x) would allow.
-  EXPECT_GT(ts, tu);
-  EXPECT_LT(ts, tu * 4);
+  const std::pair<tee::TeeMode, bool> runs[] = {
+      {tee::TeeMode::Simulation, true},
+      {tee::TeeMode::Native, true},
+      {tee::TeeMode::Native, false},
+  };
+  for (const auto& [mode, async] : runs) {
+    ClusterConfig uniform = small_config(mode, 2);
+    uniform.async_updates = async;
+    ClusterConfig skewed = uniform;
+    skewed.worker_speed_factors = {1.0, 0.1};
+    TrainingCluster cu(graph, uniform), cs(graph, skewed);
+    const double tu = cu.train(data, 1000).total_seconds;
+    const double ts = cs.train(data, 1000).total_seconds;
+    SCOPED_TRACE(std::string(tee::to_string(mode)) +
+                 (async ? " async" : " sync"));
+    EXPECT_GT(ts, tu) << "the straggler must slow the skewed fleet";
+    if (async) {
+      // Far better than the straggler alone (10x) would allow.
+      EXPECT_LT(ts, tu * 4);
+    }
+  }
 }
 
 TEST(AsyncTrainingTest, RejectsBadSpeedFactor) {

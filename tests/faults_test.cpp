@@ -406,9 +406,10 @@ TEST(TrainingChaosTest, FixedFaultSeedReplaysBitForBit) {
 }
 
 TEST(TrainingChaosTest, CleanSkiesFaultConfigMatchesLegacyMath) {
-  // With the machinery on but zero weather, every gradient arrives and the
-  // parameter updates must equal the legacy path exactly (accuracy goal:
-  // resilience must not change results).
+  // One round loop, two transports: resilient RPC under zero weather and
+  // the plain shielded channel. Every gradient arrives on both, so the
+  // parameter updates must match exactly (accuracy goal: resilience must
+  // not change results).
   const ml::Graph graph = ml::mnist_mlp(16, 3);
   const ml::Dataset data = ml::synthetic_mnist(200, 9);
 
