@@ -82,5 +82,6 @@ void run() {
 
 int main() {
   run();
+  stf::bench::write_registry_json("BENCH_tf_vs_lite.registry.json");
   return 0;
 }

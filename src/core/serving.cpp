@@ -147,19 +147,6 @@ void record_member_trace(const MemberTrace& m, std::uint16_t node,
                           m.service_span_id, root);
 }
 
-/// Nearest-rank quantile (same rule as obs::QuantileSeries): the
-/// ceil(q*n)-th smallest, rank clamped to [1, n]; 0 on an empty set.
-std::uint64_t nearest_rank(std::vector<std::uint64_t>& values, double q) {
-  if (values.empty()) return 0;
-  auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(values.size())));
-  rank = std::min(std::max<std::size_t>(rank, 1), values.size());
-  std::nth_element(values.begin(),
-                   values.begin() + static_cast<std::ptrdiff_t>(rank - 1),
-                   values.end());
-  return values[rank - 1];
-}
-
 /// The fleet's circuit breaker over FleetNodeStatus, shared by serve_trace
 /// and estimate_resilient. Every failed dispatch is a strike; the circuit
 /// opens for the cool-down at `failure_threshold` consecutive strikes, or
@@ -226,9 +213,9 @@ TrafficSummary summarize(const std::vector<RequestOutcome>& outcomes) {
       case RequestStatus::FailedNodeDown: ++s.failed_node_down; break;
     }
   }
-  s.p50_ns = nearest_rank(e2e, 0.50);
-  s.p95_ns = nearest_rank(e2e, 0.95);
-  s.p99_ns = nearest_rank(e2e, 0.99);
+  s.p50_ns = obs::nearest_rank(e2e, 0.50);
+  s.p95_ns = obs::nearest_rank(e2e, 0.95);
+  s.p99_ns = obs::nearest_rank(e2e, 0.99);
   return s;
 }
 

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "ml/ops.h"
+#include "ml/op_table.h"
 #include "ml/wire.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
@@ -43,30 +43,6 @@ QuantObs& quant_obs() {
   return *o;
 }
 
-// Inputs an op of this type reads in the interpreter; 0 for a type byte the
-// interpreter does not run (graph-only types and bytes past the enum).
-std::uint32_t lite_arity(std::uint8_t type) {
-  switch (static_cast<OpType>(type)) {
-    case OpType::MatMul:
-    case OpType::Add:
-    case OpType::Conv2D:
-      return 2;
-    case OpType::Relu:
-    case OpType::Softmax:
-    case OpType::MaxPool2D:
-    case OpType::AvgPool2D:
-    case OpType::GlobalAvgPool:
-    case OpType::Sigmoid:
-    case OpType::Tanh:
-    case OpType::Reshape:
-    case OpType::ArgMax:
-    case OpType::Scale:
-      return 1;
-    default:
-      return 0;
-  }
-}
-
 // Where a weight tensor lies in the arena: byte offset and byte length.
 std::pair<std::uint64_t, std::uint64_t> arena_span(const FlatModel& model,
                                                    const LiteTensorDesc& d) {
@@ -77,93 +53,6 @@ std::pair<std::uint64_t, std::uint64_t> arena_span(const FlatModel& model,
 
 void require(bool ok, const char* what) {
   if (!ok) throw std::invalid_argument(what);
-}
-
-// The one shape rule per op type: the shape `op` produces from the shapes
-// of its inputs, or std::invalid_argument for anything it cannot run. It
-// makes the checks ops:: makes, and it is the only source of shapes for the
-// int8 kernels and the only place a Reshape target is inferred; `batch`
-// scales a fully specified target written for batch 1.
-Shape output_shape(const LiteOp& op, const std::vector<Shape>& shapes,
-                   std::int64_t batch) {
-  const std::uint32_t arity = lite_arity(static_cast<std::uint8_t>(op.type));
-  require(arity != 0 && op.inputs.size() == arity,
-          "Lite interpreter: unsupported op");
-  const auto shape_of = [&](std::size_t i) -> const Shape& {
-    return shapes[static_cast<std::size_t>(op.inputs[i])];
-  };
-  const Shape& a = shape_of(0);
-  const std::int64_t stride = op.attrs.stride, window = op.attrs.window;
-  switch (op.type) {
-    case OpType::MatMul: {
-      const Shape& b = shape_of(1);
-      require(a.size() == 2 && b.size() == 2,
-              "matmul: rank-2 tensors required");
-      require(b[0] == a[1], "matmul: inner dimensions do not match");
-      return {a[0], b[1]};
-    }
-    case OpType::Add: {
-      const Shape& b = shape_of(1);
-      require(a == b || (b.size() == 1 && !a.empty() && a.back() == b[0]),
-              "add: shapes neither equal nor bias-broadcastable");
-      return a;
-    }
-    case OpType::Softmax:
-      require(a.size() == 2, "softmax: rank-2 tensor required");
-      return a;
-    case OpType::ArgMax:
-      require(a.size() == 2, "argmax: rank-2 tensor required");
-      return {a[0]};
-    case OpType::GlobalAvgPool:
-      require(a.size() == 4, "global_avg_pool: NHWC input required");
-      return {a[0], a[3]};
-    case OpType::Conv2D: {
-      const Shape& f = shape_of(1);
-      require(a.size() == 4 && f.size() == 4,
-              "conv2d: NHWC input and HWIO filter required");
-      require(stride >= 1, "conv2d: stride must be >= 1");
-      require(f[2] == a[3], "conv2d: filter channel mismatch");
-      const kernels::ConvShape s = kernels::conv_shape(
-          a[0], a[1], a[2], a[3], f[0], f[1], f[3], stride);
-      return {s.n, s.oh, s.ow, s.k};
-    }
-    case OpType::MaxPool2D:
-    case OpType::AvgPool2D:
-      require(a.size() == 4, "pool2d: NHWC input required");
-      require(window >= 1 && stride >= 1, "pool2d: bad window/stride");
-      require(a[1] >= window && a[2] >= window,
-              "pool2d: window larger than input");
-      return {a[0], (a[1] - window) / stride + 1,
-              (a[2] - window) / stride + 1, a[3]};
-    case OpType::Reshape: {
-      const std::int64_t size = num_elements(a);
-      Shape target = op.attrs.target_shape;
-      std::int64_t known = 1;
-      int infer = -1;
-      for (std::size_t i = 0; i < target.size(); ++i) {
-        if (target[i] == -1 && infer < 0) {
-          infer = static_cast<int>(i);
-          continue;
-        }
-        require(target[i] >= 0 && !__builtin_mul_overflow(known, target[i],
-                                                          &known),
-                "reshape: bad target shape");
-      }
-      if (infer >= 0) {
-        require(known > 0, "reshape: bad target shape");
-        target[static_cast<std::size_t>(infer)] = size / known;
-      } else if (batch > 1 && !target.empty() && size % batch == 0 &&
-                 known == size / batch) {
-        // Fully specified target written for batch 1: scale the leading
-        // dimension so the reshape stays element-count exact.
-        target[0] *= batch;
-      }
-      require(num_elements(target) == size, "reshape: element count mismatch");
-      return target;
-    }
-    default:  // Relu, Sigmoid, Tanh, Scale: elementwise
-      return a;
-  }
 }
 
 // Ops with an int8 kernel, which run on codes under int8_compute: MatMul
@@ -184,7 +73,8 @@ bool runs_on_codes(const LiteOp& op, const std::vector<LiteTensorDesc>& t) {
 }
 
 // Every tensor's shape for an input shaped `input`: weights keep theirs,
-// each op's output comes from the shape rule. `batch` is the input's
+// each op's output comes from the one shape rule (ml/op_table.h), the int8
+// kernels' only source of shapes. `batch` is the input's
 // leading dimension (1 for single requests); a batched output keeps it.
 std::vector<Shape> infer_shapes(const FlatModel& model, const Shape& input,
                                 std::int64_t batch) {
@@ -197,9 +87,14 @@ std::vector<Shape> infer_shapes(const FlatModel& model, const Shape& input,
   // Every activation holds at least one element, so no kernel (nor GPU
   // offload's per-batch-row sampling) divides by an empty dimension.
   require(num_elements(input) > 0, "Lite interpreter: empty input");
+  std::vector<const Shape*> in;
   for (const LiteOp& op : model.ops()) {
+    in.clear();
+    for (const std::int32_t idx : op.inputs) {
+      in.push_back(&shapes[static_cast<std::size_t>(idx)]);
+    }
     Shape& out = shapes[static_cast<std::size_t>(op.output)];
-    out = output_shape(op, shapes, batch);
+    out = output_shape(op.type, op.attrs, in, batch);
     require(num_elements(out) > 0, "Lite interpreter: empty activation");
   }
   const Shape& out = shapes[static_cast<std::size_t>(model.output_tensor())];
@@ -346,10 +241,12 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   model.ops_.reserve(n_ops);
   for (std::uint32_t i = 0; i < n_ops; ++i) {
     LiteOp op;
-    const std::uint8_t type = r.u8();
-    const std::uint32_t arity = lite_arity(type);
-    if (arity == 0) r.fail("unsupported op type");
-    op.type = static_cast<OpType>(type);
+    // Graph-only types (sources, the training loss) do not lower to Lite.
+    op.type = static_cast<OpType>(r.u8());
+    const std::uint32_t arity = op_arity(op.type);
+    if (arity == 0 || op.type == OpType::SoftmaxCrossEntropy) {
+      r.fail("unsupported op type");
+    }
     op.attrs.stride = r.i64();
     op.attrs.window = r.i64();
     op.attrs.scalar = r.f32();
@@ -509,7 +406,6 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
     : model_(model),
       env_(env),
       kernel_ctx_(kernel_ctx),
-      weight_streaming_(weight_streaming),
       int8_compute_(int8_compute) {
   if (int8_compute_ && (!model_.is_quantized() || !model_.is_calibrated())) {
     throw std::invalid_argument(
@@ -522,8 +418,7 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
           "LiteInterpreter: gpu_offload is float-only (mutually exclusive "
           "with int8_compute)");
     }
-    gpu_engine_ = std::make_unique<GpuOffloadEngine>(slalom, env_, nullptr,
-                                                     kernel_ctx_);
+    gpu_engine_ = std::make_unique<GpuOffloadEngine>(slalom, env_, kernel_ctx_);
     gpu_offload_active_ = true;
     // Weights ship to the GPU once, at load time.
     gpu_engine_->upload_weights(model_.weight_bytes());
@@ -535,28 +430,19 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
     activation_bytes_ = int8_compute_ ? 64 * 1024 : 256 * 1024;
     activation_region_ = env_->alloc("lite/activations", activation_bytes_);
   }
-  if (env_ != nullptr && weight_streaming_) {
-    // Streaming schedule over the linear program: for each op, the weight
-    // windows it reads, plus the windows dead after it (their last reader).
-    const auto& ops = model_.ops();
-    op_weight_spans_.resize(ops.size());
-    op_dead_spans_.resize(ops.size());
-    std::map<std::int32_t, std::size_t> last_use;
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-      for (const std::int32_t idx : ops[j].inputs) {
+  if (env_ != nullptr && weight_streaming) {
+    // Each op reads its weights where they lie in the arena.
+    std::vector<std::vector<WeightStreaming::Window>> reads;
+    for (const LiteOp& op : model_.ops()) {
+      auto& op_reads = reads.emplace_back();
+      for (const std::int32_t idx : op.inputs) {
         const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
         if (!desc.is_weight()) continue;
-        op_weight_spans_[j].push_back(arena_span(model_, desc));
-        last_use[idx] = j;
+        const auto [off, len] = arena_span(model_, desc);
+        op_reads.push_back({weights_region_, off, len});
       }
     }
-    for (std::size_t j = 0; j < ops.size(); ++j) {
-      for (const std::int32_t idx : ops[j].inputs) {
-        const auto& desc = model_.tensors()[static_cast<std::size_t>(idx)];
-        if (!desc.is_weight() || last_use.at(idx) != j) continue;
-        op_dead_spans_[j].push_back(arena_span(model_, desc));
-      }
-    }
+    streaming_.emplace(std::move(reads));
   }
 }
 
@@ -729,15 +615,10 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
     if (observer_ != nullptr) (*observer_)(in_idx, input);
   }
 
-  // The first op has no predecessor to prefetch it; issue its windows up
-  // front so repeated invokes don't demand-fault what the previous invoke
-  // streamed out. Quantized arenas stream 1-byte windows, 4x more layers
-  // per EPC window than their float expansions would.
-  if (env_ != nullptr && weight_streaming_ && !op_weight_spans_.empty()) {
-    for (const auto& [off, len] : op_weight_spans_.front()) {
-      env_->prefetch(weights_region_, off, len);
-    }
-  }
+  // Streaming starts with the first op's windows. Quantized arenas stream
+  // 1-byte windows, 4x more layers per EPC window than their float
+  // expansions would.
+  if (streaming_) streaming_->prefetch_first(*env_);
 
   for (std::size_t j = 0; j < ops.size(); ++j) {
     const LiteOp& op = ops[j];
@@ -749,20 +630,7 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
     const bool trace_ops = env_ != nullptr && obs::tracing_enabled();
     const std::uint64_t op_start_ns = trace_ops ? env_->now_ns() : 0;
 
-    if (env_ != nullptr && weight_streaming_) {
-      // Retire the previous op's dead weight windows off the critical path,
-      // then overlap the next op's fault-in with this op's compute.
-      if (j >= 1) {
-        for (const auto& [off, len] : op_dead_spans_[j - 1]) {
-          env_->advise_evict(weights_region_, off, len);
-        }
-      }
-      if (j + 1 < ops.size()) {
-        for (const auto& [off, len] : op_weight_spans_[j + 1]) {
-          env_->prefetch(weights_region_, off, len);
-        }
-      }
-    }
+    if (streaming_) streaming_->before_op(*env_, j);
 
     // Cost accounting: weight reads hit the weights region at their true
     // offset (page-accurate for the EPC model); activations ping-pong, at
@@ -877,69 +745,20 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
       }
       if (op.type != OpType::Reshape) requants += static_cast<double>(total);
     } else {
-      const Tensor& a = floats(op.inputs[0]);
-      // Offloaded linear layers bill GPU flops and PCIe bytes inside the
-      // engine; r.flops is the in-enclave verification, charged below. The
-      // plan signature is batch-independent, so batched and single runs
-      // share one set of precomputed verification randomness.
-      const bool offload = gpu_offload_enabled();
-      switch (op.type) {
-        case OpType::MatMul: {
-          const Shape& bs = shape_of(op.inputs[1]);
-          const LiteTensorDesc& bd = desc_of(op.inputs[1]);
-          if (offload) {
-            r = gpu_engine_->matmul(
-                a, floats(op.inputs[1]),
-                "lite:op" + std::to_string(j) + ":mm:" +
-                    std::to_string(a.dim(1)) + "x" + std::to_string(bs[1]));
-          } else if (bd.is_weight() && !model_.is_quantized()) {
-            r = ops::matmul(a, bs,
-                            model_.weights().data() + bd.weight_offset,
-                            kernel_ctx_);
-          } else {
-            r = ops::matmul(a, floats(op.inputs[1]), kernel_ctx_);
-          }
-          break;
-        }
-        case OpType::Add:
-          r = ops::add(a, floats(op.inputs[1]), kernel_ctx_);
-          break;
-        case OpType::Relu: r = ops::relu(a, kernel_ctx_); break;
-        case OpType::Softmax: r = ops::softmax(a); break;
-        case OpType::Sigmoid: r = ops::sigmoid(a, kernel_ctx_); break;
-        case OpType::Tanh: r = ops::tanh_op(a, kernel_ctx_); break;
-        case OpType::Conv2D: {
-          const Tensor& f = floats(op.inputs[1]);
-          if (offload) {
-            r = gpu_engine_->conv2d(
-                a, f, op.attrs.stride,
-                "lite:op" + std::to_string(j) + ":conv:" +
-                    std::to_string(a.dim(3)) + "to" +
-                    std::to_string(f.dim(3)) + ":f" +
-                    std::to_string(f.dim(0)) + "s" +
-                    std::to_string(op.attrs.stride));
-          } else {
-            r = ops::conv2d(a, f, op.attrs.stride, kernel_ctx_);
-          }
-          break;
-        }
-        case OpType::MaxPool2D:
-          r = ops::max_pool2d(a, op.attrs.window, op.attrs.stride,
-                              kernel_ctx_);
-          break;
-        case OpType::AvgPool2D:
-          r = ops::avg_pool2d(a, op.attrs.window, op.attrs.stride,
-                              kernel_ctx_);
-          break;
-        case OpType::GlobalAvgPool: r = ops::global_avg_pool(a); break;
-        case OpType::Reshape: r = {a.reshaped(out_shape), 0}; break;
-        case OpType::ArgMax: r = ops::argmax(a); break;
-        case OpType::Scale:
-          r = ops::scale(a, op.attrs.scalar, kernel_ctx_);
-          break;
-        default:
-          break;
-      }
+      // A float weight as operand 1 is lent in place. The plan signature
+      // is batch-independent, so batched and single runs share one set of
+      // precomputed verification randomness.
+      const LiteTensorDesc* b =
+          op.inputs.size() > 1 ? &desc_of(op.inputs[1]) : nullptr;
+      r = run_float_op(
+          op.type, op.attrs, out_shape,
+          {[&](std::size_t i) -> const Tensor& { return floats(op.inputs[i]); },
+           b != nullptr && b->is_weight() && !model_.is_quantized()
+               ? model_.weights().data() + b->weight_offset
+               : nullptr},
+          {gpu_offload_enabled() ? gpu_engine_.get() : nullptr, "lite:op",
+           static_cast<std::int64_t>(j)},
+          kernel_ctx_);
       last_flops_ += r.flops;
     }
 

@@ -12,12 +12,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "crypto/bytes.h"
 #include "ml/graph.h"
 #include "ml/kernels.h"
+#include "ml/memory_planner.h"
 #include "ml/slalom.h"
 #include "ml/tensor.h"
 #include "tee/memory_env.h"
@@ -220,17 +222,12 @@ class LiteInterpreter {
   const FlatModel& model_;
   tee::MemoryEnv* env_;
   kernels::KernelContext kernel_ctx_;
-  bool weight_streaming_ = false;
   bool int8_compute_ = false;
   std::uint64_t weights_region_ = 0;
   std::uint64_t activation_region_ = 0;
   std::uint64_t activation_bytes_ = 0;
-  /// Per-op weight windows of the arena, precomputed for streaming:
-  /// everything op k reads, and the subset dead after op k (last consumer).
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-      op_weight_spans_;
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-      op_dead_spans_;
+  /// The weight-streaming schedule; set iff streaming with an env.
+  std::optional<WeightStreaming> streaming_;
   double last_flops_ = 0;
   double last_int8_ops_ = 0;
   /// Offload backend; non-null iff constructed with gpu_offload.

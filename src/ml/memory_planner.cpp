@@ -139,4 +139,37 @@ MemoryPlan MemoryPlanner::plan(const Graph& graph,
   return out;
 }
 
+WeightStreaming::WeightStreaming(std::vector<std::vector<Window>> reads)
+    : reads_(std::move(reads)), dead_(reads_.size()) {
+  std::map<Window, std::size_t> last_use;
+  for (std::size_t j = 0; j < reads_.size(); ++j) {
+    for (const Window& w : reads_[j]) last_use[w] = j;
+  }
+  for (std::size_t j = 0; j < reads_.size(); ++j) {
+    for (const Window& w : reads_[j]) {
+      if (last_use.at(w) == j) dead_[j].push_back(w);
+    }
+  }
+}
+
+void WeightStreaming::prefetch_first(tee::MemoryEnv& env) const {
+  if (reads_.empty()) return;
+  for (const Window& w : reads_.front()) {
+    env.prefetch(w.region, w.offset, w.bytes);
+  }
+}
+
+void WeightStreaming::before_op(tee::MemoryEnv& env, std::size_t j) const {
+  if (j >= 1) {
+    for (const Window& w : dead_[j - 1]) {
+      env.advise_evict(w.region, w.offset, w.bytes);
+    }
+  }
+  if (j + 1 < reads_.size()) {
+    for (const Window& w : reads_[j + 1]) {
+      env.prefetch(w.region, w.offset, w.bytes);
+    }
+  }
+}
+
 }  // namespace stf::ml

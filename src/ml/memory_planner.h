@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "ml/graph.h"
+#include "tee/memory_env.h"
 
 namespace stf::ml {
 
@@ -100,6 +101,33 @@ class MemoryPlanner {
       std::uint64_t alignment = kDefaultAlignment);
 
   static constexpr std::uint64_t kDefaultAlignment = 64;
+};
+
+/// Layer-wise weight streaming over a sequence of ops: before op j runs,
+/// the windows whose last reader was op j-1 are advise-evicted, then op
+/// j+1's windows are prefetched under op j's compute. The one schedule of
+/// the Session's planned replay and of the Lite interpreter.
+class WeightStreaming {
+ public:
+  /// `bytes` at `offset` of env region `region`.
+  struct Window {
+    std::uint64_t region = 0, offset = 0, bytes = 0;
+    auto operator<=>(const Window&) const = default;
+  };
+
+  /// `reads[j]` lists the weight windows op j reads, in operand order.
+  explicit WeightStreaming(std::vector<std::vector<Window>> reads);
+
+  /// Prefetches op 0's windows up front: no predecessor prefetches them,
+  /// and a repeated pass would otherwise demand-fault what the previous
+  /// pass streamed out.
+  void prefetch_first(tee::MemoryEnv& env) const;
+  /// Retires op j-1's dead windows, then prefetches op j+1's.
+  void before_op(tee::MemoryEnv& env, std::size_t j) const;
+
+ private:
+  std::vector<std::vector<Window>> reads_;
+  std::vector<std::vector<Window>> dead_;  ///< windows last read by op j
 };
 
 }  // namespace stf::ml

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "ml/op_table.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
 #include "obs/span.h"
@@ -39,6 +40,16 @@ SessionObs& session_obs() {
 
 bool is_parameter(OpType t) {
   return t == OpType::Const || t == OpType::Variable;
+}
+
+// Records an ml.session.gemm span from `start_ns` to now. A 0-length
+// interval means the environment has no clock; skip.
+void record_gemm(const tee::MemoryEnv& env, std::uint64_t start_ns) {
+  const std::uint64_t end_ns = env.now_ns();
+  if (end_ns > start_ns) {
+    obs::SpanTracer::global().record(session_obs().gemm_span, start_ns,
+                                     end_ns);
+  }
 }
 
 // grad_a = g [m,n] x b^T [n,k] -> [m,k]
@@ -103,8 +114,8 @@ Session::Session(const Graph& graph, tee::MemoryEnv* env,
     arena_region_ = env_->alloc("activation-arena", arena_bytes_);
   }
   if (options_.gpu_offload) {
-    gpu_engine_ = std::make_unique<GpuOffloadEngine>(options_.slalom, env_,
-                                                     nullptr, kernel_ctx_);
+    gpu_engine_ =
+        std::make_unique<GpuOffloadEngine>(options_.slalom, env_, kernel_ctx_);
     // Parameters ship to the GPU once, at session build time.
     gpu_engine_->upload_weights(graph_.parameter_bytes());
   }
@@ -159,98 +170,20 @@ void Session::charge(const Node& node, const std::vector<const Tensor*>& inputs,
   env_->compute(flops);
 }
 
-Tensor Session::eval_node(const Node& node,
-                          const std::vector<const Tensor*>& inputs,
-                          double& flops) const {
-  auto in = [&](std::size_t i) -> const Tensor& { return *inputs.at(i); };
-  ops::OpResult r;
-  switch (node.type) {
-    case OpType::Const:
-    case OpType::Variable:
-    case OpType::Placeholder:
-      throw std::logic_error("eval_node called on a source node");
-    // Forward runs with gpu_offload route the linear layers through the
-    // offload engine: GPU flops and PCIe bytes are charged inside it, and
-    // r.flops carries the in-enclave verification arithmetic instead of the
-    // full product — charged by the caller exactly like any op's compute.
-    case OpType::MatMul:
-      if (offload_this_run_ && gpu_engine_ != nullptr) {
-        r = gpu_engine_->matmul(in(0), in(1),
-                                "sess:" + std::to_string(node.id) + ":mm:" +
-                                    std::to_string(in(0).dim(1)) + "x" +
-                                    std::to_string(in(1).dim(1)));
-      } else {
-        r = ops::matmul(in(0), in(1), kernel_ctx_);
-      }
-      break;
-    case OpType::Add: r = ops::add(in(0), in(1), kernel_ctx_); break;
-    case OpType::Relu: r = ops::relu(in(0), kernel_ctx_); break;
-    case OpType::Softmax: r = ops::softmax(in(0)); break;
-    case OpType::Sigmoid: r = ops::sigmoid(in(0), kernel_ctx_); break;
-    case OpType::Tanh: r = ops::tanh_op(in(0), kernel_ctx_); break;
-    case OpType::SoftmaxCrossEntropy:
-      r = ops::softmax_cross_entropy(in(0), in(1));
-      break;
-    case OpType::Conv2D:
-      if (offload_this_run_ && gpu_engine_ != nullptr) {
-        r = gpu_engine_->conv2d(in(0), in(1), node.attrs.stride,
-                                "sess:" + std::to_string(node.id) + ":conv:" +
-                                    std::to_string(in(0).dim(3)) + "to" +
-                                    std::to_string(in(1).dim(3)) + ":f" +
-                                    std::to_string(in(1).dim(0)) + "s" +
-                                    std::to_string(node.attrs.stride));
-      } else {
-        r = ops::conv2d(in(0), in(1), node.attrs.stride, kernel_ctx_);
-      }
-      break;
-    case OpType::MaxPool2D:
-      r = ops::max_pool2d(in(0), node.attrs.window, node.attrs.stride,
-                          kernel_ctx_);
-      break;
-    case OpType::AvgPool2D:
-      r = ops::avg_pool2d(in(0), node.attrs.window, node.attrs.stride,
-                          kernel_ctx_);
-      break;
-    case OpType::GlobalAvgPool: r = ops::global_avg_pool(in(0)); break;
-    case OpType::Reshape: {
-      Shape target = node.attrs.target_shape;
-      // A leading -1 dimension is inferred (batch-size polymorphism).
-      std::int64_t known = 1;
-      int infer = -1;
-      for (std::size_t i = 0; i < target.size(); ++i) {
-        if (target[i] == -1) {
-          infer = static_cast<int>(i);
-        } else {
-          known *= target[i];
-        }
-      }
-      if (infer >= 0) target[static_cast<std::size_t>(infer)] =
-          in(0).size() / known;
-      r = {in(0).reshaped(std::move(target)), 0};
-      break;
-    }
-    case OpType::ArgMax: r = ops::argmax(in(0)); break;
-    case OpType::Scale: r = ops::scale(in(0), node.attrs.scalar, kernel_ctx_); break;
-  }
-  flops += r.flops;
-  return std::move(r.output);
-}
-
 std::vector<Tensor> Session::run_internal(
     const std::vector<NodeId>& fetch_ids,
     const std::map<std::string, Tensor>& feeds, Tape* tape) {
   const auto order = graph_.topological_order(fetch_ids);
-  // GPU offload covers forward passes only; training keeps every op
-  // in-enclave (SessionOptions::gpu_offload doc).
-  offload_this_run_ =
-      gpu_engine_ != nullptr && gpu_offload_enabled_ && tape == nullptr;
-  // Planned execution applies to accounted forward passes. Training keeps
-  // the legacy arena: the tape pins every activation to the end of the pass,
-  // so there is no lifetime sharing for the planner to exploit.
-  if (options_.use_memory_planner && env_ != nullptr && tape == nullptr) {
-    return run_planned(order, fetch_ids, feeds);
-  }
+  // GPU offload and the planner cover forward passes only. Training keeps
+  // every op in-enclave (SessionOptions::gpu_offload doc) and the legacy
+  // arena: the tape pins every activation to the end of the pass, so there
+  // is no lifetime sharing for the planner to exploit.
+  GpuOffloadEngine* const gpu =
+      tape == nullptr && gpu_offload_enabled() ? gpu_engine_.get() : nullptr;
+  const bool planned =
+      options_.use_memory_planner && env_ != nullptr && tape == nullptr;
   std::map<NodeId, Tensor> values;
+  std::map<NodeId, double> node_flops;
   last_run_flops_ = 0;
   arena_cursor_ = 0;
 
@@ -259,10 +192,10 @@ std::vector<Tensor> Session::run_internal(
     switch (node.type) {
       case OpType::Const:
         values[id] = *node.value;
-        break;
+        continue;
       case OpType::Variable:
         values[id] = variables_.at(node.name);
-        break;
+        continue;
       case OpType::Placeholder: {
         const auto it = feeds.find(node.name);
         if (it == feeds.end()) {
@@ -270,38 +203,44 @@ std::vector<Tensor> Session::run_internal(
                                       "' was not fed");
         }
         values[id] = it->second;
-        break;
+        continue;
       }
-      default: {
-        std::vector<const Tensor*> inputs;
-        inputs.reserve(node.inputs.size());
-        for (const NodeId in : node.inputs) inputs.push_back(&values.at(in));
-        double flops = 0;
-        const bool is_gemm =
-            node.type == OpType::MatMul || node.type == OpType::Conv2D;
-        const std::uint64_t gemm_start =
-            is_gemm && env_ != nullptr ? env_->now_ns() : 0;
-        Tensor out = eval_node(node, inputs, flops);
-        charge(node, inputs, out, flops);
-        if (is_gemm && env_ != nullptr) {
-          // A 0-length interval means the environment has no clock; skip.
-          const std::uint64_t gemm_end = env_->now_ns();
-          if (gemm_end > gemm_start) {
-            obs::SpanTracer::global().record(session_obs().gemm_span,
-                                             gemm_start, gemm_end);
-          }
-        }
-        last_run_flops_ += flops;
-        if (tape != nullptr) {
-          Tape::Record rec{.id = id, .inputs = {}, .output = out};
-          for (const Tensor* t : inputs) rec.inputs.push_back(*t);
-          tape->records.emplace(id, std::move(rec));
-        }
-        values[id] = std::move(out);
+      default:
         break;
-      }
     }
+    std::vector<const Tensor*> inputs;
+    std::vector<const Shape*> shapes;
+    inputs.reserve(node.inputs.size());
+    shapes.reserve(node.inputs.size());
+    for (const NodeId in : node.inputs) {
+      inputs.push_back(&values.at(in));
+      shapes.push_back(&inputs.back()->shape());
+    }
+    // A planned run charges nothing here: the plan decides where every
+    // access lands, and the replay after the pass charges it.
+    const bool timed = !planned && env_ != nullptr &&
+                       (node.type == OpType::MatMul ||
+                        node.type == OpType::Conv2D);
+    const std::uint64_t gemm_start = timed ? env_->now_ns() : 0;
+    ops::OpResult r = run_float_op(
+        node.type, node.attrs, output_shape(node.type, node.attrs, shapes),
+        {[&](std::size_t i) -> const Tensor& { return *inputs[i]; }},
+        {gpu, "sess:", id}, kernel_ctx_);
+    if (planned) {
+      node_flops[id] = r.flops;
+    } else {
+      charge(node, inputs, r.output, r.flops);
+    }
+    if (timed) record_gemm(*env_, gemm_start);
+    last_run_flops_ += r.flops;
+    if (tape != nullptr) {
+      Tape::Record rec{.id = id, .inputs = {}, .output = r.output};
+      for (const Tensor* t : inputs) rec.inputs.push_back(*t);
+      tape->records.emplace(id, std::move(rec));
+    }
+    values[id] = std::move(r.output);
   }
+  if (planned) replay_planned(order, fetch_ids, values, node_flops);
 
   std::vector<Tensor> out;
   out.reserve(fetch_ids.size());
@@ -311,52 +250,16 @@ std::vector<Tensor> Session::run_internal(
   return out;
 }
 
-std::vector<Tensor> Session::run_planned(
-    const std::vector<NodeId>& order, const std::vector<NodeId>& fetch_ids,
-    const std::map<std::string, Tensor>& feeds) {
-  last_run_flops_ = 0;
-  std::map<NodeId, Tensor> values;
+void Session::replay_planned(const std::vector<NodeId>& order,
+                             const std::vector<NodeId>& fetch_ids,
+                             const std::map<NodeId, Tensor>& values,
+                             const std::map<NodeId, double>& node_flops) {
   std::map<NodeId, std::uint64_t> sizes;
-  std::map<NodeId, double> node_flops;
+  for (const NodeId id : order) sizes[id] = values.at(id).byte_size();
 
-  // --- Phase A: evaluate. Same order, same eval_node, same kernels as the
-  // legacy path — outputs are bit-identical by construction. No cost is
-  // charged here; the plan decides where every access lands first.
-  for (const NodeId id : order) {
-    const Node& node = graph_.node(id);
-    switch (node.type) {
-      case OpType::Const:
-        values[id] = *node.value;
-        break;
-      case OpType::Variable:
-        values[id] = variables_.at(node.name);
-        break;
-      case OpType::Placeholder: {
-        const auto it = feeds.find(node.name);
-        if (it == feeds.end()) {
-          throw std::invalid_argument("placeholder '" + node.name +
-                                      "' was not fed");
-        }
-        values[id] = it->second;
-        break;
-      }
-      default: {
-        std::vector<const Tensor*> inputs;
-        inputs.reserve(node.inputs.size());
-        for (const NodeId in : node.inputs) inputs.push_back(&values.at(in));
-        double flops = 0;
-        values[id] = eval_node(node, inputs, flops);
-        node_flops[id] = flops;
-        last_run_flops_ += flops;
-        break;
-      }
-    }
-    sizes[id] = values.at(id).byte_size();
-  }
-
-  // --- Phase B: look up / build the plan. The signature captures exactly
-  // what placement depends on: which nodes stay live to the end (fetches)
-  // and the fed tensor sizes (batch-size polymorphism).
+  // Look up / build the plan. The signature captures exactly what
+  // placement depends on: which nodes stay live to the end (fetches) and
+  // the fed tensor sizes (batch-size polymorphism).
   std::string key;
   for (const NodeId id : fetch_ids) key += std::to_string(id) + ",";
   key += '|';
@@ -390,39 +293,30 @@ std::vector<Tensor> Session::run_planned(
     plan_arena_mapped_ = true;
   }
 
-  // Weight-streaming schedule: for every op, its weight regions; for every
-  // region, the last op that reads it (shared weights must not be evicted
-  // between uses).
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> op_params;
-  std::map<std::uint64_t, std::size_t> region_last_use;
+  // Weight streaming over the ops of the pass, each reading its weight
+  // regions whole; the first op's weights are prefetched up front,
+  // overlapping feed ingestion.
+  std::optional<WeightStreaming> streaming;
   if (options_.weight_streaming) {
+    std::vector<std::vector<WeightStreaming::Window>> reads;
     for (const NodeId id : order) {
       const Node& node = graph_.node(id);
       if (is_parameter(node.type) || node.type == OpType::Placeholder) continue;
-      std::vector<std::pair<std::uint64_t, std::uint64_t>> params;
+      auto& op_reads = reads.emplace_back();
       for (const NodeId in : node.inputs) {
         if (const auto it = param_regions_.find(in);
             it != param_regions_.end()) {
-          params.emplace_back(it->second, sizes.at(in));
-          region_last_use[it->second] = op_params.size();
+          op_reads.push_back({it->second, 0, sizes.at(in)});
         }
       }
-      op_params.push_back(std::move(params));
     }
+    streaming.emplace(std::move(reads));
+    streaming->prefetch_first(*env_);
   }
 
-  // --- Phase C: replay the pass against the plan. Every access is charged
-  // at its exact [offset, offset+bytes) window — including fed batches,
-  // which the legacy path clamped to the arena size.
-  //
-  // The first op has no predecessor to prefetch it, so its weights are
-  // issued up front, overlapping feed ingestion — otherwise a repeated run
-  // demand-faults the whole first layer that the previous run streamed out.
-  if (options_.weight_streaming && !op_params.empty()) {
-    for (const auto& [region, bytes] : op_params.front()) {
-      env_->prefetch(region, 0, bytes);
-    }
-  }
+  // Replay the pass against the plan. Every access is charged at its exact
+  // [offset, offset+bytes) window — including fed batches, which the
+  // legacy arena clamps to its size.
   std::size_t op_index = 0;
   for (const NodeId id : order) {
     const Node& node = graph_.node(id);
@@ -436,23 +330,7 @@ std::vector<Tensor> Session::run_planned(
       }
       continue;
     }
-    if (options_.weight_streaming) {
-      // Retire dead weights first (frees EPC pages off the critical path),
-      // then fault in the next layer's weights under the current layer's
-      // compute.
-      if (op_index >= 1) {
-        for (const auto& [region, bytes] : op_params[op_index - 1]) {
-          if (region_last_use.at(region) == op_index - 1) {
-            env_->advise_evict(region, 0, bytes);
-          }
-        }
-      }
-      if (op_index + 1 < op_params.size()) {
-        for (const auto& [region, bytes] : op_params[op_index + 1]) {
-          env_->prefetch(region, 0, bytes);
-        }
-      }
-    }
+    if (streaming) streaming->before_op(*env_, op_index);
     const bool is_gemm =
         node.type == OpType::MatMul || node.type == OpType::Conv2D;
     const std::uint64_t gemm_start = is_gemm ? env_->now_ns() : 0;
@@ -469,22 +347,9 @@ std::vector<Tensor> Session::run_planned(
                    /*write=*/true);
     }
     env_->compute(node_flops.at(id));
-    if (is_gemm) {
-      const std::uint64_t gemm_end = env_->now_ns();
-      if (gemm_end > gemm_start) {
-        obs::SpanTracer::global().record(session_obs().gemm_span, gemm_start,
-                                         gemm_end);
-      }
-    }
+    if (is_gemm) record_gemm(*env_, gemm_start);
     ++op_index;
   }
-
-  std::vector<Tensor> out;
-  out.reserve(fetch_ids.size());
-  for (const NodeId id : fetch_ids) out.push_back(values.at(id));
-  session_obs().runs.add();
-  session_obs().flops.add(static_cast<std::uint64_t>(last_run_flops_));
-  return out;
 }
 
 std::vector<Tensor> Session::run(const std::vector<std::string>& fetches,

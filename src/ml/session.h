@@ -120,14 +120,15 @@ class Session {
  private:
   struct Tape;  // records per-node inputs/outputs of one forward pass
 
+  /// The one evaluation loop. The legacy arena charges each node as it
+  /// runs; a planned run charges nothing until replay_planned() after it.
   std::vector<Tensor> run_internal(const std::vector<NodeId>& fetch_ids,
                                    const std::map<std::string, Tensor>& feeds,
                                    Tape* tape);
-  std::vector<Tensor> run_planned(const std::vector<NodeId>& order,
-                                  const std::vector<NodeId>& fetch_ids,
-                                  const std::map<std::string, Tensor>& feeds);
-  Tensor eval_node(const Node& node, const std::vector<const Tensor*>& inputs,
-                   double& flops) const;
+  void replay_planned(const std::vector<NodeId>& order,
+                      const std::vector<NodeId>& fetch_ids,
+                      const std::map<NodeId, Tensor>& values,
+                      const std::map<NodeId, double>& node_flops);
   void charge(const Node& node, const std::vector<const Tensor*>& inputs,
               const Tensor& output, double flops);
   void backward(const Tape& tape, const std::vector<NodeId>& order,
@@ -153,10 +154,9 @@ class Session {
   std::map<std::string, MemoryPlan> plan_cache_;
   std::optional<PlanReport> last_plan_report_;
   /// Offload backend; non-null iff options_.gpu_offload. Active only during
-  /// forward (tape-less) runs — run_internal() sets the flag per run.
+  /// forward (tape-less) runs.
   std::unique_ptr<GpuOffloadEngine> gpu_engine_;
   bool gpu_offload_enabled_ = true;
-  bool offload_this_run_ = false;
   double last_run_flops_ = 0;
   float last_loss_ = 0;
 };

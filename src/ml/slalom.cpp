@@ -8,7 +8,6 @@
 #include "crypto/bytes.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
-#include "obs/profile.h"
 
 namespace stf::ml {
 namespace {
@@ -39,46 +38,25 @@ SlalomObs& slalom_obs() {
 
 }  // namespace
 
-void slalom_note_fallback() { slalom_obs().fallbacks.add(); }
-
 void GpuOffloadEngine::note_fallback() {
   ++stats_.fallbacks;
   slalom_obs().fallbacks.add();
 }
 
 GpuOffloadEngine::GpuOffloadEngine(SlalomConfig config, tee::MemoryEnv* env,
-                                   tee::SimClock* clock,
                                    kernels::KernelContext ctx)
-    : config_(config), env_(env), clock_(clock), ctx_(ctx) {}
-
-std::uint64_t GpuOffloadEngine::now_ns() const {
-  if (env_ != nullptr) return env_->now_ns();
-  if (clock_ != nullptr) return clock_->now_ns();
-  return 0;
-}
+    : config_(config), env_(env), ctx_(ctx) {}
 
 void GpuOffloadEngine::charge_gpu(double flops) {
   stats_.gpu_flops += flops;
   slalom_obs().gpu_flops.add(static_cast<std::uint64_t>(flops));
-  if (env_ != nullptr) {
-    env_->gpu_compute(flops);
-  } else if (clock_ != nullptr) {
-    obs::ScopedCategory attribution(obs::Category::kGpu);
-    clock_->advance(static_cast<std::uint64_t>(
-        flops / config_.gpu_flops_per_second * 1e9));
-  }
+  if (env_ != nullptr) env_->gpu_compute(flops);
 }
 
 void GpuOffloadEngine::charge_pcie(std::uint64_t bytes) {
   stats_.pcie_bytes += bytes;
   slalom_obs().pcie_bytes.add(bytes);
-  if (env_ != nullptr) {
-    env_->pcie_transfer(bytes);
-  } else if (clock_ != nullptr) {
-    obs::ScopedCategory attribution(obs::Category::kPcie);
-    clock_->advance(static_cast<std::uint64_t>(
-        static_cast<double>(bytes) / config_.pcie_bandwidth * 1e9));
-  }
+  if (env_ != nullptr) env_->pcie_transfer(bytes);
 }
 
 void GpuOffloadEngine::upload_weights(std::uint64_t bytes) {
@@ -108,7 +86,7 @@ ops::OpResult GpuOffloadEngine::matmul(const Tensor& a, const Tensor& b,
   // the offload-off execution.
   auto result = ops::matmul(a, b, ctx_);
   Tensor c = std::move(result.output);
-  if (corruption_) corruption_(now_ns(), c);
+  if (corruption_) corruption_(env_ != nullptr ? env_->now_ns() : 0, c);
   ++stats_.offloaded_ops;
   slalom_obs().offloaded.add();
   charge_gpu(result.flops);
@@ -163,7 +141,7 @@ ops::OpResult GpuOffloadEngine::conv2d(const Tensor& input,
                                        const std::string& plan_sig) {
   auto result = ops::conv2d(input, filter, stride, ctx_);
   Tensor out = std::move(result.output);
-  if (corruption_) corruption_(now_ns(), out);
+  if (corruption_) corruption_(env_ != nullptr ? env_->now_ns() : 0, out);
   ++stats_.offloaded_ops;
   slalom_obs().offloaded.add();
   charge_gpu(result.flops);
@@ -250,123 +228,6 @@ ops::OpResult GpuOffloadEngine::conv2d(const Tensor& input,
   ++stats_.verifications;
   slalom_obs().verifications.add();
   return {std::move(out), verify_flops};
-}
-
-SlalomExecutor::SlalomExecutor(const Graph& frozen_graph, SlalomConfig config,
-                               tee::MemoryEnv* env, tee::SimClock& clock,
-                               kernels::KernelContext ctx)
-    : graph_(frozen_graph), env_(env), engine_(config, env, &clock, ctx) {
-  if (!graph_.variables().empty()) {
-    throw std::invalid_argument("SlalomExecutor: freeze the graph first");
-  }
-  // Weights are uploaded to the GPU once at initialization.
-  engine_.upload_weights(graph_.parameter_bytes());
-}
-
-void SlalomExecutor::set_gpu_corruption(std::function<void(Tensor&)> hook) {
-  if (!hook) {
-    engine_.set_corruption({});
-    return;
-  }
-  engine_.set_corruption(
-      [h = std::move(hook)](std::uint64_t, Tensor& t) { h(t); });
-}
-
-void SlalomExecutor::charge_enclave(double flops) {
-  if (env_ != nullptr) env_->compute(flops);
-}
-
-Tensor SlalomExecutor::run(const Tensor& input, const std::string& input_name,
-                           const std::string& output_name) {
-  const NodeId output_id = graph_.find(output_name);
-  const auto order = graph_.topological_order({output_id});
-  std::map<NodeId, Tensor> values;
-
-  for (const NodeId id : order) {
-    const Node& node = graph_.node(id);
-    auto in = [&](std::size_t i) -> const Tensor& {
-      return values.at(node.inputs.at(i));
-    };
-    switch (node.type) {
-      case OpType::Const:
-        values[id] = *node.value;
-        continue;
-      case OpType::Placeholder:
-        if (node.name != input_name) {
-          throw std::invalid_argument(
-              "SlalomExecutor: unexpected placeholder '" + node.name + "'");
-        }
-        values[id] = input;
-        continue;
-      case OpType::Variable:
-      case OpType::SoftmaxCrossEntropy:
-        throw std::invalid_argument(
-            "SlalomExecutor: inference graphs only (freeze + prune first)");
-      case OpType::MatMul: {
-        auto r = engine_.matmul(in(0), in(1),
-                                "sess:" + std::to_string(id) + ":mm:" +
-                                    std::to_string(in(0).dim(1)) + "x" +
-                                    std::to_string(in(1).dim(1)));
-        charge_enclave(r.flops);
-        values[id] = std::move(r.output);
-        continue;
-      }
-      case OpType::Conv2D: {
-        auto r = engine_.conv2d(in(0), in(1), node.attrs.stride,
-                                "sess:" + std::to_string(id) + ":conv:" +
-                                    std::to_string(in(0).dim(3)) + "to" +
-                                    std::to_string(in(1).dim(3)) + ":f" +
-                                    std::to_string(in(1).dim(0)) + "s" +
-                                    std::to_string(node.attrs.stride));
-        charge_enclave(r.flops);
-        values[id] = std::move(r.output);
-        continue;
-      }
-      default:
-        break;
-    }
-    // Everything non-linear runs inside the enclave.
-    ops::OpResult r;
-    switch (node.type) {
-      case OpType::Add: r = ops::add(in(0), in(1)); break;
-      case OpType::Relu: r = ops::relu(in(0)); break;
-      case OpType::Softmax: r = ops::softmax(in(0)); break;
-      case OpType::Sigmoid: r = ops::sigmoid(in(0)); break;
-      case OpType::Tanh: r = ops::tanh_op(in(0)); break;
-      case OpType::MaxPool2D:
-        r = ops::max_pool2d(in(0), node.attrs.window, node.attrs.stride);
-        break;
-      case OpType::AvgPool2D:
-        r = ops::avg_pool2d(in(0), node.attrs.window, node.attrs.stride);
-        break;
-      case OpType::GlobalAvgPool: r = ops::global_avg_pool(in(0)); break;
-      case OpType::Reshape: {
-        Shape target = node.attrs.target_shape;
-        std::int64_t known = 1;
-        int infer = -1;
-        for (std::size_t i = 0; i < target.size(); ++i) {
-          if (target[i] == -1) {
-            infer = static_cast<int>(i);
-          } else {
-            known *= target[i];
-          }
-        }
-        if (infer >= 0) {
-          target[static_cast<std::size_t>(infer)] = in(0).size() / known;
-        }
-        r = {in(0).reshaped(std::move(target)), 0};
-        break;
-      }
-      case OpType::ArgMax: r = ops::argmax(in(0)); break;
-      case OpType::Scale: r = ops::scale(in(0), node.attrs.scalar); break;
-      default:
-        throw std::logic_error("SlalomExecutor: unhandled op");
-    }
-    charge_enclave(r.flops);
-    engine_.note_enclave_op();
-    values[id] = std::move(r.output);
-  }
-  return values.at(output_id);
 }
 
 }  // namespace stf::ml

@@ -37,11 +37,9 @@
 #include <vector>
 
 #include "crypto/drbg.h"
-#include "ml/graph.h"
 #include "ml/kernels.h"
 #include "ml/ops.h"
 #include "tee/memory_env.h"
-#include "tee/sim_clock.h"
 
 namespace stf::ml {
 
@@ -54,13 +52,6 @@ class VerificationError : public std::runtime_error {
 };
 
 struct SlalomConfig {
-  /// Untrusted accelerator throughput (consumer GPU class). Used by the
-  /// standalone-clock charging path only; platform environments bill the
-  /// CostModel's gpu_flops_per_second instead.
-  double gpu_flops_per_second = 500e9;
-  /// CPU <-> GPU transfer bandwidth (PCIe 3.0 x16 class), bytes/s. Same
-  /// standalone-vs-CostModel split as the GPU rate.
-  double pcie_bandwidth = 12e9;
   /// Random output samples recomputed in-enclave per convolution. Shared
   /// across a batch: a batched conv still recomputes this many samples.
   int conv_samples = 32;
@@ -82,7 +73,6 @@ struct SlalomConfig {
 
 struct SlalomStats {
   std::uint64_t offloaded_ops = 0;
-  std::uint64_t enclave_ops = 0;
   std::uint64_t verifications = 0;
   /// Batches re-executed in-enclave after a failed verification (counted by
   /// the owning service, which performs the fallback).
@@ -93,29 +83,26 @@ struct SlalomStats {
 };
 
 /// Offloads single linear ops and verifies the results in-enclave: the
-/// backend the Lite interpreter, the Session and the standalone
-/// SlalomExecutor all route their MatMul/Conv2D through when GPU offload is
-/// on.
+/// backend of the forward op table (ml/op_table.h), through which the Lite
+/// interpreter and the Session route their MatMul/Conv2D when GPU offload
+/// is on.
 ///
 /// Charging: GPU flops and PCIe bytes are billed inside, to
-/// `env->gpu_compute()` / `env->pcie_transfer()` when an environment is
-/// attached, else to `clock` at the config's standalone rates (both under
-/// profile.gpu / profile.pcie). The *enclave-side* verification arithmetic
-/// is returned as the OpResult's flops — callers charge it exactly like any
-/// op's compute, so it lands in the same env, category and metrics as the
-/// rest of the enclave work. The verification math itself runs on the
-/// blocked kernels (`kernels::gemm`, `parallel_for`), so it is thread-pool
-/// parallel and shows up in ml.kernels.* counters.
+/// `env->gpu_compute()` / `env->pcie_transfer()` at the CostModel's rates
+/// (under profile.gpu / profile.pcie). The *enclave-side* verification
+/// arithmetic is returned as the OpResult's flops — callers charge it
+/// exactly like any op's compute, so it lands in the same env, category
+/// and metrics as the rest of the enclave work. The verification math
+/// itself runs on the blocked kernels (`kernels::gemm`, `parallel_for`),
+/// so it is thread-pool parallel and shows up in ml.kernels.* counters.
 class GpuOffloadEngine {
  public:
   /// Corruption hook: invoked with the current virtual time and the raw GPU
   /// result before verification; mutate the tensor to model a lying GPU.
   using CorruptionHook = std::function<void(std::uint64_t, Tensor&)>;
 
-  /// Either `env` or `clock` may be null; with both null no time is charged
-  /// (pure math + stats, as in unit tests).
+  /// `env` may be null: no time is charged (pure math + stats).
   GpuOffloadEngine(SlalomConfig config, tee::MemoryEnv* env,
-                   tee::SimClock* clock,
                    kernels::KernelContext ctx = kernels::KernelContext::shared());
 
   /// C = A[m,k] · B[k,n] on the GPU, Freivalds-verified. `plan_sig` keys the
@@ -131,9 +118,6 @@ class GpuOffloadEngine {
 
   /// One-time PCIe charge for shipping the model weights to the GPU.
   void upload_weights(std::uint64_t bytes);
-
-  /// Bookkeeping for ops the caller kept in-enclave (stats only).
-  void note_enclave_op() { ++stats_.enclave_ops; }
 
   /// Called by the owning service when a failed verification triggered an
   /// in-enclave re-execution (bumps stats and ml.slalom.fallbacks).
@@ -155,49 +139,13 @@ class GpuOffloadEngine {
                                                       PlanRandomness&)>& gen);
   void charge_gpu(double flops);
   void charge_pcie(std::uint64_t bytes);
-  [[nodiscard]] std::uint64_t now_ns() const;
 
   SlalomConfig config_;
   tee::MemoryEnv* env_;
-  tee::SimClock* clock_;
   kernels::KernelContext ctx_;
   CorruptionHook corruption_;
   std::map<std::string, PlanRandomness> plans_;
   SlalomStats stats_;
-};
-
-/// Registry hook for the owning service's enclave fallback: bumps the
-/// lazily-registered ml.slalom.fallbacks counter.
-void slalom_note_fallback();
-
-/// Executes a frozen inference graph with linear layers offloaded — the
-/// standalone demo of the scheme (the serving stack routes through
-/// InferenceOptions::gpu_offload instead). `env` (nullable) receives the
-/// enclave-side work — nonlinear ops and verification; GPU time and PCIe
-/// transfers are charged through `env` too when it is set, else to `clock`
-/// at the config's rates.
-class SlalomExecutor {
- public:
-  SlalomExecutor(const Graph& frozen_graph, SlalomConfig config,
-                 tee::MemoryEnv* env, tee::SimClock& clock,
-                 kernels::KernelContext ctx = kernels::KernelContext::shared());
-
-  /// One forward pass computing `output_name` from placeholder `input_name`.
-  /// Throws VerificationError if any offloaded result fails its check.
-  Tensor run(const Tensor& input, const std::string& input_name = "input",
-             const std::string& output_name = "probs");
-
-  /// Test hook: corrupts every GPU result before verification.
-  void set_gpu_corruption(std::function<void(Tensor&)> hook);
-
-  [[nodiscard]] const SlalomStats& stats() const { return engine_.stats(); }
-
- private:
-  void charge_enclave(double flops);
-
-  const Graph& graph_;
-  tee::MemoryEnv* env_;
-  GpuOffloadEngine engine_;
 };
 
 }  // namespace stf::ml

@@ -6,17 +6,21 @@
 
 namespace stf::obs {
 
+std::uint64_t nearest_rank(std::vector<std::uint64_t>& values, double q) {
+  if (values.empty()) return 0;
+  auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(values.size())));
+  rank = std::min(std::max<std::size_t>(rank, 1), values.size());
+  std::nth_element(values.begin(),
+                   values.begin() + static_cast<std::ptrdiff_t>(rank - 1),
+                   values.end());
+  return values[rank - 1];
+}
+
 std::uint64_t QuantileSeries::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (samples_.empty()) return 0;
-  // Nearest rank: the ceil(q*n)-th smallest sample, clamped to [1, n].
-  auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(samples_.size())));
-  if (rank < 1) rank = 1;
-  if (rank > samples_.size()) rank = samples_.size();
   std::vector<std::uint64_t> sorted = samples_;
-  std::nth_element(sorted.begin(), sorted.begin() + (rank - 1), sorted.end());
-  return sorted[rank - 1];
+  return nearest_rank(sorted, q);
 }
 
 std::vector<std::uint64_t> latency_edges_ns() {

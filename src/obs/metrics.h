@@ -134,6 +134,12 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
+/// Nearest-rank quantile, q in (0, 1]: the ceil(q*n)-th smallest of
+/// `values` (an actual value, never interpolated), rank clamped to [1, n];
+/// 0 when empty. Partially reorders `values`.
+[[nodiscard]] std::uint64_t nearest_rank(std::vector<std::uint64_t>& values,
+                                         double q);
+
 /// Exact streaming quantile series: keeps every observation (they are
 /// virtual-time integers, a few per request — memory is O(requests), which
 /// the bounded workloads of this repo keep trivially small) and computes
@@ -157,8 +163,7 @@ class QuantileSeries {
     std::lock_guard<std::mutex> lock(mutex_);
     return samples_.size();
   }
-  /// Nearest-rank quantile, q in (0, 1]: the ceil(q*n)-th smallest sample
-  /// (an actual observation, never interpolated). 0 when empty.
+  /// nearest_rank() over the samples.
   [[nodiscard]] std::uint64_t quantile(double q) const;
 
  private:

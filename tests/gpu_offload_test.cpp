@@ -39,6 +39,17 @@ std::vector<ml::Tensor> mnist_samples(std::int64_t n, std::uint64_t seed) {
   return out;
 }
 
+ml::Graph frozen_graph(const ml::Graph& g) {
+  ml::Session s(g);
+  return ml::freeze(g, s);
+}
+
+ml::Session offload_session(const ml::Graph& frozen,
+                            ml::SlalomConfig slalom = {}) {
+  return ml::Session(frozen, nullptr, ml::kernels::KernelContext::shared(),
+                     {.gpu_offload = true, .slalom = slalom});
+}
+
 ml::lite::LiteInterpreter offload_interp(const ml::lite::FlatModel& model,
                                          ml::SlalomConfig slalom = {}) {
   return ml::lite::LiteInterpreter(model, nullptr,
@@ -98,6 +109,50 @@ TEST(GpuOffloadTest, SessionOutputsBitIdenticalToEnclaveOnly) {
   }
   ASSERT_NE(offload.slalom_stats(), nullptr);
   EXPECT_GT(offload.slalom_stats()->offloaded_ops, 0u);
+  EXPECT_EQ(offload.slalom_stats()->verifications,
+            offload.slalom_stats()->offloaded_ops);
+}
+
+TEST(GpuOffloadTest, SessionDetectsCorruptedMatmul) {
+  const ml::Graph frozen = frozen_graph(ml::mnist_mlp(32, 5));
+  ml::Session session = offload_session(frozen);
+  int corrupted = 0;
+  session.set_gpu_corruption([&corrupted](std::uint64_t, ml::Tensor& t) {
+    if (corrupted++ == 1) t.at(t.size() / 2) += 0.75f;  // hit the 2nd matmul
+  });
+  EXPECT_THROW(
+      (void)session.run1("probs", {{"input", mnist_samples(4, 9).front()}}),
+      ml::VerificationError);
+}
+
+TEST(GpuOffloadTest, SessionDetectsCorruptedConv) {
+  const ml::Graph frozen = frozen_graph(ml::mnist_convnet(7));
+  ml::SlalomConfig cfg;
+  cfg.conv_samples = 64;  // dense spot-checking for the test
+  const ml::Tensor image = mnist_samples(1, 3).front();
+
+  ml::Session honest = offload_session(frozen, cfg);
+  EXPECT_NO_THROW((void)honest.run1("probs", {{"input", image}}));
+
+  // Corrupt a large patch of the first conv output: spot checks must hit it.
+  ml::Session attacked = offload_session(frozen, cfg);
+  attacked.set_gpu_corruption([](std::uint64_t, ml::Tensor& t) {
+    for (std::int64_t i = 0; i < t.size(); i += 2) t.at(i) += 1.0f;
+  });
+  EXPECT_THROW((void)attacked.run1("probs", {{"input", image}}),
+               ml::VerificationError);
+}
+
+TEST(GpuOffloadTest, SessionVerificationIsCheaperThanRecompute) {
+  // Freivalds' O(n^2) advantage shows on batched products (for batch 1 the
+  // product is already O(kn) and verification costs the same order).
+  const ml::Graph frozen = frozen_graph(ml::mnist_mlp(32, 5));
+  ml::Session session = offload_session(frozen);
+  const auto feeds = ml::synthetic_mnist(64, 9).batch_feeds(0, 64);
+  (void)session.run1("probs", {{"input", feeds.at("input")}});
+  EXPECT_LT(session.slalom_stats()->verification_flops,
+            session.slalom_stats()->gpu_flops / 5)
+      << "Freivalds must be asymptotically cheaper than the offloaded work";
 }
 
 TEST(GpuOffloadTest, OffloadIsFloatOnly) {

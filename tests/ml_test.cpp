@@ -1175,5 +1175,114 @@ TEST(LiteTest, InvokeAccountingMatchesPinnedDigest) {
             "7a29bfe070b386b98f3e6b6ad44c2d3508ec25d65711b135838323c661a2151b");
 }
 
+// The Session twin of the test above: pins everything a run computes and
+// charges, per executor config, model and batch size — the outputs,
+// last_run_flops, the run's virtual ns, its EPC loads and evictions, and
+// the offload counters when offload is on. The train config pins the loss
+// and every variable after one train_step. The digest was computed from
+// the Session with an op switch, a planned pass and a streaming schedule of
+// its own; a mismatch means an output or a charge moved.
+TEST(SessionTest, RunAccountingMatchesPinnedDigest) {
+  struct Config {
+    bool planner, streaming, gpu_offload, train;
+  };
+  const Config configs[] = {
+      {false, false, false, false},  // legacy arena
+      {true, false, false, false},   // planner
+      {true, true, false, false},    // planner + streaming
+      {false, false, true, false},   // GPU offload, legacy arena
+      {true, false, true, false},    // GPU offload + planner
+      {false, false, false, true},   // one train_step per batch
+  };
+  const Graph programs[] = {mnist_mlp(32, 5), mnist_convnet(9)};
+  const Dataset data = synthetic_mnist(8, 33);
+
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  const auto put_double = [&](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    put(bits);
+  };
+  const auto put_tensor = [&](const Tensor& t) {
+    for (const auto d : t.shape()) put(static_cast<std::uint64_t>(d));
+    digest.update(crypto::BytesView(
+        reinterpret_cast<const std::uint8_t*>(t.data()), t.byte_size()));
+  };
+  for (const Graph& program : programs) {
+    for (const Config& c : configs) {
+      SmallEnclave e;
+      Session session(program, &e.env, kernels::KernelContext::shared(),
+                      {.use_memory_planner = c.planner,
+                       .weight_streaming = c.streaming,
+                       .gpu_offload = c.gpu_offload});
+      for (const std::int64_t batch : {1, 3, 8}) {
+        const auto feeds = data.batch_feeds(0, batch);
+        const std::uint64_t t0 = e.platform.clock().now_ns();
+        const tee::EpcStats e0 = e.platform.epc().stats();
+        std::vector<Tensor> outs;
+        if (c.train) {
+          outs.emplace_back(Shape{1}, std::vector<float>{
+                                          session.train_step("loss", feeds,
+                                                             0.1f)});
+          for (const auto& [name, value] : session.variable_snapshot()) {
+            outs.push_back(value);
+          }
+        } else {
+          outs = session.run({"probs"}, {{"input", feeds.at("input")}});
+        }
+        const tee::EpcStats e1 = e.platform.epc().stats();
+        put(e.platform.clock().now_ns() - t0);
+        put(e1.loads - e0.loads);
+        put(e1.evictions - e0.evictions);
+        put_double(session.last_run_flops());
+        for (const Tensor& out : outs) put_tensor(out);
+        if (const SlalomStats* s = session.slalom_stats()) {
+          put(s->offloaded_ops);
+          put(s->verifications);
+          put(s->fallbacks);
+          put_double(s->gpu_flops);
+          put_double(s->verification_flops);
+          put(s->pcie_bytes);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "1e10c17bc0694f968b70aef449d46ce6d8776b0eeb5cb30aa618a126296045ac");
+}
+
+// Graphs come from outside the enclave (deserialize_graph), and each of
+// these parses. Session::run must refuse every one with a typed error: no
+// Reshape inference divides by a zero dimension, and no op reads an input
+// it does not have.
+TEST(SessionTest, ForgedGraphsFailTyped) {
+  const auto forged = [](OpType type, std::size_t n_inputs, NodeAttrs attrs) {
+    Graph g;
+    const NodeId x = g.add_node(OpType::Placeholder, "input", {});
+    g.add_node(type, "out", std::vector<NodeId>(n_inputs, x), attrs);
+    return deserialize_graph(serialize_graph(g));
+  };
+  const Graph graphs[] = {
+      forged(OpType::Reshape, 1, {.target_shape = {-1, 0}}),
+      forged(OpType::Reshape, 1, {.target_shape = {0, -1}}),
+      forged(OpType::MatMul, 1, {}),
+      forged(OpType::Relu, 0, {}),
+      forged(OpType::Reshape, 1, {.target_shape = {-1, -1}}),
+      forged(OpType::Reshape, 1, {.target_shape = {0, 4}}),
+      forged(OpType::MaxPool2D, 1, {.window = 0}),
+  };
+  const Tensor feed({1, 4}, {1, 2, 3, 4});
+  for (const Graph& g : graphs) {
+    Session session(g);
+    EXPECT_THROW((void)session.run1("out", {{"input", feed}}),
+                 std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace stf::ml
