@@ -6,7 +6,7 @@
 #   cmake -DNAMES_HEADER=src/obs/names.h -DDOCS=docs/METRICS.md \
 #         -DSOURCE_DIR=. -P cmake/check_metrics.cmake
 #
-# Three invariants, each fatal on violation:
+# Four invariants, each fatal on violation:
 #   1. Every name constant declared in src/obs/names.h — metric, span, and
 #      profile-category (`kCat*`) names alike — appears as a backticked
 #      table entry in docs/METRICS.md (no undocumented telemetry).
@@ -16,6 +16,12 @@
 #      least one file under src/ or tools/ other than names.h itself (no
 #      dead names — tools/ counts because trace_report consumes the span
 #      names the serving plane produces).
+#   4. The registry series table in names.h (`kSeries`, the schema
+#      Registry::global() registers at start) lists every metric — a name
+#      whose docs/METRICS.md row has Type counter, gauge, histogram or
+#      quantile — exactly once, lists nothing else (span, flow and profile
+#      names are not registry series), and gives each the Type and Unit of
+#      its row.
 #
 # Declared names are parsed from the `k... = "value"` declaration pairs, not
 # from bare quoted strings, so every constant's value is covered exactly and
@@ -125,12 +131,74 @@ foreach(const IN LISTS constants)
   endif()
 endforeach()
 
+# --- 4: the series table carries each metric's documented kind and unit ----
+
+# Documented Type and Unit per metric; span, flow and profile rows have no
+# Type column, so they do not match.
+string(REGEX MATCHALL
+       "\\| `[a-z0-9_.]+` \\| (counter|gauge|histogram|quantile) \\| [a-z]+ \\|"
+       typed_rows "${docs_text}")
+set(metrics "")
+foreach(row IN LISTS typed_rows)
+  string(REGEX MATCH "`([a-z0-9_.]+)` \\| ([a-z]+) \\| ([a-z]+)" _ "${row}")
+  list(APPEND metrics "${CMAKE_MATCH_1}")
+  set("doc_type_${CMAKE_MATCH_1}" "${CMAKE_MATCH_2}")
+  set("doc_unit_${CMAKE_MATCH_1}" "${CMAKE_MATCH_3}")
+endforeach()
+
+foreach(pair IN LISTS decl_pairs)
+  string(REGEX MATCH "^k[A-Za-z0-9]*" const "${pair}")
+  string(REGEX MATCH "\"([^\"]+)\"" _ "${pair}")
+  set("name_of_${const}" "${CMAKE_MATCH_1}")
+endforeach()
+
+set(row_regex "{(k[A-Za-z0-9]*), Kind::([A-Za-z]+), Unit::([A-Za-z]+)}")
+string(REGEX MATCHALL "${row_regex}" table_rows "${header_text}")
+set(tabled "")
+foreach(row IN LISTS table_rows)
+  string(REGEX MATCH "${row_regex}" _ "${row}")
+  set(const "${CMAKE_MATCH_1}")
+  set(name "${name_of_${const}}")
+  string(TOLOWER "${CMAKE_MATCH_2}" kind)
+  string(TOLOWER "${CMAKE_MATCH_3}" unit)
+  if(unit STREQUAL "nanoseconds")
+    set(unit "ns")
+  endif()
+  if(NOT name IN_LIST metrics)
+    message(SEND_ERROR
+            "names::${const} is in the kSeries table but is not a metric "
+            "of docs/METRICS.md — span, flow and profile names are not "
+            "registry series")
+    math(EXPR failures "${failures} + 1")
+  elseif(name IN_LIST tabled)
+    message(SEND_ERROR "'${name}' appears twice in the kSeries table")
+    math(EXPR failures "${failures} + 1")
+  elseif(NOT kind STREQUAL "${doc_type_${name}}" OR
+         NOT unit STREQUAL "${doc_unit_${name}}")
+    message(SEND_ERROR
+            "'${name}' is a ${kind} in ${unit} in the kSeries table but a "
+            "${doc_type_${name}} in ${doc_unit_${name}} in docs/METRICS.md")
+    math(EXPR failures "${failures} + 1")
+  endif()
+  list(APPEND tabled "${name}")
+endforeach()
+foreach(name IN LISTS metrics)
+  if(NOT name IN_LIST tabled)
+    message(SEND_ERROR
+            "'${name}' is a documented ${doc_type_${name}} but has no row in "
+            "the kSeries table of src/obs/names.h")
+    math(EXPR failures "${failures} + 1")
+  endif()
+endforeach()
+
 if(failures GREATER 0)
   message(FATAL_ERROR
           "metrics/docs crosscheck failed with ${failures} mismatch(es)")
 endif()
 
 list(LENGTH constants constant_count)
+list(LENGTH tabled tabled_count)
 message(STATUS
         "metrics crosscheck OK: ${declared_count} names declared, "
-        "${documented_count} documented, ${constant_count} constants used")
+        "${documented_count} documented, ${constant_count} constants used, "
+        "${tabled_count} registry series with their documented kind and unit")

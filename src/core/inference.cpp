@@ -10,40 +10,6 @@
 namespace stf::core {
 namespace {
 
-struct InferenceObs {
-  obs::Counter& requests = obs::Registry::global().counter(
-      obs::names::kInferenceRequests, "classify() requests served");
-  obs::Histogram& request_ns = obs::Registry::global().histogram(
-      obs::names::kInferenceRequestNs, obs::latency_edges_ns(),
-      "end-to-end classify() virtual latency");
-  obs::QuantileSeries& request_quantile_ns = obs::Registry::global().quantiles(
-      obs::names::kInferenceRequestQuantileNs,
-      "exact p50/p95/p99 of classify() virtual latency");
-  std::uint32_t request_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanInferenceRequest);
-};
-
-InferenceObs& inference_obs() {
-  static InferenceObs* o = new InferenceObs();
-  return *o;
-}
-
-// Kept separate from InferenceObs so single-request benches that never call
-// classify_batch do not register these series (registry exports list every
-// registered series, and committed BENCH baselines must stay byte-identical
-// when batching is off).
-struct BatchObs {
-  obs::Counter& batches = obs::Registry::global().counter(
-      obs::names::kInferenceBatches, "classify_batch() container invocations");
-  std::uint32_t batch_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanInferenceBatch);
-};
-
-BatchObs& batch_obs() {
-  static BatchObs* o = new BatchObs();
-  return *o;
-}
-
 tee::EnclaveImage image_for(const InferenceOptions& options) {
   return tee::EnclaveImage{
       .name = options.container_name,
@@ -182,7 +148,7 @@ ml::Tensor InferenceService::classify(const ml::Tensor& input) {
     obs::ScopedAttribution profile(platform_.clock(),
                                    obs::names::kSpanInferenceRequest);
     obs::ScopedSpan span(obs::SpanTracer::global(), platform_.clock(),
-                         inference_obs().request_span);
+                         obs::span_id<obs::names::kSpanInferenceRequest>());
     charge_per_inference_overheads();
     auto execute = [&]() {
       return interpreter_ ? interpreter_->invoke(input)
@@ -201,9 +167,11 @@ ml::Tensor InferenceService::classify(const ml::Tensor& input) {
     }
   }
   last_latency_ms_ = watch.elapsed_ms();
-  inference_obs().requests.add();
-  inference_obs().request_ns.observe(watch.elapsed_ns());
-  inference_obs().request_quantile_ns.observe(watch.elapsed_ns());
+  obs::counter<obs::names::kInferenceRequests>().add();
+  obs::histogram<obs::names::kInferenceRequestNs>().observe(
+      watch.elapsed_ns());
+  obs::quantiles<obs::names::kInferenceRequestQuantileNs>().observe(
+      watch.elapsed_ns());
   return probs;
 }
 
@@ -225,7 +193,7 @@ std::vector<ml::Tensor> InferenceService::classify_batch(
     obs::ScopedAttribution profile(platform_.clock(),
                                    obs::names::kSpanInferenceBatch);
     obs::ScopedSpan span(obs::SpanTracer::global(), platform_.clock(),
-                         batch_obs().batch_span);
+                         obs::span_id<obs::names::kSpanInferenceBatch>());
     // One container invocation for the whole batch: framework overheads
     // (binary touch, syscalls, extra flops) are paid once, and the batched
     // interpreter pays per-layer weight paging once — the amortization that
@@ -243,8 +211,8 @@ std::vector<ml::Tensor> InferenceService::classify_batch(
     }
   }
   last_latency_ms_ = watch.elapsed_ms();
-  batch_obs().batches.add();
-  inference_obs().requests.add(inputs.size());
+  obs::counter<obs::names::kInferenceBatches>().add();
+  obs::counter<obs::names::kInferenceRequests>().add(inputs.size());
   return probs;
 }
 

@@ -21,91 +21,10 @@
 namespace stf::core {
 namespace {
 
-struct ServingObs {
-  obs::Counter& dispatches = obs::Registry::global().counter(
-      obs::names::kServingDispatches, "work quanta dispatched to fleet nodes");
-  obs::Counter& dispatch_failures = obs::Registry::global().counter(
-      obs::names::kServingDispatchFailures, "probes that found a node dead");
-  obs::Counter& ejections = obs::Registry::global().counter(
-      obs::names::kServingEjections, "circuit-breaker ejections");
-  obs::QuantileSeries& request_quantile_ns = obs::Registry::global().quantiles(
-      obs::names::kServingRequestQuantileNs,
-      "exact p50/p95/p99 of per-request lane latency on serving nodes");
-};
-
-ServingObs& serving_obs() {
-  static ServingObs* o = new ServingObs();
-  return *o;
-}
-
-// Request-plane series, registered on the first serve_trace and kept
-// separate from ServingObs so benches that never run traffic do not list
-// them — registry exports list every registered series.
-struct TrafficObs {
-  obs::Counter& offered = obs::Registry::global().counter(
-      obs::names::kServingRequestsOffered, "requests offered to serve_trace");
-  obs::Counter& completed = obs::Registry::global().counter(
-      obs::names::kServingRequestsCompleted, "requests served to completion");
-  obs::Counter& shed_queue_full = obs::Registry::global().counter(
-      obs::names::kServingShedQueueFull,
-      "requests shed at admission (queue at capacity)");
-  obs::Counter& shed_expired = obs::Registry::global().counter(
-      obs::names::kServingShedExpired,
-      "requests shed at dispatch (deadline already passed)");
-  obs::Counter& slo_misses = obs::Registry::global().counter(
-      obs::names::kServingSloMisses, "completed requests past their deadline");
-  obs::QuantileSeries& queue_wait_ns = obs::Registry::global().quantiles(
-      obs::names::kServingQueueWaitQuantileNs,
-      "exact p50/p95/p99 of arrival-to-dispatch queueing delay");
-  obs::QuantileSeries& e2e_ns = obs::Registry::global().quantiles(
-      obs::names::kServingE2eQuantileNs,
-      "exact p50/p95/p99 of arrival-to-completion request latency");
-  obs::Counter& detections = obs::Registry::global().counter(
-      obs::names::kServingFailoverDetections,
-      "mid-trace crash detections (dispatch timeouts)");
-  obs::Counter& resteered = obs::Registry::global().counter(
-      obs::names::kServingFailoverResteered,
-      "queued requests re-steered off a crashed node");
-  obs::Counter& retries = obs::Registry::global().counter(
-      obs::names::kServingFailoverRetries,
-      "client-side retry attempts consumed");
-  obs::Counter& failed_requests = obs::Registry::global().counter(
-      obs::names::kServingFailoverFailedRequests,
-      "requests terminally lost to crashed nodes");
-  obs::Counter& hedges = obs::Registry::global().counter(
-      obs::names::kServingFailoverHedges, "hedge duplicates enqueued");
-  obs::Counter& hedge_wins = obs::Registry::global().counter(
-      obs::names::kServingFailoverHedgeWins,
-      "requests whose hedge copy completed first");
-  obs::Counter& readmissions = obs::Registry::global().counter(
-      obs::names::kServingFailoverReadmissions,
-      "half-open probes that re-admitted a node");
-};
-
-TrafficObs& traffic_obs() {
-  static TrafficObs* o = new TrafficObs();
-  return *o;
-}
-
-// Causal-trace sites (docs/TRACING.md), interned once. Queue-level events
-// (request phase spans, flow arrows) are recorded on a dedicated per-node
-// "queue row" lane (tid 0xffff) so Perfetto keeps the compute lanes clean.
+// Causal-trace events (docs/TRACING.md) at the queue level (request phase
+// spans, flow arrows) are recorded on a dedicated per-node "queue row" lane
+// (tid 0xffff) so Perfetto keeps the compute lanes clean.
 constexpr std::uint16_t kQueueLaneTid = 0xffff;
-
-struct TraceSites {
-  obs::SpanTracer& tracer = obs::SpanTracer::global();
-  std::uint32_t request = tracer.intern(obs::names::kSpanServingRequest);
-  std::uint32_t wire = tracer.intern(obs::names::kSpanServingWire);
-  std::uint32_t queue_wait = tracer.intern(obs::names::kSpanServingQueueWait);
-  std::uint32_t batch_wait = tracer.intern(obs::names::kSpanServingBatchWait);
-  std::uint32_t service = tracer.intern(obs::names::kSpanServingService);
-  std::uint32_t flow = tracer.intern(obs::names::kFlowServingRequest);
-};
-
-TraceSites& trace_sites() {
-  static TraceSites* t = new TraceSites();
-  return *t;
-}
 
 /// Pre-computed decomposition of one completed request. The four child
 /// intervals tile [client_arrival, completion] with no overlap; any
@@ -126,25 +45,30 @@ struct MemberTrace {
 void record_member_trace(const MemberTrace& m, std::uint16_t node,
                          std::uint64_t dispatch_ns,
                          std::uint64_t completion_ns) {
-  TraceSites& ts = trace_sites();
+  obs::SpanTracer& tracer = obs::SpanTracer::global();
   obs::ScopedLane lane(node, kQueueLaneTid);
-  const std::uint64_t root = ts.tracer.alloc_span_id();
-  ts.tracer.record_traced(ts.request, m.client_arrival_ns, completion_ns,
-                          m.trace_id, root, 0);
+  const std::uint64_t root = tracer.alloc_span_id();
+  tracer.record_traced(obs::span_id<obs::names::kSpanServingRequest>(),
+                       m.client_arrival_ns, completion_ns, m.trace_id, root,
+                       0);
   if (m.wire_end_ns > m.client_arrival_ns) {
-    ts.tracer.record_traced(ts.wire, m.client_arrival_ns, m.wire_end_ns,
-                            m.trace_id, ts.tracer.alloc_span_id(), root);
+    tracer.record_traced(obs::span_id<obs::names::kSpanServingWire>(),
+                         m.client_arrival_ns, m.wire_end_ns, m.trace_id,
+                         tracer.alloc_span_id(), root);
   }
   if (m.queue_end_ns > m.node_arrival_ns) {
-    ts.tracer.record_traced(ts.queue_wait, m.node_arrival_ns, m.queue_end_ns,
-                            m.trace_id, ts.tracer.alloc_span_id(), root);
+    tracer.record_traced(obs::span_id<obs::names::kSpanServingQueueWait>(),
+                         m.node_arrival_ns, m.queue_end_ns, m.trace_id,
+                         tracer.alloc_span_id(), root);
   }
   if (dispatch_ns > m.queue_end_ns) {
-    ts.tracer.record_traced(ts.batch_wait, m.queue_end_ns, dispatch_ns,
-                            m.trace_id, ts.tracer.alloc_span_id(), root);
+    tracer.record_traced(obs::span_id<obs::names::kSpanServingBatchWait>(),
+                         m.queue_end_ns, dispatch_ns, m.trace_id,
+                         tracer.alloc_span_id(), root);
   }
-  ts.tracer.record_traced(ts.service, dispatch_ns, completion_ns, m.trace_id,
-                          m.service_span_id, root);
+  tracer.record_traced(obs::span_id<obs::names::kSpanServingService>(),
+                       dispatch_ns, completion_ns, m.trace_id,
+                       m.service_span_id, root);
 }
 
 /// The fleet's circuit breaker over FleetNodeStatus, shared by serve_trace
@@ -161,12 +85,12 @@ struct CircuitBreaker {
   void strike(FleetNodeStatus& s, std::uint64_t detected_ns) const {
     ++s.failures_total;
     ++s.consecutive_failures;
-    serving_obs().dispatch_failures.add();
+    obs::counter<obs::names::kServingDispatchFailures>().add();
     if (s.probation || s.consecutive_failures >= threshold) {
       s.ejected_until_ns = detected_ns + cooldown_ns;
       s.probation = true;  // half-open next time: one strike re-ejects
       ++s.ejections;
-      serving_obs().ejections.add();
+      obs::counter<obs::names::kServingEjections>().add();
       s.consecutive_failures = 0;
     }
   }
@@ -253,6 +177,9 @@ std::string export_traffic_summary_json(const TrafficSummary& s) {
 ServingNode::ServingNode(const ml::lite::FlatModel& model,
                          ServingConfig config, unsigned ordinal)
     : config_(std::move(config)), ordinal_(ordinal) {
+  if (config_.threads < 1) {
+    throw std::invalid_argument("serving node: threads must be at least 1");
+  }
   tee::CostModel cost = config_.model;
   if (config_.threads > config_.physical_cores) {
     cost.flops_per_second *= config_.hyperthread_efficiency;
@@ -301,7 +228,8 @@ void ServingNode::classify_on_lane(unsigned lane, const ml::Tensor& image) {
     enclave->access(scratch_[lane], 0, config_.per_thread_scratch, true);
   }
   (void)service_->classify(image);
-  serving_obs().request_quantile_ns.observe(lanes_[lane].now_ns() - start_ns);
+  obs::quantiles<obs::names::kServingRequestQuantileNs>().observe(
+      lanes_[lane].now_ns() - start_ns);
   platform_->set_active_lane(nullptr);
 }
 
@@ -330,9 +258,10 @@ std::uint64_t ServingNode::serve_batch(
   // under the head member's service span.
   const bool traced = trace != nullptr && trace->trace_id != 0;
   if (traced) {
-    TraceSites& ts = trace_sites();
     for (const std::uint64_t id : trace->member_trace_ids) {
-      ts.tracer.record_flow(ts.flow, id, dispatch_ns, obs::FlowPhase::Finish);
+      obs::SpanTracer::global().record_flow(
+          obs::span_id<obs::names::kFlowServingRequest>(), id, dispatch_ns,
+          obs::FlowPhase::Finish);
     }
   }
   std::optional<obs::ScopedTraceContext> ctx;
@@ -348,7 +277,7 @@ std::uint64_t ServingNode::serve_batch(
 
 double ServingNode::classify_stream(const ml::Tensor& image,
                                     std::int64_t count) {
-  const std::uint64_t start = lanes_.empty() ? 0 : lanes_[0].now_ns();
+  const std::uint64_t start = lanes_[0].now_ns();
   for (std::int64_t i = 0; i < count; ++i) {
     // Least-loaded dispatch instead of round-robin: fixed-order assignment
     // drifts out of balance as per-request costs diverge (reclaim jitter,
@@ -385,6 +314,9 @@ double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
 ServingFleet::ServingFleet(const ml::lite::FlatModel& model,
                            ServingConfig config, unsigned nodes)
     : config_(std::move(config)) {
+  if (nodes < 1) {
+    throw std::invalid_argument("fleet: needs at least one node");
+  }
   for (unsigned n = 0; n < nodes; ++n) {
     nodes_.push_back(std::make_unique<ServingNode>(model, config_, n));
   }
@@ -557,7 +489,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     loops[live[i % live.size()]].stream.push_back(p);
   }
 
-  traffic_obs().offered.add(requests.size());
+  obs::counter<obs::names::kServingRequestsOffered>().add(requests.size());
 
   const bool tracing = obs::tracing_enabled();
   obs::Timeline& tl = obs::Timeline::global();
@@ -697,7 +629,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     p.arrival_ns = detected_ns + backoff + jit;
     const auto dest = pick_dest(i, p.arrival_ns);
     inbox_push(dest.value_or(i), p);
-    traffic_obs().retries.add();
+    obs::counter<obs::names::kServingFailoverRetries>().add();
   };
 
   // A crash was detected on node i at `t`: the dispatcher pays the
@@ -711,12 +643,12 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     const std::uint64_t detected = t + detect_ns;
     nl.not_before_ns = detected;
     {
-      static const std::uint32_t span_id = obs::SpanTracer::global().intern(
-          obs::names::kSpanServingFailoverDetect);
       obs::ScopedLane lane_scope(static_cast<std::uint16_t>(i), 0);
-      obs::SpanTracer::global().record(span_id, t, detected);
+      obs::SpanTracer::global().record(
+          obs::span_id<obs::names::kSpanServingFailoverDetect>(), t,
+          detected);
     }
-    traffic_obs().detections.add();
+    obs::counter<obs::names::kServingFailoverDetections>().add();
     breaker.strike(status_[i], detected);
     const auto dest = pick_dest(i, detected);
     std::deque<Pending> keep;
@@ -733,7 +665,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
         p.arrival_ns = detected;
         p.steered_from = static_cast<std::int64_t>(i);
         inbox_push(*dest, p);
-        traffic_obs().resteered.add();
+        obs::counter<obs::names::kServingFailoverResteered>().add();
       } else {
         keep.push_back(p);
       }
@@ -780,12 +712,11 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
           // One flow chain per request: the original copy starts it at the
           // client arrival; retried/re-steered/hedged copies add a step at
           // their re-admission, drawing the hop across nodes.
-          TraceSites& ts = trace_sites();
           obs::ScopedLane ql(static_cast<std::uint16_t>(i), kQueueLaneTid);
           const bool original =
               p.attempts == 0 && p.steered_from < 0 && !p.is_hedge;
-          ts.tracer.record_flow(
-              ts.flow, p.req->trace_id,
+          obs::SpanTracer::global().record_flow(
+              obs::span_id<obs::names::kFlowServingRequest>(), p.req->trace_id,
               original ? p.req->arrival_ns : p.arrival_ns,
               original ? obs::FlowPhase::Start : obs::FlowPhase::Step);
         }
@@ -853,7 +784,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
       handle_failure(i, dispatch_at);
       continue;
     }
-    if (CircuitBreaker::succeed(st)) traffic_obs().readmissions.add();
+    if (CircuitBreaker::succeed(st)) {
+      obs::counter<obs::names::kServingFailoverReadmissions>().add();
+    }
 
     // Assemble the batch: expired requests are shed (a guaranteed SLO miss
     // is not worth a batch slot), and copies whose twin already completed
@@ -909,7 +842,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
 
     const std::uint64_t completion = nodes_[i]->serve_batch(
         inputs, dispatch_at, members.empty() ? nullptr : &tinfo);
-    serving_obs().dispatches.add();
+    obs::counter<obs::names::kServingDispatches>().add();
     tl.record_batch(dispatch_at, static_cast<std::int64_t>(batch.size()));
     tl.record_queue_depth(
         dispatch_at, static_cast<std::int64_t>(nl.queue.size() + batch.size()));
@@ -961,7 +894,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
           twin.steered_from = static_cast<std::int64_t>(i);
           inbox_push(*dest, twin);
           hedged.insert(h.req->id);
-          traffic_obs().hedges.add();
+          obs::counter<obs::names::kServingFailoverHedges>().add();
         }
       }
     }
@@ -982,28 +915,31 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     switch (o.status) {
       case RequestStatus::Completed:
       case RequestStatus::Retried:
-        traffic_obs().completed.add();
-        if (o.slo_miss) traffic_obs().slo_misses.add();
-        traffic_obs().queue_wait_ns.observe(o.dispatch_ns -
-                                            it->second.node_arrival_ns);
-        traffic_obs().e2e_ns.observe(o.completion_ns - o.arrival_ns);
-        serving_obs().request_quantile_ns.observe(o.completion_ns -
-                                                  o.dispatch_ns);
+        obs::counter<obs::names::kServingRequestsCompleted>().add();
+        if (o.slo_miss) obs::counter<obs::names::kServingSloMisses>().add();
+        obs::quantiles<obs::names::kServingQueueWaitQuantileNs>().observe(
+            o.dispatch_ns - it->second.node_arrival_ns);
+        obs::quantiles<obs::names::kServingE2eQuantileNs>().observe(
+            o.completion_ns - o.arrival_ns);
+        obs::quantiles<obs::names::kServingRequestQuantileNs>().observe(
+            o.completion_ns - o.dispatch_ns);
         if (o.node >= 0) ++status_[static_cast<std::size_t>(o.node)].served;
-        if (it->second.by_hedge) traffic_obs().hedge_wins.add();
+        if (it->second.by_hedge) {
+          obs::counter<obs::names::kServingFailoverHedgeWins>().add();
+        }
         tl.record_completed(o.completion_ns, o.completion_ns - o.arrival_ns,
                             o.slo_miss);
         break;
       case RequestStatus::ShedQueueFull:
-        traffic_obs().shed_queue_full.add();
+        obs::counter<obs::names::kServingShedQueueFull>().add();
         tl.record_shed(it->second.shed_ns);
         break;
       case RequestStatus::ShedExpired:
-        traffic_obs().shed_expired.add();
+        obs::counter<obs::names::kServingShedExpired>().add();
         tl.record_shed(it->second.shed_ns);
         break;
       case RequestStatus::FailedNodeDown:
-        traffic_obs().failed_requests.add();
+        obs::counter<obs::names::kServingFailoverFailedRequests>().add();
         break;
     }
   }
@@ -1106,7 +1042,7 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
       if (quantum <= 0) break;
       dispatched += quantum;
       s.served += quantum;
-      serving_obs().dispatches.add();
+      obs::counter<obs::names::kServingDispatches>().add();
       round_s = std::max(
           round_s, static_cast<double>(quantum) * (per_image_s + per_request_s));
     }

@@ -151,6 +151,7 @@ class ServingNode {
   /// `model` must outlive the node. `ordinal` is the node's stable index in
   /// its fleet, used as the pid of spans/profiles recorded on its lanes
   /// (deterministic across identical runs, unlike anything address-based).
+  /// Throws std::invalid_argument when `config.threads` is 0.
   ServingNode(const ml::lite::FlatModel& model, ServingConfig config,
               unsigned ordinal = 0);
 
@@ -283,6 +284,7 @@ struct FleetNodeStatus {
 /// so the stream always completes — reduced throughput, never a hang.
 class ServingFleet {
  public:
+  /// Throws std::invalid_argument when `nodes` is 0.
   ServingFleet(const ml::lite::FlatModel& model, ServingConfig config,
                unsigned nodes);
 

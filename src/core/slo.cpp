@@ -55,15 +55,9 @@ SloReport evaluate_slo(const std::vector<obs::TimelineWindow>& windows,
     if (breached) ++report.breached_windows;
   }
 
-  if (!report.alerts.empty()) {
-    // Lazily registered: policy-free runs keep registry exports identical.
-    auto& reg = obs::Registry::global();
-    reg.counter(obs::names::kSloAlerts, "SLO monitor alerts fired")
-        .add(report.alerts.size());
-    reg.counter(obs::names::kSloBreachedWindows,
-                "timeline windows with at least one SLO alert")
-        .add(static_cast<std::uint64_t>(report.breached_windows));
-  }
+  obs::counter<obs::names::kSloAlerts>().add(report.alerts.size());
+  obs::counter<obs::names::kSloBreachedWindows>().add(
+      static_cast<std::uint64_t>(report.breached_windows));
   return report;
 }
 

@@ -14,9 +14,8 @@
 //
 // Everything is integer math over integer telemetry, so two identical
 // seeded runs produce identical alert sequences and identical exported
-// JSON. The `core.serving.slo.*` counters are registered lazily inside
-// evaluate_slo, so runs that never evaluate a policy keep their registry
-// exports byte-identical.
+// JSON. The `core.serving.slo.*` counters stay zero in runs that never
+// evaluate a policy.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +61,8 @@ struct SloReport {
 };
 
 /// Evaluates `policy` over `windows` (must be ascending by index, as
-/// Timeline::windows() returns them). Mirrors totals into the lazily
-/// registered core.serving.slo.alerts / .breached_windows counters.
+/// Timeline::windows() returns them). Mirrors totals into the
+/// core.serving.slo.alerts / .breached_windows counters.
 [[nodiscard]] SloReport evaluate_slo(
     const std::vector<obs::TimelineWindow>& windows, const SloPolicy& policy);
 

@@ -13,32 +13,6 @@
 namespace stf::distributed {
 namespace {
 
-struct TrainObs {
-  obs::Counter& rounds = obs::Registry::global().counter(
-      obs::names::kTrainRounds, "synchronous training rounds completed");
-  obs::Counter& degraded_rounds = obs::Registry::global().counter(
-      obs::names::kTrainDegradedRounds, "rounds that hit the round timeout");
-  obs::Counter& lost_gradients = obs::Registry::global().counter(
-      obs::names::kTrainLostGradients, "gradients lost past the retry budget");
-  obs::Counter& worker_crashes = obs::Registry::global().counter(
-      obs::names::kTrainWorkerCrashes, "worker crash-stops injected");
-  obs::Counter& samples_processed = obs::Registry::global().counter(
-      obs::names::kTrainSamplesProcessed, "training samples consumed");
-  obs::Histogram& round_ns = obs::Registry::global().histogram(
-      obs::names::kTrainRoundNs, obs::latency_edges_ns(),
-      "per-round virtual latency on the parameter server");
-  obs::QuantileSeries& round_quantile_ns = obs::Registry::global().quantiles(
-      obs::names::kTrainRoundQuantileNs,
-      "exact p50/p95/p99 of per-round latency on the parameter server");
-  std::uint32_t round_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanTrainRound);
-};
-
-TrainObs& train_obs() {
-  static TrainObs* o = new TrainObs();
-  return *o;
-}
-
 // Every node runs the same full-TensorFlow image. The instance name is not
 // measured, so one CAS policy covers the fleet.
 tee::EnclaveImage worker_image(const ClusterConfig& cfg, std::string name) {
@@ -350,7 +324,7 @@ TrainStats TrainingCluster::train(const ml::Dataset& data,
         w.alive = false;
         fault_plane_->crash_now(w.node.id);
         ++stats.worker_crashes;
-        train_obs().worker_crashes.add();
+        obs::counter<obs::names::kTrainWorkerCrashes>().add();
         continue;
       }
       try {
@@ -360,7 +334,7 @@ TrainStats TrainingCluster::train(const ml::Dataset& data,
         ++contributions;
         ++arrived;
         stats.samples_processed += config_.batch_size;
-        train_obs().samples_processed.add(
+        obs::counter<obs::names::kTrainSamplesProcessed>().add(
             static_cast<std::uint64_t>(config_.batch_size));
         for (auto& [name, grad] : got) {
           auto it = sum.find(name);
@@ -387,9 +361,9 @@ TrainStats TrainingCluster::train(const ml::Dataset& data,
         ps_clock.advance(config_.faults.round_timeout_ns);
       }
       ++stats.degraded_rounds;
-      train_obs().degraded_rounds.add();
+      obs::counter<obs::names::kTrainDegradedRounds>().add();
       stats.lost_gradients += expected - arrived;
-      train_obs().lost_gradients.add(expected - arrived);
+      obs::counter<obs::names::kTrainLostGradients>().add(expected - arrived);
     }
     if (arrived > 0) {
       const float scale = 1.0f / static_cast<float>(arrived);
@@ -404,12 +378,13 @@ TrainStats TrainingCluster::train(const ml::Dataset& data,
     //    next round's parameters are released to them.
     ensure_workers_alive();
     stats.rounds += 1;
-    train_obs().rounds.add();
+    obs::counter<obs::names::kTrainRounds>().add();
     const std::uint64_t round_end = ps_clock.now_ns();
-    train_obs().round_ns.observe(round_end - round_start);
-    train_obs().round_quantile_ns.observe(round_end - round_start);
-    obs::SpanTracer::global().record(train_obs().round_span, round_start,
-                                     round_end);
+    const std::uint64_t round_ns = round_end - round_start;
+    obs::histogram<obs::names::kTrainRoundNs>().observe(round_ns);
+    obs::quantiles<obs::names::kTrainRoundQuantileNs>().observe(round_ns);
+    obs::SpanTracer::global().record(
+        obs::span_id<obs::names::kSpanTrainRound>(), round_start, round_end);
   }
 
   const std::uint64_t end_ns = barrier();

@@ -9,26 +9,6 @@ namespace stf::faults {
 
 namespace {
 
-struct FaultObs {
-  obs::Counter& messages_seen = obs::Registry::global().counter(
-      obs::names::kFaultsMessagesSeen, "messages inspected by the plane");
-  obs::Counter& dropped = obs::Registry::global().counter(
-      obs::names::kFaultsDropped, "messages dropped by link weather");
-  obs::Counter& duplicated = obs::Registry::global().counter(
-      obs::names::kFaultsDuplicated, "messages duplicated by link weather");
-  obs::Counter& delayed = obs::Registry::global().counter(
-      obs::names::kFaultsDelayed, "messages delayed by link weather");
-  obs::Counter& crash_dropped = obs::Registry::global().counter(
-      obs::names::kFaultsCrashDropped,
-      "messages lost to scheduled crash windows");
-  obs::Counter& io_failures = obs::Registry::global().counter(
-      obs::names::kFaultsIoFailures, "injected untrusted-fs I/O failures");
-};
-
-FaultObs& fault_obs() {
-  static FaultObs* o = new FaultObs();
-  return *o;
-}
 std::uint64_t link_key(net::NodeId a, net::NodeId b) {
   if (a > b) std::swap(a, b);
   return (std::uint64_t{a} << 32) | b;
@@ -151,12 +131,12 @@ net::FaultDecision FaultPlane::on_message(net::NodeId from, net::NodeId to,
                                           std::uint64_t now_ns,
                                           const crypto::Bytes&) {
   ++stats_.messages_seen;
-  fault_obs().messages_seen.add();
+  obs::counter<obs::names::kFaultsMessagesSeen>().add();
   net::FaultDecision decision;
 
   if (in_crash_window(from, now_ns) || in_crash_window(to, now_ns)) {
     ++stats_.crash_dropped;
-    fault_obs().crash_dropped.add();
+    obs::counter<obs::names::kFaultsCrashDropped>().add();
     decision.drop = true;
     return decision;
   }
@@ -174,15 +154,15 @@ net::FaultDecision FaultPlane::on_message(net::NodeId from, net::NodeId to,
   const double u = draw();
   if (u < spec.drop_prob) {
     ++stats_.dropped;
-    fault_obs().dropped.add();
+    obs::counter<obs::names::kFaultsDropped>().add();
     decision.drop = true;
   } else if (u < spec.drop_prob + spec.duplicate_prob) {
     ++stats_.duplicated;
-    fault_obs().duplicated.add();
+    obs::counter<obs::names::kFaultsDuplicated>().add();
     decision.copies = 2;
   } else if (u < spec.drop_prob + spec.duplicate_prob + spec.delay_prob) {
     ++stats_.delayed;
-    fault_obs().delayed.add();
+    obs::counter<obs::names::kFaultsDelayed>().add();
     decision.extra_delay_ns += spec.delay_ns;
   }
   return decision;
@@ -192,7 +172,7 @@ bool FaultPlane::io_should_fail() {
   if (io_fail_prob_ <= 0) return false;
   if (draw() < io_fail_prob_) {
     ++stats_.io_failures;
-    fault_obs().io_failures.add();
+    obs::counter<obs::names::kFaultsIoFailures>().add();
     return true;
   }
   return false;

@@ -10,29 +10,6 @@
 namespace stf::ml::kernels {
 namespace {
 
-obs::Counter& gemm_calls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kKernelGemmCalls, "blocked GEMM core invocations");
-  return c;
-}
-obs::Counter& conv_calls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kKernelConvCalls, "im2col conv kernel invocations");
-  return c;
-}
-// The int8 counters register lazily on first use so float-only runs keep
-// their registry exports (and committed BENCH baselines) byte-identical.
-obs::Counter& int8_gemm_calls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kQuantGemmCalls, "int8 blocked GEMM core invocations");
-  return c;
-}
-obs::Counter& int8_conv_calls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kQuantConvCalls, "int8 im2col conv kernel invocations");
-  return c;
-}
-
 // Blocking parameters. KC bounds the k-panel so one packed A block stays
 // cache-resident; it also fixes the accumulation association: elements with
 // k <= KC reduce in plain ascending order, matching the naive reference
@@ -146,7 +123,7 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
                   std::int64_t a_cs, const float* b, std::int64_t b_rs,
                   std::int64_t b_cs, float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
-  gemm_calls_counter().add();
+  obs::counter<obs::names::kKernelGemmCalls>().add();
   const std::int64_t num_pc = ceil_div(k, KC);
   const std::int64_t num_jt = ceil_div(n, NR);
 
@@ -428,7 +405,7 @@ ConvShape conv_shape(std::int64_t n, std::int64_t h, std::int64_t w,
 
 void conv2d_forward(const KernelContext& ctx, const ConvShape& s,
                     const float* input, const float* filter, float* out) {
-  conv_calls_counter().add();
+  obs::counter<obs::names::kKernelConvCalls>().add();
   auto& col = col_scratch(s.out_pixels() * s.patch_size());
   im2col(ctx, s, input, col.data());
   // HWIO filter memory is already the [fh*fw*c, k] GEMM operand.
@@ -438,7 +415,7 @@ void conv2d_forward(const KernelContext& ctx, const ConvShape& s,
 void conv2d_grad_input(const KernelContext& ctx, const ConvShape& s,
                        const float* filter, const float* grad_output,
                        float* grad_input) {
-  conv_calls_counter().add();
+  obs::counter<obs::names::kKernelConvCalls>().add();
   const std::int64_t rows = s.out_pixels();
   const std::int64_t patch = s.patch_size();
   auto& col_grad = col_scratch(rows * patch);
@@ -476,7 +453,7 @@ void conv2d_grad_input(const KernelContext& ctx, const ConvShape& s,
 void conv2d_grad_filter(const KernelContext& ctx, const ConvShape& s,
                         const float* input, const float* grad_output,
                         float* grad_filter) {
-  conv_calls_counter().add();
+  obs::counter<obs::names::kKernelConvCalls>().add();
   const std::int64_t rows = s.out_pixels();
   const std::int64_t patch = s.patch_size();
   auto& col = col_scratch(rows * patch);
@@ -504,7 +481,7 @@ void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const std::int8_t* a, const std::int8_t* b,
              float multiplier, std::int8_t* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
-  int8_gemm_calls_counter().add();
+  obs::counter<obs::names::kQuantGemmCalls>().add();
   // MR-row blocks are the parallel chunks — shape-only, each owning a
   // disjoint slice of c. Within a row the k reduction walks KC panels in
   // ascending order like the float core; with exact int32 accumulation the
@@ -539,7 +516,7 @@ void gemm_s8(const KernelContext& ctx, std::int64_t m, std::int64_t k,
 void conv2d_forward_s8(const KernelContext& ctx, const ConvShape& s,
                        const std::int8_t* input, const std::int8_t* filter,
                        float multiplier, std::int8_t* out) {
-  int8_conv_calls_counter().add();
+  obs::counter<obs::names::kQuantConvCalls>().add();
   auto& col = col_scratch_s8(s.out_pixels() * s.patch_size());
   im2col(ctx, s, input, col.data());
   // HWIO filter memory is already the [fh*fw*c, k] GEMM operand.

@@ -22,27 +22,6 @@ constexpr std::uint32_t kVersion = 2;
 // deserialize() accepts both.
 constexpr std::uint32_t kVersionCalibrated = 3;
 
-// ml.quant.* series register lazily on first use of the int8/calibration
-// path, so float-only runs keep their registry exports (and the committed
-// BENCH baselines) byte-identical.
-struct QuantObs {
-  obs::Counter& invokes = obs::Registry::global().counter(
-      obs::names::kQuantInt8Invokes, "int8_compute forward passes");
-  obs::Counter& macs = obs::Registry::global().counter(
-      obs::names::kQuantInt8Macs, "int8 multiply-accumulates in GEMM/conv");
-  obs::Counter& requants = obs::Registry::global().counter(
-      obs::names::kQuantRequantizedElements,
-      "elements requantized or converted between int8 and float");
-  obs::Counter& calibrations = obs::Registry::global().counter(
-      obs::names::kQuantCalibrationRuns,
-      "calibration forward passes over the sample set");
-};
-
-QuantObs& quant_obs() {
-  static QuantObs* o = new QuantObs();
-  return *o;
-}
-
 // Where a weight tensor lies in the arena: byte offset and byte length.
 std::pair<std::uint64_t, std::uint64_t> arena_span(const FlatModel& model,
                                                    const LiteTensorDesc& d) {
@@ -394,7 +373,7 @@ FlatModel FlatModel::quantized(const std::vector<Tensor>& calibration) const {
   for (const Tensor& sample : calibration) {
     (void)probe.invoke_observed(sample, record);
   }
-  quant_obs().calibrations.add(calibration.size());
+  obs::counter<obs::names::kQuantCalibrationRuns>().add(calibration.size());
   q.calibrated_ = true;
   return q;
 }
@@ -778,11 +757,10 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
       if (!int8_out) env_->compute(r.flops);
     }
     if (trace_ops) {
-      static const std::uint32_t op_span =
-          obs::SpanTracer::global().intern(obs::names::kSpanLiteOp);
       const std::uint64_t op_end_ns = env_->now_ns();
       if (op_end_ns > op_start_ns) {
-        obs::SpanTracer::global().record(op_span, op_start_ns, op_end_ns);
+        obs::SpanTracer::global().record(
+            obs::span_id<obs::names::kSpanLiteOp>(), op_start_ns, op_end_ns);
       }
     }
     last_int8_ops_ += op_int8;
@@ -807,9 +785,11 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
   if (int8_compute_) {
     if (env_ != nullptr && conversions > 0) env_->compute_int8(conversions);
     last_int8_ops_ += conversions;
-    quant_obs().invokes.add();
-    quant_obs().macs.add(static_cast<std::uint64_t>(macs));
-    quant_obs().requants.add(static_cast<std::uint64_t>(requants));
+    obs::counter<obs::names::kQuantInt8Invokes>().add();
+    obs::counter<obs::names::kQuantInt8Macs>().add(
+        static_cast<std::uint64_t>(macs));
+    obs::counter<obs::names::kQuantRequantizedElements>().add(
+        static_cast<std::uint64_t>(requants));
   }
   return std::move(slot(out_idx).f);
 }

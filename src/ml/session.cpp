@@ -13,31 +13,6 @@ namespace {
 
 constexpr std::uint64_t kArenaInitialBytes = 1 << 20;
 
-struct SessionObs {
-  obs::Counter& runs = obs::Registry::global().counter(
-      obs::names::kSessionRuns, "forward graph executions");
-  obs::Counter& train_steps = obs::Registry::global().counter(
-      obs::names::kSessionTrainSteps, "train_step() calls");
-  obs::Counter& flops = obs::Registry::global().counter(
-      obs::names::kSessionFlops, "floating-point operations charged",
-      obs::Unit::Flops);
-  obs::Counter& planner_plans = obs::Registry::global().counter(
-      obs::names::kPlannerPlans, "memory plans computed (cache misses)");
-  obs::Gauge& planner_peak = obs::Registry::global().gauge(
-      obs::names::kPlannerPeakBytes, "packed activation arena peak",
-      obs::Unit::Bytes);
-  obs::Gauge& planner_saved = obs::Registry::global().gauge(
-      obs::names::kPlannerSavedBytes,
-      "arena bytes saved vs the legacy bump-cursor rule", obs::Unit::Bytes);
-  std::uint32_t gemm_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanSessionGemm);
-};
-
-SessionObs& session_obs() {
-  static SessionObs* o = new SessionObs();
-  return *o;
-}
-
 bool is_parameter(OpType t) {
   return t == OpType::Const || t == OpType::Variable;
 }
@@ -47,8 +22,8 @@ bool is_parameter(OpType t) {
 void record_gemm(const tee::MemoryEnv& env, std::uint64_t start_ns) {
   const std::uint64_t end_ns = env.now_ns();
   if (end_ns > start_ns) {
-    obs::SpanTracer::global().record(session_obs().gemm_span, start_ns,
-                                     end_ns);
+    obs::SpanTracer::global().record(
+        obs::span_id<obs::names::kSpanSessionGemm>(), start_ns, end_ns);
   }
 }
 
@@ -245,8 +220,9 @@ std::vector<Tensor> Session::run_internal(
   std::vector<Tensor> out;
   out.reserve(fetch_ids.size());
   for (const NodeId id : fetch_ids) out.push_back(values.at(id));
-  session_obs().runs.add();
-  session_obs().flops.add(static_cast<std::uint64_t>(last_run_flops_));
+  obs::counter<obs::names::kSessionRuns>().add();
+  obs::counter<obs::names::kSessionFlops>().add(
+      static_cast<std::uint64_t>(last_run_flops_));
   return out;
 }
 
@@ -274,13 +250,13 @@ void Session::replay_planned(const std::vector<NodeId>& order,
     pit = plan_cache_
               .emplace(key, MemoryPlanner::plan(graph_, order, sizes, fetch_ids))
               .first;
-    session_obs().planner_plans.add();
+    obs::counter<obs::names::kPlannerPlans>().add();
   }
   const MemoryPlan& plan = pit->second;
   const PlanReport& rep = plan.report();
   last_plan_report_ = rep;
-  session_obs().planner_peak.set(rep.peak_bytes);
-  session_obs().planner_saved.set(
+  obs::gauge<obs::names::kPlannerPeakBytes>().set(rep.peak_bytes);
+  obs::gauge<obs::names::kPlannerSavedBytes>().set(
       rep.bump_peak_bytes > rep.peak_bytes ? rep.bump_peak_bytes - rep.peak_bytes
                                            : 0);
 
@@ -538,7 +514,8 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
   }
   if (env_ != nullptr) env_->compute(flops);
   last_run_flops_ += flops;
-  session_obs().flops.add(static_cast<std::uint64_t>(flops));
+  obs::counter<obs::names::kSessionFlops>().add(
+      static_cast<std::uint64_t>(flops));
 }
 
 std::map<std::string, Tensor> Session::gradients(
@@ -602,7 +579,7 @@ float Session::train_step(const std::string& loss,
                           float learning_rate) {
   const auto grads = gradients(loss, feeds);
   apply_gradients(grads, learning_rate);
-  session_obs().train_steps.add();
+  obs::counter<obs::names::kSessionTrainSteps>().add();
   return last_loss_;
 }
 

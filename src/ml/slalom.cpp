@@ -10,37 +10,10 @@
 #include "obs/names.h"
 
 namespace stf::ml {
-namespace {
-
-// Registered lazily on first offload so runs with gpu_offload off keep the
-// registry export byte-identical (same pattern as the quantization counters).
-struct SlalomObs {
-  obs::Counter& offloaded = obs::Registry::global().counter(
-      obs::names::kSlalomOffloadedOps,
-      "linear layers executed on the untrusted GPU");
-  obs::Counter& verifications = obs::Registry::global().counter(
-      obs::names::kSlalomVerifications,
-      "in-enclave verifications of offloaded results");
-  obs::Counter& fallbacks = obs::Registry::global().counter(
-      obs::names::kSlalomFallbacks,
-      "batches re-executed in-enclave after failed verification");
-  obs::Counter& gpu_flops = obs::Registry::global().counter(
-      obs::names::kSlalomGpuFlops, "flops executed on the untrusted GPU");
-  obs::Counter& pcie_bytes = obs::Registry::global().counter(
-      obs::names::kSlalomPcieBytes,
-      "bytes shipped across PCIe by the offload path", obs::Unit::Bytes);
-};
-
-SlalomObs& slalom_obs() {
-  static SlalomObs* o = new SlalomObs();
-  return *o;
-}
-
-}  // namespace
 
 void GpuOffloadEngine::note_fallback() {
   ++stats_.fallbacks;
-  slalom_obs().fallbacks.add();
+  obs::counter<obs::names::kSlalomFallbacks>().add();
 }
 
 GpuOffloadEngine::GpuOffloadEngine(SlalomConfig config, tee::MemoryEnv* env,
@@ -49,13 +22,14 @@ GpuOffloadEngine::GpuOffloadEngine(SlalomConfig config, tee::MemoryEnv* env,
 
 void GpuOffloadEngine::charge_gpu(double flops) {
   stats_.gpu_flops += flops;
-  slalom_obs().gpu_flops.add(static_cast<std::uint64_t>(flops));
+  obs::counter<obs::names::kSlalomGpuFlops>().add(
+      static_cast<std::uint64_t>(flops));
   if (env_ != nullptr) env_->gpu_compute(flops);
 }
 
 void GpuOffloadEngine::charge_pcie(std::uint64_t bytes) {
   stats_.pcie_bytes += bytes;
-  slalom_obs().pcie_bytes.add(bytes);
+  obs::counter<obs::names::kSlalomPcieBytes>().add(bytes);
   if (env_ != nullptr) env_->pcie_transfer(bytes);
 }
 
@@ -88,7 +62,7 @@ ops::OpResult GpuOffloadEngine::matmul(const Tensor& a, const Tensor& b,
   Tensor c = std::move(result.output);
   if (corruption_) corruption_(env_ != nullptr ? env_->now_ns() : 0, c);
   ++stats_.offloaded_ops;
-  slalom_obs().offloaded.add();
+  obs::counter<obs::names::kSlalomOffloadedOps>().add();
   charge_gpu(result.flops);
   charge_pcie(a.byte_size() + c.byte_size());
 
@@ -131,7 +105,7 @@ ops::OpResult GpuOffloadEngine::matmul(const Tensor& a, const Tensor& b,
                               static_cast<double>(k * n + m * k + m * n);
   stats_.verification_flops += verify_flops;
   ++stats_.verifications;
-  slalom_obs().verifications.add();
+  obs::counter<obs::names::kSlalomVerifications>().add();
   return {std::move(c), verify_flops};
 }
 
@@ -143,9 +117,12 @@ ops::OpResult GpuOffloadEngine::conv2d(const Tensor& input,
   Tensor out = std::move(result.output);
   if (corruption_) corruption_(env_ != nullptr ? env_->now_ns() : 0, out);
   ++stats_.offloaded_ops;
-  slalom_obs().offloaded.add();
+  obs::counter<obs::names::kSlalomOffloadedOps>().add();
   charge_gpu(result.flops);
   charge_pcie(input.byte_size() + out.byte_size());
+  // An output with no rows has nothing to spot-check (and the sample-to-row
+  // map below would divide by the empty batch).
+  if (out.size() == 0) return {std::move(out), 0};
 
   // Spot-check: recompute random output elements in-enclave. The sample
   // coordinates are per-plan (batch-independent); sample i lands on batch
@@ -226,7 +203,7 @@ ops::OpResult GpuOffloadEngine::conv2d(const Tensor& input,
                               static_cast<double>(fh * fw * c);
   stats_.verification_flops += verify_flops;
   ++stats_.verifications;
-  slalom_obs().verifications.add();
+  obs::counter<obs::names::kSlalomVerifications>().add();
   return {std::move(out), verify_flops};
 }
 

@@ -7,24 +7,6 @@
 #include "obs/profile.h"
 
 namespace stf::net {
-namespace {
-
-struct NetObs {
-  obs::Counter& messages_delivered = obs::Registry::global().counter(
-      obs::names::kNetMessagesDelivered, "messages received off the fabric");
-  obs::Counter& bytes_sent = obs::Registry::global().counter(
-      obs::names::kNetBytesSent, "payload bytes handed to the fabric",
-      obs::Unit::Bytes);
-  obs::Counter& connections_opened = obs::Registry::global().counter(
-      obs::names::kNetConnectionsOpened, "connections dialed");
-};
-
-NetObs& net_obs() {
-  static NetObs* o = new NetObs();
-  return *o;
-}
-
-}  // namespace
 
 void Connection::send(crypto::BytesView payload) {
   if (network_ == nullptr) throw std::logic_error("send on invalid Connection");
@@ -95,7 +77,7 @@ std::pair<Connection, Connection> SimNetwork::connect(NodeId dialer,
   }
   const std::uint64_t id = next_conn_++;
   conns_[id] = ConnState{.a = dialer, .b = listener};
-  net_obs().connections_opened.add();
+  obs::counter<obs::names::kNetConnectionsOpened>().add();
   // TCP-style setup: the dialer pays one RTT; the listener learns of the
   // connection when the first message arrives.
   {
@@ -115,7 +97,7 @@ void SimNetwork::send_impl(std::uint64_t conn_id, bool from_side,
 
   tee::SimClock& sender_clock = *nodes_[from].clock;
   bytes_sent_ += payload.size();
-  net_obs().bytes_sent.add(payload.size());
+  obs::counter<obs::names::kNetBytesSent>().add(payload.size());
 
   Message msg;
   msg.payload.assign(payload.begin(), payload.end());
@@ -168,7 +150,7 @@ std::optional<crypto::Bytes> SimNetwork::recv_impl(std::uint64_t conn_id,
     nodes_[self].clock->advance_to(msg.arrival_ns);
   }
   ++messages_delivered_;
-  net_obs().messages_delivered.add();
+  obs::counter<obs::names::kNetMessagesDelivered>().add();
   return std::move(msg.payload);
 }
 

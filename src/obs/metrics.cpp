@@ -31,33 +31,36 @@ std::vector<std::uint64_t> latency_edges_ns() {
           100'000'000'000};
 }
 
-Counter& Registry::counter(std::string_view name, std::string_view help,
-                           Unit unit) {
+template <typename T, typename Make>
+T& Registry::get_or_create(Map<T>& map, std::string_view name, Unit unit,
+                           const Make& make) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    Entry<Counter> entry{MetricInfo{std::string(help), unit},
-                         std::unique_ptr<Counter>(new Counter())};
-    it = counters_.emplace(std::string(name), std::move(entry)).first;
+  auto it = map.find(name);
+  if (it == map.end()) {
+    if (closed_) {
+      throw std::logic_error("obs: '" + std::string(name) +
+                             "' is not a series of this kind in "
+                             "names::kSeries");
+    }
+    it = map.emplace(std::string(name), Entry<T>{MetricInfo{unit}, make()})
+             .first;
   }
   return *it->second.metric;
 }
 
-Gauge& Registry::gauge(std::string_view name, std::string_view help,
-                       Unit unit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    Entry<Gauge> entry{MetricInfo{std::string(help), unit},
-                       std::unique_ptr<Gauge>(new Gauge())};
-    it = gauges_.emplace(std::string(name), std::move(entry)).first;
-  }
-  return *it->second.metric;
+Counter& Registry::counter(std::string_view name, Unit unit) {
+  return get_or_create(counters_, name, unit, [] {
+    return std::unique_ptr<Counter>(new Counter());
+  });
+}
+
+Gauge& Registry::gauge(std::string_view name, Unit unit) {
+  return get_or_create(gauges_, name, unit,
+                       [] { return std::unique_ptr<Gauge>(new Gauge()); });
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::vector<std::uint64_t> edges,
-                               std::string_view help, Unit unit) {
+                               std::vector<std::uint64_t> edges, Unit unit) {
   if (edges.empty()) {
     throw std::logic_error("obs: histogram needs at least one bucket edge");
   }
@@ -66,30 +69,20 @@ Histogram& Registry::histogram(std::string_view name,
       throw std::logic_error("obs: histogram edges must strictly ascend");
     }
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    Entry<Histogram> entry{MetricInfo{std::string(help), unit},
-                           std::unique_ptr<Histogram>(new Histogram(edges))};
-    it = histograms_.emplace(std::string(name), std::move(entry)).first;
-  } else if (it->second.metric->edges() != edges) {
+  Histogram& h = get_or_create(histograms_, name, unit, [&] {
+    return std::unique_ptr<Histogram>(new Histogram(edges));
+  });
+  if (h.edges() != edges) {
     throw std::logic_error("obs: histogram '" + std::string(name) +
                            "' re-registered with different edges");
   }
-  return *it->second.metric;
+  return h;
 }
 
-QuantileSeries& Registry::quantiles(std::string_view name,
-                                    std::string_view help, Unit unit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = quantiles_.find(name);
-  if (it == quantiles_.end()) {
-    Entry<QuantileSeries> entry{MetricInfo{std::string(help), unit},
-                                std::unique_ptr<QuantileSeries>(
-                                    new QuantileSeries())};
-    it = quantiles_.emplace(std::string(name), std::move(entry)).first;
-  }
-  return *it->second.metric;
+QuantileSeries& Registry::quantiles(std::string_view name, Unit unit) {
+  return get_or_create(quantiles_, name, unit, [] {
+    return std::unique_ptr<QuantileSeries>(new QuantileSeries());
+  });
 }
 
 void Registry::reset() {
@@ -138,8 +131,23 @@ void Registry::visit_quantiles(
 }
 
 Registry& Registry::global() {
-  static Registry* instance = new Registry();  // never destroyed: handles
-  return *instance;                            // outlive static teardown
+  // Never destroyed: handles outlive static teardown.
+  static Registry* instance = [] {
+    auto* reg = new Registry();
+    for (const names::Series& s : names::kSeries) {
+      switch (s.kind) {
+        case Kind::Counter: reg->counter(s.name, s.unit); break;
+        case Kind::Gauge: reg->gauge(s.name, s.unit); break;
+        case Kind::Histogram:
+          reg->histogram(s.name, latency_edges_ns(), s.unit);
+          break;
+        case Kind::Quantile: reg->quantiles(s.name, s.unit); break;
+      }
+    }
+    reg->closed_ = true;
+    return reg;
+  }();
+  return *instance;
 }
 
 }  // namespace stf::obs

@@ -17,12 +17,18 @@
 //     byte-identical JSON.
 //  2. Lock-cheap — counters/gauges/histogram buckets are relaxed atomics
 //     (one uncontended RMW per event on the hot paths); the registry mutex
-//     is taken only on metric creation and export.
+//     is taken only on metric creation, a site's one-time handle lookup and
+//     export.
 //  3. Monotonic registry, resettable epochs — `reset()` starts a new
 //     measurement epoch: counters and histograms (flow metrics) zero,
 //     gauges (level metrics: live residency, mapped bytes) keep their
 //     value because the world they describe did not change. Handles stay
 //     valid across reset() forever.
+//  4. One schema — the global registry is created with every series of
+//     names::kSeries registered and creates nothing afterwards, so every
+//     export lists the same series, zero until counted. Sites reach a
+//     series through the accessors at the end of this header, keyed by its
+//     names::k* constant.
 #pragma once
 
 #include <atomic>
@@ -35,24 +41,12 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/names.h"
+
 namespace stf::obs {
-
-enum class Unit : std::uint8_t { Count, Bytes, Nanoseconds, Pages, Flops };
-
-inline const char* to_string(Unit u) {
-  switch (u) {
-    case Unit::Count: return "count";
-    case Unit::Bytes: return "bytes";
-    case Unit::Nanoseconds: return "ns";
-    case Unit::Pages: return "pages";
-    case Unit::Flops: return "flops";
-  }
-  return "?";
-}
 
 /// Metadata captured at registration (first registration wins).
 struct MetricInfo {
-  std::string help;
   Unit unit = Unit::Count;
 };
 
@@ -187,17 +181,16 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Get-or-create. Returned references stay valid for the registry's
-  /// lifetime (including across reset()). `help`/`unit` are recorded on
-  /// first registration and ignored afterwards.
-  Counter& counter(std::string_view name, std::string_view help = "",
-                   Unit unit = Unit::Count);
-  Gauge& gauge(std::string_view name, std::string_view help = "",
-               Unit unit = Unit::Count);
+  /// lifetime (including across reset()). `unit` is recorded on first
+  /// registration and ignored afterwards. The global registry only gets:
+  /// it throws std::logic_error for a name names::kSeries does not declare
+  /// under that kind.
+  Counter& counter(std::string_view name, Unit unit = Unit::Count);
+  Gauge& gauge(std::string_view name, Unit unit = Unit::Count);
   /// Throws std::logic_error if `name` exists with different edges.
   Histogram& histogram(std::string_view name, std::vector<std::uint64_t> edges,
-                       std::string_view help = "",
                        Unit unit = Unit::Nanoseconds);
-  QuantileSeries& quantiles(std::string_view name, std::string_view help = "",
+  QuantileSeries& quantiles(std::string_view name,
                             Unit unit = Unit::Nanoseconds);
 
   /// Starts a new measurement epoch: counters and histograms zero; gauges
@@ -218,7 +211,9 @@ class Registry {
       const std::function<void(const std::string&, const MetricInfo&,
                                const QuantileSeries&)>& fn) const;
 
-  /// The process-wide registry every subsystem records into by default.
+  /// The process-wide registry every subsystem records into. Its first
+  /// call registers every series of names::kSeries; no other series can
+  /// be added afterwards.
   static Registry& global();
 
  private:
@@ -227,12 +222,51 @@ class Registry {
     MetricInfo info;
     std::unique_ptr<T> metric;
   };
+  template <typename T>
+  using Map = std::map<std::string, Entry<T>, std::less<>>;
 
+  /// Finds `name` in `map`, or creates it with `make()` unless closed_.
+  template <typename T, typename Make>
+  T& get_or_create(Map<T>& map, std::string_view name, Unit unit,
+                   const Make& make);
+
+  bool closed_ = false;  ///< set once global() has registered kSeries
   mutable std::mutex mutex_;
-  std::map<std::string, Entry<Counter>, std::less<>> counters_;
-  std::map<std::string, Entry<Gauge>, std::less<>> gauges_;
-  std::map<std::string, Entry<Histogram>, std::less<>> histograms_;
-  std::map<std::string, Entry<QuantileSeries>, std::less<>> quantiles_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
+  Map<QuantileSeries> quantiles_;
 };
+
+// The accessors every instrumentation site uses: the global registry's
+// series `Name` (a names::k* constant that kSeries lists under that kind,
+// checked at compile time), looked up once per series.
+template <const char* const& Name>
+Counter& counter() {
+  static_assert(names::declares(Name, Kind::Counter));
+  static Counter& c = Registry::global().counter(Name);
+  return c;
+}
+
+template <const char* const& Name>
+Gauge& gauge() {
+  static_assert(names::declares(Name, Kind::Gauge));
+  static Gauge& g = Registry::global().gauge(Name);
+  return g;
+}
+
+template <const char* const& Name>
+Histogram& histogram() {
+  static_assert(names::declares(Name, Kind::Histogram));
+  static Histogram& h = Registry::global().histogram(Name, latency_edges_ns());
+  return h;
+}
+
+template <const char* const& Name>
+QuantileSeries& quantiles() {
+  static_assert(names::declares(Name, Kind::Quantile));
+  static QuantileSeries& q = Registry::global().quantiles(Name);
+  return q;
+}
 
 }  // namespace stf::obs

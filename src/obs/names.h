@@ -1,19 +1,48 @@
-// Canonical metric and span names of the observability plane.
+// Canonical metric and span names of the observability plane, and the one
+// table of registry series.
 //
 // Every name the registry or the span tracer ever sees is declared here, as
-// a `constexpr` string constant, and documented in docs/METRICS.md. A CMake
+// a `constexpr` string constant, and documented in docs/METRICS.md. Every
+// registry series is listed once more in `kSeries` below, with its kind and
+// unit: Registry::global() registers that table when it is created and
+// refuses any other series, so every export lists the same series. A CMake
 // check (cmake/check_metrics.cmake, ctest `metrics_docs_crosscheck`) parses
 // this header and the reference table and fails the build's test suite when
 // either side drifts: a name added here must be documented, a name
-// documented must exist here, and a name declared here must be used by some
-// instrumentation site outside this header. Do not pass string literals to
-// Registry/SpanTracer directly — route them through a constant below.
+// documented must exist here, a name declared here must be used by some
+// instrumentation site outside this header, and every table row must carry
+// its documented Type and Unit. Sites reach a series or a span id through
+// the accessors keyed by these constants (`obs::counter<names::kEpcFaults>()`,
+// `obs::span_id<names::kSpanEpcLoad>()`), never through a string literal.
 //
 // Naming convention: `<subsystem>.<component>.<metric>`, lowercase,
 // underscores inside a segment, dots between segments. Counters are plural
 // nouns or `*_ns`/`*_bytes` totals; gauges are level nouns; histograms end
 // in `_ns`; span names are singular event nouns.
 #pragma once
+
+#include <cstdint>
+#include <string_view>
+
+namespace stf::obs {
+
+enum class Unit : std::uint8_t { Count, Bytes, Nanoseconds, Pages, Flops };
+
+inline const char* to_string(Unit u) {
+  switch (u) {
+    case Unit::Count: return "count";
+    case Unit::Bytes: return "bytes";
+    case Unit::Nanoseconds: return "ns";
+    case Unit::Pages: return "pages";
+    case Unit::Flops: return "flops";
+  }
+  return "?";
+}
+
+/// The four kinds of registry series (docs/METRICS.md, column Type).
+enum class Kind : std::uint8_t { Counter, Gauge, Histogram, Quantile };
+
+}  // namespace stf::obs
 
 namespace stf::obs::names {
 
@@ -84,9 +113,7 @@ inline constexpr const char* kKernelConvCalls = "ml.kernels.conv_calls";
 inline constexpr const char* kPlannerPlans = "ml.planner.plans";
 inline constexpr const char* kPlannerPeakBytes = "ml.planner.peak_bytes";
 inline constexpr const char* kPlannerSavedBytes = "ml.planner.saved_bytes";
-// int8 execution path (docs/QUANTIZATION.md): registered lazily by the
-// quantized kernels/interpreter only, so float-only runs keep their
-// registry exports byte-identical.
+// int8 execution path (docs/QUANTIZATION.md).
 inline constexpr const char* kQuantGemmCalls = "ml.quant.int8_gemm_calls";
 inline constexpr const char* kQuantConvCalls = "ml.quant.int8_conv_calls";
 inline constexpr const char* kQuantInt8Macs = "ml.quant.int8_macs";
@@ -95,9 +122,7 @@ inline constexpr const char* kQuantRequantizedElements =
 inline constexpr const char* kQuantInt8Invokes = "ml.quant.int8_invokes";
 inline constexpr const char* kQuantCalibrationRuns =
     "ml.quant.calibration_runs";
-// Slalom GPU offload (docs/GPU_OFFLOAD.md): registered lazily by the offload
-// engine only, so offload-off runs keep their registry exports
-// byte-identical.
+// Slalom GPU offload (docs/GPU_OFFLOAD.md).
 inline constexpr const char* kSlalomOffloadedOps = "ml.slalom.offloaded_ops";
 inline constexpr const char* kSlalomVerifications = "ml.slalom.verifications";
 inline constexpr const char* kSlalomFallbacks = "ml.slalom.fallbacks";
@@ -117,9 +142,7 @@ inline constexpr const char* kServingDispatches = "core.serving.dispatches";
 inline constexpr const char* kServingDispatchFailures =
     "core.serving.dispatch_failures";
 inline constexpr const char* kServingEjections = "core.serving.ejections";
-// Request-plane traffic (docs/SERVING.md): registered lazily by the
-// serve_trace path only, so benches that never run traffic keep their
-// registry exports byte-identical.
+// Request-plane traffic (docs/SERVING.md).
 inline constexpr const char* kServingRequestsOffered =
     "core.serving.requests_offered";
 inline constexpr const char* kServingRequestsCompleted =
@@ -133,8 +156,7 @@ inline constexpr const char* kServingQueueWaitQuantileNs =
     "core.serving.queue_wait_quantile_ns";
 inline constexpr const char* kServingE2eQuantileNs =
     "core.serving.e2e_latency_quantile_ns";
-// Request-plane failover policy (docs/SERVING.md): registered with the
-// traffic series above on the first serve_trace; zero without faults,
+// Request-plane failover policy (docs/SERVING.md): zero without faults,
 // retries or hedging.
 inline constexpr const char* kServingFailoverDetections =
     "core.serving.failover.crash_detections";
@@ -150,9 +172,7 @@ inline constexpr const char* kServingFailoverHedgeWins =
     "core.serving.failover.hedge_wins";
 inline constexpr const char* kServingFailoverReadmissions =
     "core.serving.failover.readmissions";
-// SLO monitor over timeline windows (docs/TRACING.md): registered lazily by
-// evaluate_slo only, so runs without the monitor keep their registry
-// exports byte-identical.
+// SLO monitor over timeline windows (docs/TRACING.md).
 inline constexpr const char* kSloAlerts = "core.serving.slo.alerts";
 inline constexpr const char* kSloBreachedWindows =
     "core.serving.slo.breached_windows";
@@ -172,11 +192,124 @@ inline constexpr const char* kTrainRoundQuantileNs =
     "distributed.round_quantile_ns";
 
 // --- obs: the observability plane watching itself ------------------------
-// Registered lazily on the first ring overwrite / first timeline event, so
-// overwrite-free and timeline-off runs keep registry exports byte-identical.
 inline constexpr const char* kTraceDropped = "obs.trace.dropped";
 inline constexpr const char* kTimelineEvents = "obs.timeline.events";
 inline constexpr const char* kTimelineWindows = "obs.timeline.windows";
+
+// --- the registry series: each metric constant above, once ---------------
+// Registry::global() registers every row when it is created; its kind and
+// unit are the series' Type and Unit in docs/METRICS.md. Every histogram
+// uses obs::latency_edges_ns().
+struct Series {
+  const char* name;
+  Kind kind;
+  Unit unit;
+};
+
+inline constexpr Series kSeries[] = {
+    {kEpcFaults, Kind::Counter, Unit::Count},
+    {kEpcLoads, Kind::Counter, Unit::Count},
+    {kEpcEvictions, Kind::Counter, Unit::Count},
+    {kEpcAccesses, Kind::Counter, Unit::Count},
+    {kEpcBytesAccessed, Kind::Counter, Unit::Bytes},
+    {kEpcResidentPages, Kind::Gauge, Unit::Pages},
+    {kEpcMappedBytes, Kind::Gauge, Unit::Bytes},
+    {kEpcPrefetches, Kind::Counter, Unit::Count},
+    {kEpcPrefetchedPages, Kind::Counter, Unit::Pages},
+    {kEpcAdvisedEvictions, Kind::Counter, Unit::Pages},
+    {kEnclaveLaunches, Kind::Counter, Unit::Count},
+    {kEnclaveTransitions, Kind::Counter, Unit::Count},
+    {kEnclaveSyscalls, Kind::Counter, Unit::Count},
+    {kEnclaveSyscallBytes, Kind::Counter, Unit::Bytes},
+    {kSchedContextSwitches, Kind::Counter, Unit::Count},
+    {kSchedSyscalls, Kind::Counter, Unit::Count},
+    {kSchedTransitions, Kind::Counter, Unit::Count},
+    {kSchedIdleNs, Kind::Counter, Unit::Nanoseconds},
+    {kFsShieldWrites, Kind::Counter, Unit::Count},
+    {kFsShieldReads, Kind::Counter, Unit::Count},
+    {kFsShieldBytesSealed, Kind::Counter, Unit::Bytes},
+    {kFsShieldBytesOpened, Kind::Counter, Unit::Bytes},
+    {kFsShieldIntegrityFailures, Kind::Counter, Unit::Count},
+    {kChannelRecordsSent, Kind::Counter, Unit::Count},
+    {kChannelRecordsReceived, Kind::Counter, Unit::Count},
+    {kChannelBytesSent, Kind::Counter, Unit::Bytes},
+    {kChannelReplaysRejected, Kind::Counter, Unit::Count},
+    {kRpcRetransmits, Kind::Counter, Unit::Count},
+    {kRpcDuplicatesDropped, Kind::Counter, Unit::Count},
+    {kRpcDelivered, Kind::Counter, Unit::Count},
+    {kRpcAcked, Kind::Counter, Unit::Count},
+    {kRpcDeliveryNs, Kind::Histogram, Unit::Nanoseconds},
+    {kNetMessagesDelivered, Kind::Counter, Unit::Count},
+    {kNetBytesSent, Kind::Counter, Unit::Bytes},
+    {kNetConnectionsOpened, Kind::Counter, Unit::Count},
+    {kFaultsMessagesSeen, Kind::Counter, Unit::Count},
+    {kFaultsDropped, Kind::Counter, Unit::Count},
+    {kFaultsDuplicated, Kind::Counter, Unit::Count},
+    {kFaultsDelayed, Kind::Counter, Unit::Count},
+    {kFaultsCrashDropped, Kind::Counter, Unit::Count},
+    {kFaultsIoFailures, Kind::Counter, Unit::Count},
+    {kSessionRuns, Kind::Counter, Unit::Count},
+    {kSessionTrainSteps, Kind::Counter, Unit::Count},
+    {kSessionFlops, Kind::Counter, Unit::Flops},
+    {kKernelGemmCalls, Kind::Counter, Unit::Count},
+    {kKernelConvCalls, Kind::Counter, Unit::Count},
+    {kPlannerPlans, Kind::Counter, Unit::Count},
+    {kPlannerPeakBytes, Kind::Gauge, Unit::Bytes},
+    {kPlannerSavedBytes, Kind::Gauge, Unit::Bytes},
+    {kQuantGemmCalls, Kind::Counter, Unit::Count},
+    {kQuantConvCalls, Kind::Counter, Unit::Count},
+    {kQuantInt8Macs, Kind::Counter, Unit::Count},
+    {kQuantRequantizedElements, Kind::Counter, Unit::Count},
+    {kQuantInt8Invokes, Kind::Counter, Unit::Count},
+    {kQuantCalibrationRuns, Kind::Counter, Unit::Count},
+    {kSlalomOffloadedOps, Kind::Counter, Unit::Count},
+    {kSlalomVerifications, Kind::Counter, Unit::Count},
+    {kSlalomFallbacks, Kind::Counter, Unit::Count},
+    {kSlalomGpuFlops, Kind::Counter, Unit::Count},
+    {kSlalomPcieBytes, Kind::Counter, Unit::Bytes},
+    {kInferenceRequests, Kind::Counter, Unit::Count},
+    {kInferenceRequestNs, Kind::Histogram, Unit::Nanoseconds},
+    {kInferenceRequestQuantileNs, Kind::Quantile, Unit::Nanoseconds},
+    {kInferenceBatches, Kind::Counter, Unit::Count},
+    {kServingRequestQuantileNs, Kind::Quantile, Unit::Nanoseconds},
+    {kServingDispatches, Kind::Counter, Unit::Count},
+    {kServingDispatchFailures, Kind::Counter, Unit::Count},
+    {kServingEjections, Kind::Counter, Unit::Count},
+    {kServingRequestsOffered, Kind::Counter, Unit::Count},
+    {kServingRequestsCompleted, Kind::Counter, Unit::Count},
+    {kServingShedQueueFull, Kind::Counter, Unit::Count},
+    {kServingShedExpired, Kind::Counter, Unit::Count},
+    {kServingSloMisses, Kind::Counter, Unit::Count},
+    {kServingQueueWaitQuantileNs, Kind::Quantile, Unit::Nanoseconds},
+    {kServingE2eQuantileNs, Kind::Quantile, Unit::Nanoseconds},
+    {kServingFailoverDetections, Kind::Counter, Unit::Count},
+    {kServingFailoverResteered, Kind::Counter, Unit::Count},
+    {kServingFailoverRetries, Kind::Counter, Unit::Count},
+    {kServingFailoverFailedRequests, Kind::Counter, Unit::Count},
+    {kServingFailoverHedges, Kind::Counter, Unit::Count},
+    {kServingFailoverHedgeWins, Kind::Counter, Unit::Count},
+    {kServingFailoverReadmissions, Kind::Counter, Unit::Count},
+    {kSloAlerts, Kind::Counter, Unit::Count},
+    {kSloBreachedWindows, Kind::Counter, Unit::Count},
+    {kTrainRounds, Kind::Counter, Unit::Count},
+    {kTrainDegradedRounds, Kind::Counter, Unit::Count},
+    {kTrainLostGradients, Kind::Counter, Unit::Count},
+    {kTrainWorkerCrashes, Kind::Counter, Unit::Count},
+    {kTrainSamplesProcessed, Kind::Counter, Unit::Count},
+    {kTrainRoundNs, Kind::Histogram, Unit::Nanoseconds},
+    {kTrainRoundQuantileNs, Kind::Quantile, Unit::Nanoseconds},
+    {kTraceDropped, Kind::Counter, Unit::Count},
+    {kTimelineEvents, Kind::Counter, Unit::Count},
+    {kTimelineWindows, Kind::Counter, Unit::Count},
+};
+
+/// Whether kSeries lists `name` as a series of `kind`.
+constexpr bool declares(std::string_view name, Kind kind) {
+  for (const Series& s : kSeries) {
+    if (s.name == name && s.kind == kind) return true;
+  }
+  return false;
+}
 
 // --- spans (virtual-time intervals in the tracer ring) -------------------
 inline constexpr const char* kSpanEnclaveTransition = "tee.enclave.transition";

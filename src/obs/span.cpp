@@ -82,15 +82,7 @@ void SpanTracer::record_flow(std::uint32_t name_id, std::uint64_t flow_id,
 
 void SpanTracer::count_drop_locked() {
   ++dropped_;
-  // Lazily registered so drop-free runs keep registry exports byte-identical
-  // (the same pattern the serving-plane counters use). The handle survives
-  // Registry::reset(), so it is looked up exactly once.
-  if (dropped_counter_ == nullptr) {
-    dropped_counter_ = &Registry::global().counter(
-        names::kTraceDropped,
-        "span/flow records lost to tracer ring overwrites", Unit::Count);
-  }
-  dropped_counter_->add(1);
+  counter<names::kTraceDropped>().add(1);
 }
 
 std::uint64_t SpanTracer::dropped() const {
@@ -143,8 +135,6 @@ void SpanTracer::reset() {
   depth_ = 0;
   next_span_id_.store(0, std::memory_order_relaxed);
   summaries_.clear();
-  // dropped_counter_ survives: registry handles stay valid forever and the
-  // registry's own reset() zeroes the counter's value.
   // names_/ids_ survive: instrumentation sites cache intern ids in statics.
 }
 

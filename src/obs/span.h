@@ -180,9 +180,7 @@ class SpanTracer {
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Records lost to ring overwrites (spans and flow events combined).
-  /// Surfaced in the registry as the `obs.trace.dropped` counter, which is
-  /// registered lazily on the first overwrite so drop-free runs keep their
-  /// registry exports byte-identical.
+  /// Surfaced in the registry as the `obs.trace.dropped` counter.
   [[nodiscard]] std::uint64_t dropped() const;
   /// Oldest-to-newest copy of the ring.
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
@@ -200,8 +198,8 @@ class SpanTracer {
   static SpanTracer& global();
 
  private:
-  /// Bumps dropped_ and mirrors it into the lazily registered
-  /// `obs.trace.dropped` counter. Caller holds mutex_.
+  /// Bumps dropped_ and mirrors it into the `obs.trace.dropped` counter.
+  /// Caller holds mutex_.
   void count_drop_locked();
 
   const std::size_t capacity_;
@@ -213,11 +211,18 @@ class SpanTracer {
   std::vector<FlowRecord> flow_ring_;
   std::size_t flow_next_ = 0;
   std::uint64_t dropped_ = 0;
-  class Counter* dropped_counter_ = nullptr;  ///< lazily registered mirror
   std::uint32_t depth_ = 0;
   std::atomic<std::uint64_t> next_span_id_{0};
   std::map<std::uint32_t, SpanSummary> summaries_;
 };
+
+/// The global tracer's id for span or flow name `Name` (a names::k*
+/// constant), interned once per name.
+template <const char* const& Name>
+std::uint32_t span_id() {
+  static const std::uint32_t id = SpanTracer::global().intern(Name);
+  return id;
+}
 
 /// RAII span over a SimClock: reads the clock at construction and
 /// destruction, records on destruction. The clock must outlive the scope.

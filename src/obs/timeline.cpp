@@ -5,18 +5,10 @@
 namespace stf::obs {
 
 Timeline::Cell& Timeline::cell_locked(std::uint64_t ts_ns) {
-  if (events_counter_ == nullptr) {
-    events_counter_ = &Registry::global().counter(
-        names::kTimelineEvents, "events folded into timeline windows",
-        Unit::Count);
-    windows_counter_ = &Registry::global().counter(
-        names::kTimelineWindows, "distinct timeline windows populated",
-        Unit::Count);
-  }
-  events_counter_->add(1);
+  counter<names::kTimelineEvents>().add(1);
   const std::uint64_t index = ts_ns / window_ns_;
   auto [it, inserted] = cells_.try_emplace(index);
-  if (inserted) windows_counter_->add(1);
+  if (inserted) counter<names::kTimelineWindows>().add(1);
   return it->second;
 }
 
@@ -127,7 +119,6 @@ std::string Timeline::export_json() const {
 void Timeline::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   cells_.clear();
-  // events/windows counter handles survive (Registry::reset zeroes values).
 }
 
 Timeline& Timeline::global() {

@@ -12,9 +12,9 @@
 // Determinism contract (same as the registry): recording never touches a
 // SimClock or DRBG, windows live in a std::map keyed by index so iteration
 // is ordered, all exported values are integers, and collection is off by
-// default — a disabled timeline records nothing and registers no metrics,
-// keeping every pre-existing export byte-identical. The `obs.timeline.*`
-// counters are registered lazily on first use.
+// default — a disabled timeline records nothing, keeping every
+// pre-existing export byte-identical. Enabled, it also counts its events
+// and windows into the `obs.timeline.*` counters.
 #pragma once
 
 #include <atomic>
@@ -109,16 +109,14 @@ class Timeline {
     std::unique_ptr<QuantileSeries> latency;  ///< allocated on first sample
   };
 
-  /// Returns the cell for ts, creating it (and lazily registering the
-  /// obs.timeline.* counters) on first touch. Caller holds mutex_.
+  /// Returns the cell for ts, creating it on first touch, and counts the
+  /// event into obs.timeline.*. Caller holds mutex_.
   Cell& cell_locked(std::uint64_t ts_ns);
 
   const std::uint64_t window_ns_;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mutex_;
   std::map<std::uint64_t, Cell> cells_;
-  Counter* events_counter_ = nullptr;
-  Counter* windows_counter_ = nullptr;
 };
 
 }  // namespace stf::obs

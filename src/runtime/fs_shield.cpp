@@ -11,31 +11,6 @@
 namespace stf::runtime {
 namespace {
 
-struct ShieldObs {
-  obs::Counter& writes = obs::Registry::global().counter(
-      obs::names::kFsShieldWrites, "shielded file writes");
-  obs::Counter& reads = obs::Registry::global().counter(
-      obs::names::kFsShieldReads, "shielded file reads");
-  obs::Counter& bytes_sealed = obs::Registry::global().counter(
-      obs::names::kFsShieldBytesSealed, "plaintext bytes sealed/MACed",
-      obs::Unit::Bytes);
-  obs::Counter& bytes_opened = obs::Registry::global().counter(
-      obs::names::kFsShieldBytesOpened, "plaintext bytes opened/verified",
-      obs::Unit::Bytes);
-  obs::Counter& integrity_failures = obs::Registry::global().counter(
-      obs::names::kFsShieldIntegrityFailures,
-      "reads rejected for tamper/rollback/size mismatch");
-  std::uint32_t seal_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanFsShieldSeal);
-  std::uint32_t unseal_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanFsShieldUnseal);
-};
-
-ShieldObs& shield_obs() {
-  static ShieldObs* o = new ShieldObs();
-  return *o;
-}
-
 crypto::Bytes chunk_aad(const std::string& path, std::uint64_t generation,
                         std::uint64_t chunk_index, std::uint64_t file_size) {
   crypto::Bytes aad = crypto::to_bytes(path);
@@ -102,11 +77,11 @@ void FsShield::write(const std::string& path, crypto::BytesView data) {
       return;
     case ShieldPolicy::Authenticate:
     case ShieldPolicy::Encrypt: {
-      shield_obs().writes.add();
-      shield_obs().bytes_sealed.add(data.size());
+      obs::counter<obs::names::kFsShieldWrites>().add();
+      obs::counter<obs::names::kFsShieldBytesSealed>().add(data.size());
       obs::ScopedCategory attribution(obs::Category::kFsShield);
       obs::ScopedSpan span(obs::SpanTracer::global(), clock_,
-                           shield_obs().seal_span);
+                           obs::span_id<obs::names::kSpanFsShieldSeal>());
       if (policy == ShieldPolicy::Authenticate) {
         write_authenticated(path, data, generation);
       } else {
@@ -198,13 +173,14 @@ crypto::Bytes FsShield::read(const std::string& path) {
       return *raw;
     case ShieldPolicy::Authenticate:
     case ShieldPolicy::Encrypt: {
-      shield_obs().reads.add();
+      obs::counter<obs::names::kFsShieldReads>().add();
       try {
         crypto::Bytes plaintext;
         {
           obs::ScopedCategory attribution(obs::Category::kFsShield);
-          obs::ScopedSpan span(obs::SpanTracer::global(), clock_,
-                               shield_obs().unseal_span);
+          obs::ScopedSpan span(
+              obs::SpanTracer::global(), clock_,
+              obs::span_id<obs::names::kSpanFsShieldUnseal>());
           if (meta_it == meta_.end()) {
             throw SecurityError("fs shield: no freshness record for " + path);
           }
@@ -212,10 +188,11 @@ crypto::Bytes FsShield::read(const std::string& path) {
                           ? read_authenticated(path, *raw, meta_it->second)
                           : read_encrypted(path, *raw, meta_it->second);
         }
-        shield_obs().bytes_opened.add(plaintext.size());
+        obs::counter<obs::names::kFsShieldBytesOpened>().add(
+            plaintext.size());
         return plaintext;
       } catch (const SecurityError&) {
-        shield_obs().integrity_failures.add();
+        obs::counter<obs::names::kFsShieldIntegrityFailures>().add();
         throw;
       }
     }

@@ -12,26 +12,6 @@ namespace stf::runtime {
 
 namespace {
 
-struct RpcObs {
-  obs::Counter& retransmits = obs::Registry::global().counter(
-      obs::names::kRpcRetransmits, "frames retransmitted after timeout");
-  obs::Counter& duplicates_dropped = obs::Registry::global().counter(
-      obs::names::kRpcDuplicatesDropped, "re-delivered frames suppressed");
-  obs::Counter& delivered = obs::Registry::global().counter(
-      obs::names::kRpcDelivered, "messages delivered exactly once");
-  obs::Counter& acked = obs::Registry::global().counter(
-      obs::names::kRpcAcked, "outstanding messages settled by an ack");
-  obs::Histogram& delivery_ns = obs::Registry::global().histogram(
-      obs::names::kRpcDeliveryNs, obs::latency_edges_ns(),
-      "end-to-end deliver() latency including retries");
-  std::uint32_t retry_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanRpcRetry);
-};
-
-RpcObs& rpc_obs() {
-  static RpcObs* o = new RpcObs();
-  return *o;
-}
 constexpr std::uint8_t kFrameData = 0;
 constexpr std::uint8_t kFrameAck = 1;
 constexpr std::size_t kFrameHeader = 1 + 8;  // type + message id
@@ -111,7 +91,7 @@ std::optional<crypto::Bytes> ResilientChannel::poll() {
       if (outstanding_.has_value() && outstanding_->id == id) {
         outstanding_.reset();
         ++acked_;
-        rpc_obs().acked.add();
+        obs::counter<obs::names::kRpcAcked>().add();
       }
       // Stale acks (for an id we already settled) are harmless.
       continue;
@@ -124,14 +104,14 @@ std::optional<crypto::Bytes> ResilientChannel::poll() {
       // lost. Re-ack so the sender can settle; do NOT deliver again —
       // message ids make retries idempotent.
       ++duplicates_dropped_;
-      rpc_obs().duplicates_dropped.add();
+      obs::counter<obs::names::kRpcDuplicatesDropped>().add();
       send_ack(id);
       continue;
     }
     last_delivered_id_ = id;
     send_ack(id);
     ++delivered_;
-    rpc_obs().delivered.add();
+    obs::counter<obs::names::kRpcDelivered>().add();
     return crypto::Bytes(raw->begin() + kFrameHeader, raw->end());
   }
 }
@@ -156,11 +136,11 @@ bool ResilientChannel::backoff_and_retransmit() {
   backoff_history_.push_back(waited);
   channel_.send(outstanding_->frame);
   ++retransmits_;
-  rpc_obs().retransmits.add();
+  obs::counter<obs::names::kRpcRetransmits>().add();
   ++outstanding_->attempt;
   arm_deadline();
-  obs::SpanTracer::global().record(rpc_obs().retry_span, retry_start,
-                                   clock_->now_ns());
+  obs::SpanTracer::global().record(obs::span_id<obs::names::kSpanRpcRetry>(),
+                                   retry_start, clock_->now_ns());
   return true;
 }
 
@@ -183,7 +163,8 @@ crypto::Bytes ResilientChannel::deliver(ResilientChannel& from,
         // cannot happen under stop-and-wait; defensive.
         throw TransientError("resilient channel: acked without delivery");
       }
-      rpc_obs().delivery_ns.observe(from.clock_->now_ns() - deliver_start);
+      obs::histogram<obs::names::kRpcDeliveryNs>().observe(
+          from.clock_->now_ns() - deliver_start);
       return std::move(*got);
     }
     if (!from.backoff_and_retransmit()) {

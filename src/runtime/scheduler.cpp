@@ -9,30 +9,6 @@
 #include "tee/platform.h"
 
 namespace stf::runtime {
-namespace {
-
-struct SchedObs {
-  obs::Counter& context_switches = obs::Registry::global().counter(
-      obs::names::kSchedContextSwitches, "user-level thread switches");
-  obs::Counter& syscalls = obs::Registry::global().counter(
-      obs::names::kSchedSyscalls, "syscall steps executed by the scheduler");
-  obs::Counter& transitions = obs::Registry::global().counter(
-      obs::names::kSchedTransitions, "synchronous enclave exits taken");
-  obs::Counter& idle_ns = obs::Registry::global().counter(
-      obs::names::kSchedIdleNs, "virtual time all tasks were blocked",
-      obs::Unit::Nanoseconds);
-  std::uint32_t syscall_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanSchedSyscall);
-  std::uint32_t idle_span =
-      obs::SpanTracer::global().intern(obs::names::kSpanSchedIdle);
-};
-
-SchedObs& sched_obs() {
-  static SchedObs* o = new SchedObs();
-  return *o;
-}
-
-}  // namespace
 
 UserScheduler::UserScheduler(tee::Enclave& enclave, bool async_syscalls)
     : enclave_(enclave), async_syscalls_(async_syscalls) {}
@@ -71,20 +47,21 @@ std::uint64_t UserScheduler::run() {
       // skip_empty: this poll runs every loop iteration, but only the
       // passes that actually wait deserve a ring slot.
       obs::ScopedSpan idle_span(obs::SpanTracer::global(), clock,
-                                sched_obs().idle_span, /*skip_empty=*/true);
+                                obs::span_id<obs::names::kSpanSchedIdle>(),
+                                /*skip_empty=*/true);
       std::uint64_t wake = std::numeric_limits<std::uint64_t>::max();
       for (const TaskState& t : tasks_) {
         if (!t.done) wake = std::min(wake, t.ready_at_ns);
       }
       stats_.idle_ns += wake - clock.now_ns();
-      sched_obs().idle_ns.add(wake - clock.now_ns());
+      obs::counter<obs::names::kSchedIdleNs>().add(wake - clock.now_ns());
       clock.advance_to(wake);
       continue;
     }
 
     if (last_run != picked_index && last_run != -1) {
       ++stats_.context_switches;
-      sched_obs().context_switches.add();
+      obs::counter<obs::names::kSchedContextSwitches>().add();
       enclave_.charge_uthread_switch();
     }
     last_run = picked_index;
@@ -97,7 +74,7 @@ std::uint64_t UserScheduler::run() {
         enclave_.compute(c->flops);
       } else if (const auto* s = std::get_if<SyscallStep>(&step)) {
         ++stats_.syscalls;
-        sched_obs().syscalls.add();
+        obs::counter<obs::names::kSchedSyscalls>().add();
         const std::uint64_t call_start = clock.now_ns();
         {
           obs::ScopedCategory attribution(obs::Category::kSyscall);
@@ -112,14 +89,15 @@ std::uint64_t UserScheduler::run() {
           // The round trip ends when the kernel part completes, even though
           // this lane has moved on (exit-less call: span covers the request's
           // life, not enclave occupancy).
-          obs::SpanTracer::global().record(sched_obs().syscall_span,
-                                           call_start, picked->ready_at_ns);
+          obs::SpanTracer::global().record(
+              obs::span_id<obs::names::kSpanSchedSyscall>(), call_start,
+              picked->ready_at_ns);
         } else {
           // Synchronous exit: the whole call serializes on this thread.
           // The EENTER/EEXIT pair is transition time; the kernel part is
           // syscall time (same split as Enclave::syscall).
           ++stats_.transitions;
-          sched_obs().transitions.add();
+          obs::counter<obs::names::kSchedTransitions>().add();
           {
             obs::ScopedCategory attribution(obs::Category::kTransition);
             clock.advance(model.transition_ns);
@@ -128,8 +106,9 @@ std::uint64_t UserScheduler::run() {
             obs::ScopedCategory attribution(obs::Category::kSyscall);
             clock.advance(model.syscall_kernel_ns);
           }
-          obs::SpanTracer::global().record(sched_obs().syscall_span,
-                                           call_start, clock.now_ns());
+          obs::SpanTracer::global().record(
+              obs::span_id<obs::names::kSpanSchedSyscall>(), call_start,
+              clock.now_ns());
         }
       } else {
         keep_running = false;  // YieldStep

@@ -9,24 +9,6 @@ namespace stf::runtime {
 
 namespace {
 constexpr std::size_t kHelloSize = crypto::X25519::kKeySize + 16;
-
-struct ChannelObs {
-  obs::Counter& records_sent = obs::Registry::global().counter(
-      obs::names::kChannelRecordsSent, "AEAD records sealed and sent");
-  obs::Counter& records_received = obs::Registry::global().counter(
-      obs::names::kChannelRecordsReceived, "AEAD records verified and opened");
-  obs::Counter& bytes_sent = obs::Registry::global().counter(
-      obs::names::kChannelBytesSent, "plaintext bytes sent over channels",
-      obs::Unit::Bytes);
-  obs::Counter& replays_rejected = obs::Registry::global().counter(
-      obs::names::kChannelReplaysRejected,
-      "records discarded at or below the receive high-water mark");
-};
-
-ChannelObs& channel_obs() {
-  static ChannelObs* o = new ChannelObs();
-  return *o;
-}
 }  // namespace
 
 ChannelHandshake::ChannelHandshake(Role role, crypto::HmacDrbg& rng)
@@ -148,8 +130,8 @@ void SecureChannel::send(crypto::BytesView plaintext) {
   crypto::append(record, sealed);
   conn_.send(record);
   ++send_seq_;
-  channel_obs().records_sent.add();
-  channel_obs().bytes_sent.add(plaintext.size());
+  obs::counter<obs::names::kChannelRecordsSent>().add();
+  obs::counter<obs::names::kChannelBytesSent>().add(plaintext.size());
 }
 
 std::optional<crypto::Bytes> SecureChannel::recv() {
@@ -174,7 +156,7 @@ std::optional<crypto::Bytes> SecureChannel::recv() {
         // (DTLS-style silent discard — aborting would let loss-induced
         // duplicates kill the channel).
         ++replays_rejected_;
-        channel_obs().replays_rejected.add();
+        obs::counter<obs::names::kChannelReplaysRejected>().add();
         continue;
       }
     } else if (seq != recv_seq_) {
@@ -195,7 +177,7 @@ std::optional<crypto::Bytes> SecureChannel::recv() {
       clock_->advance(model_->netshield_ns(opened->size()));
     }
     recv_seq_ = seq + 1;
-    channel_obs().records_received.add();
+    obs::counter<obs::names::kChannelRecordsReceived>().add();
     return opened;
   }
 }

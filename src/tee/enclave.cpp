@@ -8,37 +8,6 @@
 #include "tee/platform.h"
 
 namespace stf::tee {
-namespace {
-
-// Process-wide series shared by all enclaves; resolved once per site.
-obs::Counter& launches_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kEnclaveLaunches, "enclaves created (ECREATE)");
-  return c;
-}
-obs::Counter& transitions_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kEnclaveTransitions, "EENTER/EEXIT transition pairs");
-  return c;
-}
-obs::Counter& syscalls_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kEnclaveSyscalls, "syscalls issued from inside enclaves");
-  return c;
-}
-obs::Counter& syscall_bytes_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      obs::names::kEnclaveSyscallBytes,
-      "bytes copied across the boundary by syscalls", obs::Unit::Bytes);
-  return c;
-}
-std::uint32_t transition_span_id() {
-  static std::uint32_t id =
-      obs::SpanTracer::global().intern(obs::names::kSpanEnclaveTransition);
-  return id;
-}
-
-}  // namespace
 
 Measurement EnclaveImage::measure() const {
   // The instance name is deployment metadata, not part of the measured
@@ -62,7 +31,7 @@ Enclave::Enclave(Platform& platform, EnclaveImage image)
   binary_region_ =
       platform_.epc().map_region(image_.name + "/binary", image_.binary_bytes);
   platform_.epc().access_all(binary_region_, /*write=*/true, platform_.clock());
-  launches_counter().add();
+  obs::counter<obs::names::kEnclaveLaunches>().add();
 }
 
 Enclave::~Enclave() { platform_.epc().unmap_region(binary_region_); }
@@ -168,15 +137,16 @@ void Enclave::charge_transition() {
   obs::ScopedCategory attribution(obs::Category::kTransition);
   const std::uint64_t start = platform_.clock().now_ns();
   platform_.clock().advance(platform_.model().transition_ns);
-  transitions_counter().add();
-  obs::SpanTracer::global().record(transition_span_id(), start,
-                                   platform_.clock().now_ns());
+  obs::counter<obs::names::kEnclaveTransitions>().add();
+  obs::SpanTracer::global().record(
+      obs::span_id<obs::names::kSpanEnclaveTransition>(), start,
+      platform_.clock().now_ns());
 }
 
 void Enclave::syscall(std::uint64_t bytes_copied, bool asynchronous) {
   ++syscall_count_;
-  syscalls_counter().add();
-  syscall_bytes_counter().add(bytes_copied);
+  obs::counter<obs::names::kEnclaveSyscalls>().add();
+  obs::counter<obs::names::kEnclaveSyscallBytes>().add(bytes_copied);
   const CostModel& m = platform_.model();
   SimClock& clock = platform_.clock();
   if (asynchronous) {

@@ -11,36 +11,7 @@ namespace stf::tee {
 EpcManager::EpcManager(const CostModel& model, bool limited)
     : model_(model),
       limited_(limited),
-      capacity_pages_(model.epc_pages()),
-      obs_faults_(obs::Registry::global().counter(
-          obs::names::kEpcFaults, "EPC page faults (absent on access)")),
-      obs_loads_(obs::Registry::global().counter(
-          obs::names::kEpcLoads, "pages brought into EPC (ELDU)")),
-      obs_evictions_(obs::Registry::global().counter(
-          obs::names::kEpcEvictions, "pages pushed out of EPC (EWB)")),
-      obs_accesses_(obs::Registry::global().counter(obs::names::kEpcAccesses,
-                                                    "EPC access() calls")),
-      obs_bytes_accessed_(obs::Registry::global().counter(
-          obs::names::kEpcBytesAccessed, "bytes crossing the EPC boundary",
-          obs::Unit::Bytes)),
-      obs_prefetches_(obs::Registry::global().counter(
-          obs::names::kEpcPrefetches, "prefetch batches that loaded pages")),
-      obs_prefetched_pages_(obs::Registry::global().counter(
-          obs::names::kEpcPrefetchedPages, "pages loaded ahead of use",
-          obs::Unit::Pages)),
-      obs_advised_evictions_(obs::Registry::global().counter(
-          obs::names::kEpcAdvisedEvictions,
-          "pages evicted off the critical path", obs::Unit::Pages)),
-      obs_resident_pages_(obs::Registry::global().gauge(
-          obs::names::kEpcResidentPages, "live resident EPC pages",
-          obs::Unit::Pages)),
-      obs_mapped_bytes_(obs::Registry::global().gauge(
-          obs::names::kEpcMappedBytes, "bytes of mapped enclave regions",
-          obs::Unit::Bytes)),
-      span_evict_id_(obs::SpanTracer::global().intern(obs::names::kSpanEpcEvict)),
-      span_load_id_(obs::SpanTracer::global().intern(obs::names::kSpanEpcLoad)),
-      span_prefetch_id_(
-          obs::SpanTracer::global().intern(obs::names::kSpanEpcPrefetch)) {
+      capacity_pages_(model.epc_pages()) {
   if (capacity_pages_ == 0) {
     throw std::invalid_argument("EpcManager: EPC must hold at least one page");
   }
@@ -62,7 +33,10 @@ RegionId EpcManager::map_region(std::string label, std::uint64_t bytes) {
   region.bytes = bytes;
   region.pages.resize(page_count);
   mapped_bytes_ += bytes;
-  obs_mapped_bytes_.add(static_cast<std::int64_t>(bytes));
+  // The tee.epc.* gauges carry level deltas, so concurrent managers
+  // aggregate instead of clobbering each other.
+  obs::gauge<obs::names::kEpcMappedBytes>().add(
+      static_cast<std::int64_t>(bytes));
   const RegionId id = next_id_++;
   regions_.emplace(id, std::move(region));
   return id;
@@ -105,10 +79,11 @@ void EpcManager::unmap_region(RegionId id) {
     page.resident = false;
   }
   stats_.resident_pages = resident_count_;
-  obs_resident_pages_.sub(
+  obs::gauge<obs::names::kEpcResidentPages>().sub(
       static_cast<std::int64_t>(resident_before - resident_count_));
   mapped_bytes_ -= it->second.bytes;
-  obs_mapped_bytes_.sub(static_cast<std::int64_t>(it->second.bytes));
+  obs::gauge<obs::names::kEpcMappedBytes>().sub(
+      static_cast<std::int64_t>(it->second.bytes));
   regions_.erase(it);
 }
 
@@ -127,7 +102,7 @@ void EpcManager::drop_resident(Region& region, std::uint32_t page_index) {
 
   --resident_count_;
   if (region.pinned) --pinned_resident_;
-  obs_resident_pages_.sub(1);
+  obs::gauge<obs::names::kEpcResidentPages>().sub(1);
 }
 
 void EpcManager::evict_one(SimClock& clock) {
@@ -145,17 +120,18 @@ void EpcManager::evict_one(SimClock& clock) {
   drop_resident(regions_.at(victim_region), victim_page);
 
   ++stats_.evictions;
-  obs_evictions_.add();
+  obs::counter<obs::names::kEpcEvictions>().add();
   const std::uint64_t start = clock.now_ns();
   clock.advance(model_.page_evict_ns);
-  obs::SpanTracer::global().record(span_evict_id_, start, clock.now_ns());
+  obs::SpanTracer::global().record(obs::span_id<obs::names::kSpanEpcEvict>(),
+                                   start, clock.now_ns());
   obs::Timeline::global().record_epc_eviction(start, 1);
 }
 
 void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
                           SimClock& clock) {
   ++stats_.faults;
-  obs_faults_.add();
+  obs::counter<obs::names::kEpcFaults>().add();
   clock.advance(model_.page_fault_ns);
   while (resident_count_ >= capacity_pages_) evict_one(clock);
   Page& page = region.pages[page_index];
@@ -166,8 +142,8 @@ void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
   ++resident_count_;
   if (region.pinned) ++pinned_resident_;
   ++stats_.loads;
-  obs_loads_.add();
-  obs_resident_pages_.add(1);
+  obs::counter<obs::names::kEpcLoads>().add();
+  obs::gauge<obs::names::kEpcResidentPages>().add(1);
   clock.advance(model_.page_load_ns);
   // The load span is recorded by the caller, coalesced over the whole
   // access()/prefetch() batch — one ring record per call, not per page.
@@ -184,8 +160,8 @@ void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
 
   ++stats_.accesses;
   stats_.bytes_accessed += len;
-  obs_accesses_.add();
-  obs_bytes_accessed_.add(len);
+  obs::counter<obs::names::kEpcAccesses>().add();
+  obs::counter<obs::names::kEpcBytesAccessed>().add(len);
 
   if (!limited_) return;  // SIM mode: runtime active, but no EPC boundary
 
@@ -215,7 +191,8 @@ void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
   if (stats_.loads != loads_before) {
     // One coalesced paging span for the whole access (covers every fault,
     // demand eviction, and load this call performed).
-    obs::SpanTracer::global().record(span_load_id_, span_start, clock.now_ns());
+    obs::SpanTracer::global().record(obs::span_id<obs::names::kSpanEpcLoad>(),
+                                     span_start, clock.now_ns());
     obs::Timeline::global().record_epc_load(
         span_start, static_cast<std::int64_t>(stats_.loads - loads_before));
   }
@@ -254,7 +231,7 @@ void EpcManager::prefetch(RegionId id, std::uint64_t offset, std::uint64_t len,
     ++region.resident;
     ++resident_count_;
     if (region.pinned) ++pinned_resident_;
-    obs_resident_pages_.add(1);
+    obs::gauge<obs::names::kEpcResidentPages>().add(1);
     // Overlapped ELDU: only the enqueue hop + decrypt tail hits the
     // critical path; no AEX, no demand fault.
     clock.advance(model_.page_prefetch_ns);
@@ -263,10 +240,11 @@ void EpcManager::prefetch(RegionId id, std::uint64_t offset, std::uint64_t len,
   if (loaded > 0) {
     ++stats_.prefetches;
     stats_.prefetched_pages += loaded;
-    obs_prefetches_.add();
-    obs_prefetched_pages_.add(loaded);
-    obs::SpanTracer::global().record(span_prefetch_id_, span_start,
-                                     clock.now_ns());
+    obs::counter<obs::names::kEpcPrefetches>().add();
+    obs::counter<obs::names::kEpcPrefetchedPages>().add(loaded);
+    obs::SpanTracer::global().record(
+        obs::span_id<obs::names::kSpanEpcPrefetch>(), span_start,
+        clock.now_ns());
   }
   stats_.resident_pages = resident_count_;
 }
@@ -289,7 +267,7 @@ void EpcManager::advise_evict(RegionId id, std::uint64_t offset,
     if (!region.pages[p].resident) continue;
     drop_resident(region, p);
     ++stats_.advised_evictions;
-    obs_advised_evictions_.add();
+    obs::counter<obs::names::kEpcAdvisedEvictions>().add();
     // Async enqueue only: the EWB runs off the critical path.
     clock.advance(model_.page_advise_evict_ns);
   }

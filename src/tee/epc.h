@@ -150,23 +150,6 @@ class EpcManager {
   std::vector<std::pair<RegionId, std::uint32_t>> resident_list_;
   std::uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
   EpcStats stats_;
-
-  // Global-plane handles, resolved once in the ctor (registry references
-  // stay valid forever). Gauges carry level deltas so concurrent managers
-  // aggregate instead of clobbering each other.
-  obs::Counter& obs_faults_;
-  obs::Counter& obs_loads_;
-  obs::Counter& obs_evictions_;
-  obs::Counter& obs_accesses_;
-  obs::Counter& obs_bytes_accessed_;
-  obs::Counter& obs_prefetches_;
-  obs::Counter& obs_prefetched_pages_;
-  obs::Counter& obs_advised_evictions_;
-  obs::Gauge& obs_resident_pages_;
-  obs::Gauge& obs_mapped_bytes_;
-  std::uint32_t span_evict_id_;
-  std::uint32_t span_load_id_;
-  std::uint32_t span_prefetch_id_;
 };
 
 }  // namespace stf::tee

@@ -113,6 +113,20 @@ TEST(GpuOffloadTest, SessionOutputsBitIdenticalToEnclaveOnly) {
             offload.slalom_stats()->offloaded_ops);
 }
 
+TEST(GpuOffloadTest, SessionEmptyBatchMatchesOffloadOff) {
+  // An empty batch has no output rows to verify: offload on returns what
+  // offload off returns, for the conv spot check as for Freivalds.
+  for (const ml::Graph& g : {ml::mnist_convnet(9), ml::mnist_mlp(32, 5)}) {
+    const ml::Graph frozen = frozen_graph(g);
+    const ml::Tensor empty({0, 784});
+    const ml::Tensor plain =
+        ml::Session(frozen).run1("probs", {{"input", empty}});
+    EXPECT_EQ(plain.size(), 0);
+    EXPECT_EQ(offload_session(frozen).run1("probs", {{"input", empty}}),
+              plain);
+  }
+}
+
 TEST(GpuOffloadTest, SessionDetectsCorruptedMatmul) {
   const ml::Graph frozen = frozen_graph(ml::mnist_mlp(32, 5));
   ml::Session session = offload_session(frozen);
@@ -195,8 +209,8 @@ TEST(GpuOffloadTest, BatchedVerificationAmortizesAcrossTheBatch) {
 TEST(GpuOffloadTest, VerificationRunsOnTheBlockedKernels) {
   // The Freivalds products execute through kernels::gemm, so offloaded
   // serving shows up in the ml.kernels.* accounting like any enclave math.
-  auto& gemm_calls = obs::Registry::global().counter(
-      obs::names::kKernelGemmCalls, "blocked GEMM kernel invocations");
+  auto& gemm_calls =
+      obs::Registry::global().counter(obs::names::kKernelGemmCalls);
   const auto model = float_mlp();
   const auto sample = mnist_samples(1, 5)[0];
 

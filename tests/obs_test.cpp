@@ -42,7 +42,7 @@ namespace {
 
 TEST(ObsRegistry, CounterGetOrCreateReturnsSameInstance) {
   obs::Registry reg;
-  obs::Counter& a = reg.counter("t.c", "help");
+  obs::Counter& a = reg.counter("t.c");
   obs::Counter& b = reg.counter("t.c");
   EXPECT_EQ(&a, &b);
   a.add(3);
@@ -121,6 +121,47 @@ TEST(ObsHistogram, SharedLatencyEdgesSpanMicrosecondsToSeconds) {
   }
 }
 
+// --- the fixed schema of the global registry ------------------------------
+
+TEST(ObsSchema, GlobalRegistryListsTheTableAtStart) {
+  // ctest runs every test in its own process: this is the first export.
+  const std::string at_start = obs::export_json(obs::Registry::global());
+  // The same export of a fresh registry holding exactly names::kSeries.
+  obs::Registry table;
+  for (const obs::names::Series& s : obs::names::kSeries) {
+    switch (s.kind) {
+      case obs::Kind::Counter: table.counter(s.name, s.unit); break;
+      case obs::Kind::Gauge: table.gauge(s.name, s.unit); break;
+      case obs::Kind::Histogram:
+        table.histogram(s.name, obs::latency_edges_ns(), s.unit);
+        break;
+      case obs::Kind::Quantile: table.quantiles(s.name, s.unit); break;
+    }
+  }
+  EXPECT_EQ(std::size(obs::names::kSeries), 94u);
+  std::size_t listed = 0;
+  for (std::size_t at = 0;
+       (at = at_start.find("\"unit\": ", at)) != std::string::npos; ++at) {
+    ++listed;
+  }
+  EXPECT_EQ(listed, 94u);
+  EXPECT_EQ(at_start, obs::export_json(table))
+      << "every series of the table, with its kind and unit, all zero";
+}
+
+TEST(ObsSchema, GlobalRegistryRefusesUndeclaredSeries) {
+  obs::Registry& reg = obs::Registry::global();
+  EXPECT_THROW(reg.counter("t.undeclared"), std::logic_error);
+  EXPECT_THROW(reg.counter(obs::names::kSpanEpcLoad), std::logic_error)
+      << "span names are not registry series";
+  EXPECT_THROW(reg.gauge(obs::names::kEpcFaults), std::logic_error)
+      << "a declared counter requested as a gauge";
+  EXPECT_THROW(reg.quantiles(obs::names::kTrainRoundNs), std::logic_error)
+      << "a declared histogram requested as quantiles";
+  EXPECT_EQ(&reg.counter(obs::names::kEpcFaults),
+            &obs::counter<obs::names::kEpcFaults>());
+}
+
 // --- span tracer ----------------------------------------------------------
 
 TEST(ObsSpans, RingOverflowOverwritesOldestAndCountsDrops) {
@@ -186,9 +227,9 @@ TEST(ObsSpans, ResetClearsRecordsButKeepsInternedIds) {
 TEST(ObsExport, JsonIsStableAcrossIdenticalSequences) {
   auto run = [] {
     obs::Registry reg;
-    reg.counter("b.second", "h", obs::Unit::Bytes).add(2);
+    reg.counter("b.second", obs::Unit::Bytes).add(2);
     reg.counter("a.first").add(1);
-    reg.gauge("g.level", "", obs::Unit::Pages).set(-3);
+    reg.gauge("g.level", obs::Unit::Pages).set(-3);
     obs::Histogram& h = reg.histogram("h.lat_ns", {10, 100});
     h.observe(7);
     h.observe(1000);

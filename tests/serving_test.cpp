@@ -108,6 +108,22 @@ TEST(ServingFleetTest, ScaleOutNearLinear) {
 
 // ---- open-loop load generation -----------------------------------------
 
+TEST(ServingConfigTest, RejectsFleetsItCannotServe) {
+  // No node, or a node with no lane, has nowhere to run a request.
+  ml::Graph g = ml::mnist_mlp(16, 3);
+  ml::Session s(g);
+  const auto model =
+      ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input", "probs");
+  const ml::Tensor image = ml::synthetic_mnist(1, 3).sample(0);
+  ServingConfig cfg;
+  cfg.mode = tee::TeeMode::Native;
+  EXPECT_THROW(ServingFleet(model, cfg, 0).estimate_stream_seconds(image, 10),
+               std::invalid_argument);
+  cfg.threads = 0;
+  EXPECT_THROW(ServingNode(model, cfg, 0).estimate_stream_seconds(image, 10),
+               std::invalid_argument);
+}
+
 TEST(LoadGenTest, SeededTracesAreByteReproducible) {
   LoadGenConfig cfg;
   cfg.seed = 7;

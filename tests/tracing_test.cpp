@@ -335,24 +335,6 @@ TEST(Timeline, BucketsEventsIntoFixedWindows) {
   EXPECT_TRUE(tl.enabled()) << "reset keeps the collection gate";
 }
 
-TEST(Timeline, LazyCountersOnlyAppearOnFirstEvent) {
-  obs::Registry& reg = obs::Registry::global();
-  const std::string before = obs::export_json(reg, nullptr);
-  obs::Timeline tl(1000);
-  tl.set_enabled(true);
-  const bool already_registered =
-      before.find(obs::names::kTimelineEvents) != std::string::npos;
-  tl.record_offered(5);
-  tl.record_offered(1500);
-  const std::string after = obs::export_json(reg, nullptr);
-  EXPECT_NE(after.find(obs::names::kTimelineEvents), std::string::npos);
-  EXPECT_NE(after.find(obs::names::kTimelineWindows), std::string::npos);
-  if (!already_registered) {
-    EXPECT_EQ(before.find(obs::names::kTimelineEvents), std::string::npos)
-        << "timeline metrics must not exist before the first event";
-  }
-}
-
 TEST(Timeline, ExpiredShedLandsInItsDispatchWindow) {
   // A request whose deadline passes on the wire is shed when its batch
   // would launch, so the Timeline stamps the shed at that dispatch
@@ -464,9 +446,8 @@ TEST(SloMonitor, ExportIsOrderedAndIntegerOnly) {
 // --- dropped-record accounting -------------------------------------------
 
 TEST(TracerDropped, OverflowSurfacesInTheLazyCounter) {
-  obs::Counter& mirror = obs::Registry::global().counter(
-      obs::names::kTraceDropped,
-      "span/flow records lost to tracer ring overwrites");
+  obs::Counter& mirror =
+      obs::Registry::global().counter(obs::names::kTraceDropped);
   const std::uint64_t before = mirror.value();
   obs::SpanTracer tracer(/*capacity=*/2);
   const auto id = tracer.intern("t.drop");
