@@ -50,8 +50,8 @@ RpcPoint rpc_under_loss(double drop_prob) {
   faults::LinkFaultSpec spec;
   spec.drop_prob = drop_prob;
   plane.set_link_faults(na, nb, spec);
-  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, {}, 1);
-  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, {}, 2);
+  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, 1);
+  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, 2);
 
   const auto payload = crypto::to_bytes(std::string(4096, 'x'));
   const std::uint64_t start = clock_a.now_ns();

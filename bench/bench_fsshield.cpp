@@ -24,9 +24,6 @@ Sample measure(tee::TeeMode mode, const core::ModelSpec& spec,
   core::SecureTfConfig cfg;
   cfg.mode = mode;
   cfg.model.flops_per_second = kInterpreterFlops;
-  // Model files are huge: charge the shield's real per-chunk cost without
-  // burning host wall clock on software GHASH (see CryptoFidelity).
-  cfg.fs_shield.fidelity = runtime::CryptoFidelity::Modeled;
   cfg.fs_shield.hardware_enclave = (mode == tee::TeeMode::Hardware);
   if (!shield_on) {
     cfg.fs_shield.prefixes = {{"/", runtime::ShieldPolicy::Passthrough}};

@@ -110,7 +110,6 @@ Cell run_cell(const ml::lite::FlatModel& model, const core::LoadTrace& trace,
   }
   if (policy == Policy::RetryHedge) {
     core::HedgePolicy hedge;
-    hedge.enabled = true;
     hedge.hedge_delay_s = hedge_delay_s;
     fleet.configure_hedging(hedge);
   }

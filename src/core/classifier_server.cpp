@@ -98,7 +98,7 @@ void ClassifierServer::serve_connection(
 
   if (client_pump) client_pump();
 
-  // Serve until the client goes quiet.
+  // Serve until the client goes quiet or hangs up.
   for (;;) {
     std::optional<crypto::Bytes> request;
     try {
@@ -106,6 +106,8 @@ void ClassifierServer::serve_connection(
     } catch (const runtime::SecurityError&) {
       ++rejected_;
       return;  // tampered request: drop the connection
+    } catch (const runtime::ChannelDeadError&) {
+      return;  // the client closed after its last request
     }
     if (!request.has_value()) return;
 

@@ -34,7 +34,9 @@ class ClassifierServer {
                    std::int64_t expected_feature_dim);
 
   /// Accepts one client connection: channel handshake, then any number of
-  /// classification requests until the client stops sending.
+  /// classification requests until the client stops sending (goes quiet or
+  /// closes its end). A tampered request drops the connection and counts a
+  /// rejection.
   /// `client_pump` is invoked after the server hello goes out so the
   /// single-threaded simulation can run the client's next step.
   void serve_connection(net::Connection conn,

@@ -32,9 +32,6 @@ struct InferenceOptions {
   /// Convolution compute of the real architecture not performed by the
   /// dense stand-in; charged per inference through the cost model.
   double extra_gflops_per_inference = 0;
-  /// Full-TF containers keep every activation and re-touch the whole binary
-  /// image per run (interpreter + framework); Lite containers do not.
-  bool full_tensorflow = false;
   /// Graphene-style baseline: synchronous (exit-based) system calls and a
   /// costlier page-fault path through the library OS.
   bool sync_syscalls = false;
@@ -42,7 +39,9 @@ struct InferenceOptions {
   /// transition in sync mode and an async queue hop otherwise.
   std::uint64_t syscalls_per_inference = 180;
   /// Fraction of the binary image whose code/data is hot per inference
-  /// (instruction fetch + static tables keep those EPC pages live).
+  /// (instruction fetch + static tables keep those EPC pages live). The
+  /// full-TF path re-touches the whole image instead: its interpreter and
+  /// framework dispatch far more code per run.
   double hot_binary_fraction = 0.3;
   /// Full-TF only: framework heap (protobuf graph, grappler, Eigen arenas,
   /// Python interpreter state) and how many times an inference sweeps it.
@@ -64,7 +63,7 @@ struct InferenceOptions {
   /// int8 codes with fused requantization instead of dequantizing weights
   /// to float. Requires a calibrated int8 FlatModel
   /// (FlatModel::quantized(calibration)); Lite path only — the full-TF
-  /// constructor throws std::invalid_argument when set.
+  /// constructor throws std::invalid_argument, before it launches, when set.
   bool int8_compute = false;
   /// Slalom GPU offload (docs/GPU_OFFLOAD.md): linear layers run on the
   /// simulated untrusted GPU (charged under profile.gpu / profile.pcie)
@@ -100,8 +99,9 @@ class InferenceService {
   /// convolution flops) and per-layer weight paging are charged once for
   /// the whole batch, which is where cross-request batching wins its
   /// throughput (docs/SERVING.md). Outputs are bit-identical to calling
-  /// classify() per input. Lite path only; the full-TensorFlow session
-  /// path throws std::logic_error.
+  /// classify() per input, and a batch of one is exactly classify(). More
+  /// than one input is Lite path only; the full-TensorFlow session path
+  /// throws std::logic_error.
   std::vector<ml::Tensor> classify_batch(
       const std::vector<const ml::Tensor*>& inputs);
 
@@ -111,16 +111,18 @@ class InferenceService {
   /// Virtual-time latency of the most recent classify() call.
   [[nodiscard]] double last_latency_ms() const { return last_latency_ms_; }
 
+  /// The container's enclave; null in Native mode.
   [[nodiscard]] const tee::Enclave* enclave() const { return enclave_.get(); }
+  [[nodiscard]] tee::Enclave* enclave() { return enclave_.get(); }
   [[nodiscard]] tee::Platform& platform() { return platform_; }
 
   // --- GPU offload state (docs/GPU_OFFLOAD.md) --------------------------
-  /// Verification failures seen so far; each one re-executed its request
-  /// batch in-enclave.
-  [[nodiscard]] std::uint64_t gpu_fallbacks() const { return gpu_fallbacks_; }
-  /// True once failures reached slalom.distrust_after: offload is off for
-  /// the service's remaining lifetime and everything runs in-enclave.
-  [[nodiscard]] bool gpu_distrusted() const { return gpu_distrusted_; }
+  /// Verification failures seen so far, as the offload engine counts them;
+  /// each one re-executed its request batch in-enclave.
+  [[nodiscard]] std::uint64_t gpu_fallbacks() const;
+  /// True once failures reached slalom.distrust_after (and at least one):
+  /// offload is off for good and everything runs in-enclave.
+  [[nodiscard]] bool gpu_distrusted() const;
   /// Fault-injection hook forwarded to the offload engine (chaos plumbing);
   /// null clears. No-op when gpu_offload is off.
   void set_gpu_corruption(ml::GpuOffloadEngine::CorruptionHook hook);
@@ -128,16 +130,17 @@ class InferenceService {
   [[nodiscard]] const ml::SlalomStats* slalom_stats() const;
 
  private:
+  /// Launches the environment (Native, or an enclave sized by the options)
+  /// and builds the executor of whichever path the constructor chose.
+  void launch();
   void charge_per_inference_overheads();
-  /// Sets the offload switch on whichever execution path is active.
-  void set_offload_active(bool on);
-  /// Counts a failed verification; trips gpu_distrusted_ at the threshold.
-  void note_gpu_failure();
+  /// The active executor's offload engine, or nullptr without gpu_offload.
+  [[nodiscard]] ml::GpuOffloadEngine* gpu_engine() const;
 
   tee::Platform& platform_;
   InferenceOptions options_;
+  // Declared before the executors, which release regions into it.
   std::unique_ptr<tee::Enclave> enclave_;
-  std::unique_ptr<tee::EnclaveEnv> enclave_env_;
   std::unique_ptr<tee::NativeEnv> native_env_;
   // Exactly one of the two execution paths is active.
   std::optional<ml::lite::FlatModel> model_;
@@ -146,8 +149,6 @@ class InferenceService {
   std::unique_ptr<ml::Session> session_;
   tee::RegionId heap_region_ = 0;
   double last_latency_ms_ = 0;
-  std::uint64_t gpu_fallbacks_ = 0;
-  bool gpu_distrusted_ = false;
 };
 
 }  // namespace stf::core

@@ -96,7 +96,6 @@ std::unique_ptr<InferenceService> SecureTfContext::create_lite_service(
 
 std::unique_ptr<InferenceService> SecureTfContext::create_full_tf_service(
     ml::Graph frozen_graph, InferenceOptions options) {
-  options.full_tensorflow = true;
   options.binary_bytes = kFullTfBinaryBytes;
   return std::make_unique<InferenceService>(*platform_,
                                             std::move(frozen_graph),

@@ -17,6 +17,7 @@
 #include "obs/span.h"
 #include "obs/timeline.h"
 #include "runtime/errors.h"
+#include "runtime/resilient_channel.h"
 
 namespace stf::core {
 namespace {
@@ -25,6 +26,18 @@ namespace {
 // spans, flow arrows) are recorded on a dedicated per-node "queue row" lane
 // (tid 0xffff) so Perfetto keeps the compute lanes clean.
 constexpr std::uint16_t kQueueLaneTid = 0xffff;
+
+// Per-thread throughput share when hyperthreading (paper's desktop: 4C8T).
+constexpr double kHyperthreadEfficiency = 0.65;
+// Reclaim-contention amplification of EPC fault costs when oversubscribed.
+constexpr double kOversubscribedFaultFactor = 1.5;
+// ServingNode::estimate_stream_seconds: warm-up and measured rounds.
+constexpr int kWarmupRounds = 3;
+constexpr int kMeasuredRounds = 5;
+// estimate_resilient: wait before a lost request is retransmitted, and the
+// images handed to one node per dispatch round (re-steering quantum).
+constexpr double kRpcTimeoutSeconds = 0.005;
+constexpr std::int64_t kDispatchBatch = 32;
 
 /// Pre-computed decomposition of one completed request. The four child
 /// intervals tile [client_arrival, completion] with no overlap; any
@@ -182,12 +195,12 @@ ServingNode::ServingNode(const ml::lite::FlatModel& model,
   }
   tee::CostModel cost = config_.model;
   if (config_.threads > config_.physical_cores) {
-    cost.flops_per_second *= config_.hyperthread_efficiency;
+    cost.flops_per_second *= kHyperthreadEfficiency;
   }
   if (config_.mode == tee::TeeMode::Hardware && config_.threads > 1) {
     const double contention =
         config_.threads * (config_.threads > config_.physical_cores
-                               ? config_.oversubscribed_fault_factor
+                               ? kOversubscribedFaultFactor
                                : 1.0);
     cost.page_fault_ns =
         static_cast<std::uint64_t>(cost.page_fault_ns * contention);
@@ -209,9 +222,9 @@ ServingNode::ServingNode(const ml::lite::FlatModel& model,
   service_ = std::make_unique<InferenceService>(*platform_, model,
                                                 config_.inference);
   lanes_.resize(config_.threads);
-  if (auto* enclave = const_cast<tee::Enclave*>(service_->enclave())) {
+  if (tee::Enclave* enclave = service_->enclave()) {
     for (unsigned t = 0; t < config_.threads; ++t) {
-      scratch_.push_back(enclave->alloc_region(
+      scratch_.push_back(enclave->alloc(
           "thread-scratch-" + std::to_string(t), config_.per_thread_scratch));
     }
   }
@@ -224,7 +237,7 @@ void ServingNode::classify_on_lane(unsigned lane, const ml::Tensor& image) {
                              static_cast<std::uint16_t>(lane));
   platform_->set_active_lane(&lanes_[lane]);
   const std::uint64_t start_ns = lanes_[lane].now_ns();
-  if (auto* enclave = const_cast<tee::Enclave*>(service_->enclave())) {
+  if (tee::Enclave* enclave = service_->enclave()) {
     enclave->access(scratch_[lane], 0, config_.per_thread_scratch, true);
   }
   (void)service_->classify(image);
@@ -266,7 +279,7 @@ std::uint64_t ServingNode::serve_batch(
   }
   std::optional<obs::ScopedTraceContext> ctx;
   if (traced) ctx.emplace(trace->trace_id, trace->parent_span_id);
-  if (auto* enclave = const_cast<tee::Enclave*>(service_->enclave())) {
+  if (tee::Enclave* enclave = service_->enclave()) {
     enclave->access(scratch_[lane], 0, config_.per_thread_scratch, true);
   }
   (void)service_->classify_batch(inputs);
@@ -290,22 +303,20 @@ double ServingNode::classify_stream(const ml::Tensor& image,
 }
 
 double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
-                                            std::int64_t count,
-                                            int warmup_rounds,
-                                            int measured_rounds) {
-  for (int r = 0; r < warmup_rounds; ++r) {
+                                            std::int64_t count) {
+  for (int r = 0; r < kWarmupRounds; ++r) {
     for (unsigned lane = 0; lane < config_.threads; ++lane) {
       classify_on_lane(lane, image);
     }
   }
   const std::uint64_t before = lanes_[0].now_ns();
-  for (int r = 0; r < measured_rounds; ++r) {
+  for (int r = 0; r < kMeasuredRounds; ++r) {
     for (unsigned lane = 0; lane < config_.threads; ++lane) {
       classify_on_lane(lane, image);
     }
   }
   const double round_s =
-      static_cast<double>(lanes_[0].now_ns() - before) / 1e9 / measured_rounds;
+      static_cast<double>(lanes_[0].now_ns() - before) / 1e9 / kMeasuredRounds;
   const std::int64_t rounds =
       (count + config_.threads - 1) / config_.threads;
   return round_s * static_cast<double>(rounds);
@@ -340,7 +351,7 @@ void ServingFleet::attach_fault_plane(faults::FaultPlane& plane,
       const net::NodeId plane_id =
           base_node_id + static_cast<net::NodeId>(i);
       faults::FaultPlane* p = &plane;
-      nodes_[i]->set_gpu_corruption(
+      nodes_[i]->service().set_gpu_corruption(
           [p, plane_id](std::uint64_t now_ns, ml::Tensor& t) {
             if (p->gpu_corrupt(plane_id, now_ns) && t.size() > 0) {
               // A lying GPU: one wrong element in the returned product is
@@ -425,7 +436,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
   const CircuitBreaker breaker(cfg);
-  const bool hedging = hedge_.has_value() && hedge_->enabled;
+  const bool hedging = hedge_.has_value();
   const std::uint64_t hedge_ns =
       hedging ? static_cast<std::uint64_t>(
                     std::llround(hedge_->hedge_delay_s * 1e9))
@@ -619,10 +630,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
       return;
     }
     const std::uint64_t backoff =
-        retry_->backoff.timeout_for(static_cast<unsigned>(p.attempts));
-    const std::uint64_t jit = retry_->backoff.max_jitter_ns > 0
-                                  ? jitter.uniform(retry_->backoff.max_jitter_ns)
-                                  : 0;
+        runtime::timeout_for(static_cast<unsigned>(p.attempts));
+    const std::uint64_t jit = jitter.uniform(runtime::kMaxJitterNs);
     ++p.attempts;
     ++p.strikes;
     p.steered_from = static_cast<std::int64_t>(i);
@@ -949,8 +958,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
             });
   if (config_.inference.gpu_offload) {
     for (std::size_t i = 0; i < n; ++i) {
-      status_[i].gpu_fallbacks = nodes_[i]->gpu_fallbacks();
-      status_[i].gpu_distrusted = nodes_[i]->gpu_distrusted();
+      status_[i].gpu_fallbacks = nodes_[i]->service().gpu_fallbacks();
+      status_[i].gpu_distrusted = nodes_[i]->service().gpu_distrusted();
     }
   }
   return out;
@@ -992,7 +1001,7 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
     throw std::invalid_argument("fleet: request_drop_prob must be in [0,1)");
   }
   const double per_request_s =
-      wire_s / (1 - p) + cfg.rpc_timeout_seconds * p / (1 - p);
+      wire_s / (1 - p) + kRpcTimeoutSeconds * p / (1 - p);
 
   const auto detect_ns =
       static_cast<std::uint64_t>(cfg.detect_timeout_seconds * 1e9);
@@ -1038,7 +1047,7 @@ double ServingFleet::estimate_resilient(const ml::Tensor& image,
       }
       (void)CircuitBreaker::succeed(s);
       const std::int64_t quantum =
-          std::min<std::int64_t>(cfg.dispatch_batch, remaining - dispatched);
+          std::min<std::int64_t>(kDispatchBatch, remaining - dispatched);
       if (quantum <= 0) break;
       dispatched += quantum;
       s.served += quantum;

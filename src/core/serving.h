@@ -16,7 +16,6 @@
 #include "core/inference.h"
 #include "core/loadgen.h"
 #include "ml/lite/flat_model.h"
-#include "runtime/resilient_channel.h"
 #include "runtime/thread_pool.h"
 #include "tee/platform.h"
 
@@ -130,12 +129,10 @@ struct ServingConfig {
   tee::TeeMode mode = tee::TeeMode::Hardware;
   tee::CostModel model;
   unsigned threads = 4;
-  /// Physical cores on the machine; threads beyond this run as hyperthreads.
+  /// Physical cores on the machine. Threads beyond this run as hyperthreads
+  /// at 65% per-thread throughput (the paper's 4C8T desktop), and their EPC
+  /// faults pay 1.5x more reclaim contention.
   unsigned physical_cores = 4;
-  /// Per-thread throughput share when hyperthreading (paper's desktop: 4C8T).
-  double hyperthread_efficiency = 0.65;
-  /// Reclaim-contention amplification of EPC fault costs when oversubscribed.
-  double oversubscribed_fault_factor = 1.5;
   /// Per-thread interpreter state (activation arenas, input staging).
   std::uint64_t per_thread_scratch = 10ull << 20;
   /// Host threads the real ML kernels run on: 0 uses the process-wide pool
@@ -160,12 +157,11 @@ class ServingNode {
   /// lane finishes.
   double classify_stream(const ml::Tensor& image, std::int64_t count);
 
-  /// Steady-state estimate for long streams: warms the EPC, measures a few
-  /// steady rounds for real, and extrapolates (exact for the deterministic
-  /// cost model up to reclaim jitter, which the averaging absorbs).
-  double estimate_stream_seconds(const ml::Tensor& image, std::int64_t count,
-                                 int warmup_rounds = 3,
-                                 int measured_rounds = 5);
+  /// Steady-state estimate for long streams: warms the EPC (3 rounds, one
+  /// request per lane each), measures 5 steady rounds for real, and
+  /// extrapolates (exact for the deterministic cost model up to reclaim
+  /// jitter, which the averaging absorbs).
+  double estimate_stream_seconds(const ml::Tensor& image, std::int64_t count);
 
   /// Runs one batch on the least-loaded lane as a single batched container
   /// invocation launching at `dispatch_ns` (the lane clock is advanced to
@@ -186,22 +182,8 @@ class ServingNode {
   [[nodiscard]] std::uint64_t epc_faults() const {
     return platform_->epc().stats().faults;
   }
-
-  // --- GPU offload (docs/GPU_OFFLOAD.md) --------------------------------
-  /// True once the node's service crossed its verification-failure
-  /// threshold and fell back to in-enclave execution for good.
-  [[nodiscard]] bool gpu_distrusted() const {
-    return service_->gpu_distrusted();
-  }
-  /// Verification failures (each one re-ran its batch in-enclave).
-  [[nodiscard]] std::uint64_t gpu_fallbacks() const {
-    return service_->gpu_fallbacks();
-  }
-  /// Corruption hook forwarded to the service's offload engine; no-op when
-  /// the node serves without gpu_offload.
-  void set_gpu_corruption(ml::GpuOffloadEngine::CorruptionHook hook) {
-    service_->set_gpu_corruption(std::move(hook));
-  }
+  /// The node's container (GPU offload health and fault hooks live there).
+  [[nodiscard]] InferenceService& service() { return *service_; }
 
  private:
   void classify_on_lane(unsigned lane, const ml::Tensor& image);
@@ -230,35 +212,29 @@ struct FleetResilienceConfig {
   /// Dispatcher-side cost of detecting one failed dispatch (timeout).
   double detect_timeout_seconds = 0.010;
   /// Per-request loss probability on the client->node links; lost requests
-  /// are retransmitted (expected-cost model, deterministic).
+  /// are retransmitted after a 5 ms RPC timeout (expected-cost model,
+  /// deterministic).
   double request_drop_prob = 0;
-  /// Wait before a lost request is retransmitted.
-  double rpc_timeout_seconds = 0.005;
-  /// Images handed to one node per dispatch round (re-steering quantum).
-  std::int64_t dispatch_batch = 32;
 };
 
 /// Client-side retry policy for requests lost to a mid-trace node crash
-/// (docs/SERVING.md). Re-uses the ResilientChannel backoff shape: attempt k
-/// waits `backoff.timeout_for(k)` plus a seeded jitter draw before re-
-/// queueing on another node. Off unless configure_retry() is called.
+/// (docs/SERVING.md). Uses the one ResilientChannel backoff schedule:
+/// attempt k waits `runtime::timeout_for(k)` plus a jitter draw from the
+/// fleet's own seeded stream before re-queueing on another node. Off unless
+/// configure_retry() is called.
 struct RequestRetryPolicy {
   /// Retry attempts per request beyond the first dispatch. A request's own
   /// retry_budget (loadgen) overrides this when >= 0.
   unsigned max_retries = 3;
-  /// Exponential backoff shape (base timeout, factor, cap). The jitter knob
-  /// inside is ignored; the fleet draws jitter from its own seeded stream
-  /// so reruns stay bit-identical.
-  runtime::RetryPolicy backoff{};
   /// Seed of the fleet's jitter DRBG (virtual-time jitter, deterministic).
   std::uint64_t jitter_seed = 1;
 };
 
-/// Optional request hedging (docs/SERVING.md): when the queue head has
-/// waited `hedge_delay_s` without dispatching, a duplicate is enqueued on a
-/// second node; the first completion wins and the loser is cancelled.
+/// Optional request hedging (docs/SERVING.md), on once configure_hedging()
+/// is called: when the queue head has waited `hedge_delay_s` without
+/// dispatching, a duplicate is enqueued on a second node; the first
+/// completion wins and the loser is cancelled.
 struct HedgePolicy {
-  bool enabled = false;
   double hedge_delay_s = 0.005;
 };
 

@@ -13,6 +13,10 @@
 namespace stf::distributed {
 namespace {
 
+// How long the PS waits on a missing gradient before completing the round
+// without it.
+constexpr std::uint64_t kRoundTimeoutNs = 50'000'000;
+
 // Every node runs the same full-TensorFlow image. The instance name is not
 // measured, so one CAS policy covers the fleet.
 tee::EnclaveImage worker_image(const ClusterConfig& cfg, std::string name) {
@@ -113,9 +117,10 @@ TrainingCluster::Node TrainingCluster::make_node(const std::string& name,
   if (config_.mode == tee::TeeMode::Native) {
     n.env = std::make_unique<tee::NativeEnv>(n.platform->model(), n.clock());
   } else {
-    n.enclave = n.platform->launch_enclave(worker_image(config_, name));
-    n.enclave->set_runtime_overhead(model.runtime_overhead_training);
-    n.env = std::make_unique<tee::EnclaveEnv>(*n.enclave);
+    auto enclave = n.platform->launch_enclave(worker_image(config_, name));
+    enclave->set_runtime_overhead(model.runtime_overhead_training);
+    n.enclave = enclave.get();
+    n.env = std::move(enclave);
   }
   n.session = std::make_unique<ml::Session>(graph_, n.env.get());
   return n;
@@ -148,8 +153,8 @@ void TrainingCluster::spawn_worker() {
       ++attested_;
     }
     // Framework temporaries region (allocator arenas etc.).
-    w.scratch = w.node.enclave->alloc_region("framework-scratch",
-                                             config_.framework_scratch_bytes);
+    w.scratch = w.node.enclave->alloc("framework-scratch",
+                                      config_.framework_scratch_bytes);
   }
 
   // The link to the parameter server, over exactly one transport.
@@ -166,10 +171,10 @@ void TrainingCluster::spawn_worker() {
       // Resilient framing on both ends, then weather on this link only
       // (the handshake above ran on clear skies).
       runtime::ResilientChannel worker_end(
-          std::move(shield.a_to_b), w.node.clock(), config_.faults.retry,
+          std::move(shield.a_to_b), w.node.clock(),
           config_.faults.seed ^ (2ull * serial + 1));
       runtime::ResilientChannel ps_end(
-          std::move(shield.b_to_a), ps_.clock(), config_.faults.retry,
+          std::move(shield.b_to_a), ps_.clock(),
           config_.faults.seed ^ (2ull * serial + 2));
       w.link = Link(std::move(worker_end), std::move(ps_end));
       fault_plane_->set_link_faults(w.node.id, ps_.id, config_.faults.link);
@@ -358,7 +363,7 @@ TrainStats TrainingCluster::train(const ml::Dataset& data,
       {
         // Waiting out the round timeout is fault-recovery time, not compute.
         obs::ScopedCategory attribution(obs::Category::kFaultDelay);
-        ps_clock.advance(config_.faults.round_timeout_ns);
+        ps_clock.advance(kRoundTimeoutNs);
       }
       ++stats.degraded_rounds;
       obs::counter<obs::names::kTrainDegradedRounds>().add();

@@ -36,19 +36,16 @@ namespace stf::distributed {
 /// shield, as configured (all figure benches stay byte-identical). When
 /// enabled, every link gets the configured weather from a seeded
 /// FaultPlane, parameter/gradient exchanges run over ResilientChannel
-/// (retry/backoff/dedup), a worker that misses a round times out at the
-/// parameter server and the round completes with the surviving gradients,
-/// and crashed workers are respawned and re-attested through CAS before
-/// rejoining (the paper's elasticity story, challenge 4).
+/// (the one retry/backoff schedule, plus dedup), a worker that misses a
+/// round times out at the parameter server (50 ms virtual) and the round
+/// completes with the surviving gradients, and crashed workers are
+/// respawned and re-attested through CAS before rejoining (the paper's
+/// elasticity story, challenge 4).
 struct ClusterFaultConfig {
   bool enabled = false;
   /// Weather on each PS<->worker link (the control plane — CAS attestation
   /// and channel handshakes — is modeled reliable).
   faults::LinkFaultSpec link;
-  runtime::RetryPolicy retry;
-  /// How long the PS waits on a missing gradient before completing the
-  /// round without it.
-  std::uint64_t round_timeout_ns = 50'000'000;
   std::uint64_t seed = 7;
 };
 
@@ -138,7 +135,7 @@ class TrainingCluster {
   /// on the node's own cost model) and the session that charges it.
   struct Node {
     std::unique_ptr<tee::Platform> platform;
-    std::unique_ptr<tee::Enclave> enclave;  // SIM/HW modes
+    tee::Enclave* enclave = nullptr;  // `env` itself in SIM/HW modes
     std::unique_ptr<tee::MemoryEnv> env;
     std::unique_ptr<ml::Session> session;
     net::NodeId id = 0;

@@ -92,8 +92,9 @@ void FaultPlane::revive_now(net::NodeId node) {
 }
 
 const LinkFaultSpec& FaultPlane::spec_for(net::NodeId a, net::NodeId b) const {
+  static const LinkFaultSpec kClearSkies{};
   const auto it = link_specs_.find(link_key(a, b));
-  return it != link_specs_.end() ? it->second : default_spec_;
+  return it != link_specs_.end() ? it->second : kClearSkies;
 }
 
 std::optional<std::uint64_t> FaultPlane::next_crash_after(

@@ -56,10 +56,8 @@ class FaultPlane {
 
   // --- configuration (set before or between runs) ------------------------
 
-  /// Weather applied to every link without a per-link override.
-  void set_default_link_faults(LinkFaultSpec spec) { default_spec_ = spec; }
-
-  /// Weather for the specific link a<->b (both directions).
+  /// Weather for the specific link a<->b (both directions). Links without
+  /// one see clear skies.
   void set_link_faults(net::NodeId a, net::NodeId b, LinkFaultSpec spec);
 
   /// Crash/restart schedule in virtual time: while the *sender's* clock is
@@ -141,7 +139,6 @@ class FaultPlane {
   [[nodiscard]] double draw();
 
   crypto::HmacDrbg drbg_;
-  LinkFaultSpec default_spec_;
   std::map<std::uint64_t, LinkFaultSpec> link_specs_;  // key: a<<32|b, a<b
   struct CrashWindow {
     std::uint64_t down_ns = 0, up_ns = 0;

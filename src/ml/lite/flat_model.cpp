@@ -398,7 +398,6 @@ LiteInterpreter::LiteInterpreter(const FlatModel& model, tee::MemoryEnv* env,
           "with int8_compute)");
     }
     gpu_engine_ = std::make_unique<GpuOffloadEngine>(slalom, env_, kernel_ctx_);
-    gpu_offload_active_ = true;
     // Weights ship to the GPU once, at load time.
     gpu_engine_->upload_weights(model_.weight_bytes());
   }
@@ -735,8 +734,8 @@ Tensor LiteInterpreter::forward(const Tensor& input, std::int64_t batch) {
            b != nullptr && b->is_weight() && !model_.is_quantized()
                ? model_.weights().data() + b->weight_offset
                : nullptr},
-          {gpu_offload_enabled() ? gpu_engine_.get() : nullptr, "lite:op",
-           static_cast<std::int64_t>(j)},
+          {gpu_engine_ && gpu_engine_->active() ? gpu_engine_.get() : nullptr,
+           "lite:op", static_cast<std::int64_t>(j)},
           kernel_ctx_);
       last_flops_ += r.flops;
     }

@@ -194,22 +194,13 @@ class LiteInterpreter {
   /// int8_compute invoke; 0 on the float path.
   [[nodiscard]] double last_invoke_int8_ops() const { return last_int8_ops_; }
 
-  /// Runtime switch for the offload path (the serving fallback flips it off
-  /// once the GPU is distrusted). No-op unless constructed with gpu_offload.
-  void set_gpu_offload_enabled(bool on) { gpu_offload_active_ = on; }
-  [[nodiscard]] bool gpu_offload_enabled() const {
-    return gpu_offload_active_ && gpu_engine_ != nullptr;
-  }
-  /// Fault-injection hook forwarded to the offload engine; null clears.
-  void set_gpu_corruption(GpuOffloadEngine::CorruptionHook hook) {
-    if (gpu_engine_ != nullptr) gpu_engine_->set_corruption(std::move(hook));
-  }
   /// Offload counters, or nullptr when constructed without gpu_offload.
   [[nodiscard]] const SlalomStats* slalom_stats() const {
     return gpu_engine_ != nullptr ? &gpu_engine_->stats() : nullptr;
   }
-  /// The offload backend itself (fallback bookkeeping); nullptr when
-  /// constructed without gpu_offload.
+  /// The offload backend itself (fallback bookkeeping, its on/off switch
+  /// and fault-injection hook); nullptr when constructed without
+  /// gpu_offload.
   [[nodiscard]] GpuOffloadEngine* gpu_engine() { return gpu_engine_.get(); }
 
  private:
@@ -232,7 +223,6 @@ class LiteInterpreter {
   double last_int8_ops_ = 0;
   /// Offload backend; non-null iff constructed with gpu_offload.
   std::unique_ptr<GpuOffloadEngine> gpu_engine_;
-  bool gpu_offload_active_ = false;
   /// Non-null only inside invoke_observed(): the calibration hook.
   const std::function<void(std::int32_t, const Tensor&)>* observer_ = nullptr;
 };

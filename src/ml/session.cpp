@@ -153,8 +153,8 @@ std::vector<Tensor> Session::run_internal(
   // every op in-enclave (SessionOptions::gpu_offload doc) and the legacy
   // arena: the tape pins every activation to the end of the pass, so there
   // is no lifetime sharing for the planner to exploit.
-  GpuOffloadEngine* const gpu =
-      tape == nullptr && gpu_offload_enabled() ? gpu_engine_.get() : nullptr;
+  GpuOffloadEngine* gpu = tape == nullptr ? gpu_engine_.get() : nullptr;
+  if (gpu != nullptr && !gpu->active()) gpu = nullptr;
   const bool planned =
       options_.use_memory_planner && env_ != nullptr && tape == nullptr;
   std::map<NodeId, Tensor> values;

@@ -103,18 +103,8 @@ class Session {
   [[nodiscard]] const SlalomStats* slalom_stats() const {
     return gpu_engine_ != nullptr ? &gpu_engine_->stats() : nullptr;
   }
-  /// Fault-injection hook forwarded to the offload engine; null clears.
-  void set_gpu_corruption(GpuOffloadEngine::CorruptionHook hook) {
-    if (gpu_engine_ != nullptr) gpu_engine_->set_corruption(std::move(hook));
-  }
-  /// Runtime switch for the offload path (the serving fallback flips it off
-  /// once the GPU is distrusted). No-op unless built with gpu_offload.
-  void set_gpu_offload_enabled(bool on) { gpu_offload_enabled_ = on; }
-  [[nodiscard]] bool gpu_offload_enabled() const {
-    return gpu_offload_enabled_ && gpu_engine_ != nullptr;
-  }
-  /// The offload backend itself (fallback bookkeeping); nullptr when built
-  /// without gpu_offload.
+  /// The offload backend itself (fallback bookkeeping, its on/off switch
+  /// and fault-injection hook); nullptr when built without gpu_offload.
   [[nodiscard]] GpuOffloadEngine* gpu_engine() { return gpu_engine_.get(); }
 
  private:
@@ -156,7 +146,6 @@ class Session {
   /// Offload backend; non-null iff options_.gpu_offload. Active only during
   /// forward (tape-less) runs.
   std::unique_ptr<GpuOffloadEngine> gpu_engine_;
-  bool gpu_offload_enabled_ = true;
   double last_run_flops_ = 0;
   float last_loss_ = 0;
 };

@@ -59,9 +59,6 @@ struct SlalomConfig {
   /// false-accept probability by 1/2 (SECURITY.md §GPU offload); cost is
   /// linear in rounds.
   int freivalds_rounds = 1;
-  /// Relative tolerance of the float comparisons (accumulation order on a
-  /// real GPU differs from the host).
-  float tolerance = 1e-3f;
   /// Verification failures a service tolerates before it distrusts the GPU
   /// outright and stops offloading (docs/GPU_OFFLOAD.md).
   unsigned distrust_after = 3;
@@ -75,7 +72,8 @@ struct SlalomStats {
   std::uint64_t offloaded_ops = 0;
   std::uint64_t verifications = 0;
   /// Batches re-executed in-enclave after a failed verification (counted by
-  /// the owning service, which performs the fallback).
+  /// the owning service, which performs the fallback; the service's only
+  /// count of them).
   std::uint64_t fallbacks = 0;
   double gpu_flops = 0;
   double verification_flops = 0;
@@ -125,6 +123,12 @@ class GpuOffloadEngine {
 
   void set_corruption(CorruptionHook hook) { corruption_ = std::move(hook); }
 
+  /// Runtime switch: the executors route linear ops here only while it is
+  /// on. The serving fallback turns it off to re-execute in-enclave, and
+  /// for good once the GPU is distrusted.
+  void set_active(bool on) { active_ = on; }
+  [[nodiscard]] bool active() const { return active_; }
+
   [[nodiscard]] const SlalomStats& stats() const { return stats_; }
   [[nodiscard]] const SlalomConfig& config() const { return config_; }
 
@@ -144,6 +148,7 @@ class GpuOffloadEngine {
   tee::MemoryEnv* env_;
   kernels::KernelContext ctx_;
   CorruptionHook corruption_;
+  bool active_ = true;
   std::map<std::string, PlanRandomness> plans_;
   SlalomStats stats_;
 };

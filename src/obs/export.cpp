@@ -11,27 +11,25 @@ namespace {
 // All emission goes through these helpers so the byte layout has exactly
 // one definition. Values are integers only — see the header contract.
 
-std::string pad(int indent, int level) {
-  return std::string(static_cast<std::size_t>(indent) *
-                         static_cast<std::size_t>(level),
-                     ' ');
+std::string pad(int level) {
+  return std::string(2 * static_cast<std::size_t>(level), ' ');
 }
 
 void append_kv(std::string& out, const std::string& key, std::uint64_t v,
-               bool last, int indent, int level) {
-  out += pad(indent, level) + "\"" + key + "\": " + std::to_string(v);
+               bool last, int level) {
+  out += pad(level) + "\"" + key + "\": " + std::to_string(v);
   out += last ? "\n" : ",\n";
 }
 
 void append_kv(std::string& out, const std::string& key, std::int64_t v,
-               bool last, int indent, int level) {
-  out += pad(indent, level) + "\"" + key + "\": " + std::to_string(v);
+               bool last, int level) {
+  out += pad(level) + "\"" + key + "\": " + std::to_string(v);
   out += last ? "\n" : ",\n";
 }
 
 void append_kv(std::string& out, const std::string& key, const char* v,
-               bool last, int indent, int level) {
-  out += pad(indent, level) + "\"" + key + "\": \"" + v + "\"";
+               bool last, int level) {
+  out += pad(level) + "\"" + key + "\": \"" + v + "\"";
   out += last ? "\n" : ",\n";
 }
 
@@ -62,57 +60,56 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-std::string export_json(const Registry& reg, const SpanTracer* tracer,
-                        int indent) {
+std::string export_json(const Registry& reg, const SpanTracer* tracer) {
   std::string out = "{\n";
 
   // -- counters -----------------------------------------------------------
-  out += pad(indent, 1) + "\"counters\": {\n";
+  out += pad(1) + "\"counters\": {\n";
   {
     std::vector<std::string> blocks;
     reg.visit_counters([&](const std::string& name, const MetricInfo& info,
                            const Counter& c) {
-      std::string b = pad(indent, 2) + "\"" + json_escape(name) + "\": {\n";
-      append_kv(b, "unit", to_string(info.unit), false, indent, 3);
-      append_kv(b, "value", c.value(), true, indent, 3);
-      b += pad(indent, 2) + "}";
+      std::string b = pad(2) + "\"" + json_escape(name) + "\": {\n";
+      append_kv(b, "unit", to_string(info.unit), false, 3);
+      append_kv(b, "value", c.value(), true, 3);
+      b += pad(2) + "}";
       blocks.push_back(std::move(b));
     });
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       out += blocks[i] + (i + 1 < blocks.size() ? ",\n" : "\n");
     }
   }
-  out += pad(indent, 1) + "},\n";
+  out += pad(1) + "},\n";
 
   // -- gauges -------------------------------------------------------------
-  out += pad(indent, 1) + "\"gauges\": {\n";
+  out += pad(1) + "\"gauges\": {\n";
   {
     std::vector<std::string> blocks;
     reg.visit_gauges([&](const std::string& name, const MetricInfo& info,
                          const Gauge& g) {
-      std::string b = pad(indent, 2) + "\"" + json_escape(name) + "\": {\n";
-      append_kv(b, "unit", to_string(info.unit), false, indent, 3);
-      append_kv(b, "value", g.value(), true, indent, 3);
-      b += pad(indent, 2) + "}";
+      std::string b = pad(2) + "\"" + json_escape(name) + "\": {\n";
+      append_kv(b, "unit", to_string(info.unit), false, 3);
+      append_kv(b, "value", g.value(), true, 3);
+      b += pad(2) + "}";
       blocks.push_back(std::move(b));
     });
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       out += blocks[i] + (i + 1 < blocks.size() ? ",\n" : "\n");
     }
   }
-  out += pad(indent, 1) + "},\n";
+  out += pad(1) + "},\n";
 
   // -- histograms ---------------------------------------------------------
-  out += pad(indent, 1) + "\"histograms\": {";
+  out += pad(1) + "\"histograms\": {";
   {
     std::vector<std::string> blocks;
     reg.visit_histograms([&](const std::string& name, const MetricInfo& info,
                              const Histogram& h) {
-      std::string b = pad(indent, 2) + "\"" + json_escape(name) + "\": {\n";
-      append_kv(b, "unit", to_string(info.unit), false, indent, 3);
-      append_kv(b, "count", h.count(), false, indent, 3);
-      append_kv(b, "sum", h.sum(), false, indent, 3);
-      b += pad(indent, 3) + "\"buckets\": [";
+      std::string b = pad(2) + "\"" + json_escape(name) + "\": {\n";
+      append_kv(b, "unit", to_string(info.unit), false, 3);
+      append_kv(b, "count", h.count(), false, 3);
+      append_kv(b, "sum", h.sum(), false, 3);
+      b += pad(3) + "\"buckets\": [";
       const auto& edges = h.edges();
       for (std::size_t i = 0; i < edges.size(); ++i) {
         b += "{\"le\": " + std::to_string(edges[i]) +
@@ -120,59 +117,59 @@ std::string export_json(const Registry& reg, const SpanTracer* tracer,
       }
       b += "{\"le\": \"inf\", \"count\": " +
            std::to_string(h.bucket(edges.size())) + "}]\n";
-      b += pad(indent, 2) + "}";
+      b += pad(2) + "}";
       blocks.push_back(std::move(b));
     });
     out += blocks.empty() ? "" : "\n";
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       out += blocks[i] + (i + 1 < blocks.size() ? ",\n" : "\n");
     }
-    out += blocks.empty() ? "}" : pad(indent, 1) + "}";
+    out += blocks.empty() ? "}" : pad(1) + "}";
   }
 
   // -- quantiles ----------------------------------------------------------
-  out += ",\n" + pad(indent, 1) + "\"quantiles\": {";
+  out += ",\n" + pad(1) + "\"quantiles\": {";
   {
     std::vector<std::string> blocks;
     reg.visit_quantiles([&](const std::string& name, const MetricInfo& info,
                             const QuantileSeries& q) {
-      std::string b = pad(indent, 2) + "\"" + json_escape(name) + "\": {\n";
-      append_kv(b, "unit", to_string(info.unit), false, indent, 3);
-      append_kv(b, "count", q.count(), false, indent, 3);
-      append_kv(b, "p50", q.quantile(0.50), false, indent, 3);
-      append_kv(b, "p95", q.quantile(0.95), false, indent, 3);
-      append_kv(b, "p99", q.quantile(0.99), true, indent, 3);
-      b += pad(indent, 2) + "}";
+      std::string b = pad(2) + "\"" + json_escape(name) + "\": {\n";
+      append_kv(b, "unit", to_string(info.unit), false, 3);
+      append_kv(b, "count", q.count(), false, 3);
+      append_kv(b, "p50", q.quantile(0.50), false, 3);
+      append_kv(b, "p95", q.quantile(0.95), false, 3);
+      append_kv(b, "p99", q.quantile(0.99), true, 3);
+      b += pad(2) + "}";
       blocks.push_back(std::move(b));
     });
     out += blocks.empty() ? "" : "\n";
     for (std::size_t i = 0; i < blocks.size(); ++i) {
       out += blocks[i] + (i + 1 < blocks.size() ? ",\n" : "\n");
     }
-    out += blocks.empty() ? "}" : pad(indent, 1) + "}";
+    out += blocks.empty() ? "}" : pad(1) + "}";
   }
 
   // -- spans --------------------------------------------------------------
   if (tracer != nullptr) {
-    out += ",\n" + pad(indent, 1) + "\"spans\": {\n";
-    append_kv(out, "dropped", tracer->dropped(), false, indent, 2);
-    out += pad(indent, 2) + "\"summaries\": {";
+    out += ",\n" + pad(1) + "\"spans\": {\n";
+    append_kv(out, "dropped", tracer->dropped(), false, 2);
+    out += pad(2) + "\"summaries\": {";
     const auto sums = tracer->summaries();
     if (!sums.empty()) {
       out += "\n";
       std::size_t i = 0;
       for (const auto& [name, s] : sums) {
-        out += pad(indent, 3) + "\"" + json_escape(name) + "\": {\"count\": " +
+        out += pad(3) + "\"" + json_escape(name) + "\": {\"count\": " +
                std::to_string(s.count) +
                ", \"total_ns\": " + std::to_string(s.total_ns) +
                ", \"max_ns\": " + std::to_string(s.max_ns) + "}";
         out += (++i < sums.size()) ? ",\n" : "\n";
       }
-      out += pad(indent, 2) + "}\n";
+      out += pad(2) + "}\n";
     } else {
       out += "}\n";
     }
-    out += pad(indent, 1) + "}\n";
+    out += pad(1) + "}\n";
   } else {
     out += "\n";
   }

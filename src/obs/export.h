@@ -30,8 +30,7 @@ namespace stf::obs {
 /// non-null, `tracer` summaries + drop count. 2-space indented, trailing
 /// newline.
 [[nodiscard]] std::string export_json(const Registry& reg,
-                                      const SpanTracer* tracer = nullptr,
-                                      int indent = 2);
+                                      const SpanTracer* tracer = nullptr);
 
 /// Fixed-width table: one row per counter/gauge, then histogram and span
 /// summary sections. Rows with zero activity are skipped.

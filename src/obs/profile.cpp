@@ -16,10 +16,8 @@ constexpr std::size_t index_of(Category c) {
   return static_cast<std::size_t>(c);
 }
 
-std::string pad(int indent, int level) {
-  return std::string(static_cast<std::size_t>(indent) *
-                         static_cast<std::size_t>(level),
-                     ' ');
+std::string pad(int level) {
+  return std::string(2 * static_cast<std::size_t>(level), ' ');
 }
 
 }  // namespace
@@ -139,23 +137,21 @@ void ScopedAttribution::on_warp(std::int64_t delta_ns) {
   if (prev_ != nullptr) prev_->on_warp(delta_ns);
 }
 
-std::string export_profile_json(const AttributionStore& store, int indent) {
+std::string export_profile_json(const AttributionStore& store) {
   std::string out = "{\n";
-  out += pad(indent, 1) +
-         "\"dropped\": " + std::to_string(store.dropped()) + ",\n";
-  out += pad(indent, 1) + "\"profiles\": {";
+  out += pad(1) + "\"dropped\": " + std::to_string(store.dropped()) + ",\n";
+  out += pad(1) + "\"profiles\": {";
   const auto sums = store.summaries();
   if (!sums.empty()) {
     out += "\n";
     std::size_t n = 0;
     for (const auto& [name, s] : sums) {
-      out += pad(indent, 2) + "\"" + json_escape(name) + "\": {\n";
-      out += pad(indent, 3) + "\"count\": " + std::to_string(s.count) + ",\n";
-      out += pad(indent, 3) +
+      out += pad(2) + "\"" + json_escape(name) + "\": {\n";
+      out += pad(3) + "\"count\": " + std::to_string(s.count) + ",\n";
+      out += pad(3) +
              "\"duration_ns\": " + std::to_string(s.duration_ns) + ",\n";
-      out +=
-          pad(indent, 3) + "\"warp_ns\": " + std::to_string(s.warp_ns) + ",\n";
-      out += pad(indent, 3) + "\"categories\": {";
+      out += pad(3) + "\"warp_ns\": " + std::to_string(s.warp_ns) + ",\n";
+      out += pad(3) + "\"categories\": {";
       for (std::size_t i = 0; i < kCategoryCount; ++i) {
         out += std::string("\"") +
                to_string(static_cast<Category>(i)) +
@@ -163,10 +159,10 @@ std::string export_profile_json(const AttributionStore& store, int indent) {
         if (i + 1 < kCategoryCount) out += ", ";
       }
       out += "}\n";
-      out += pad(indent, 2) + "}";
+      out += pad(2) + "}";
       out += (++n < sums.size()) ? ",\n" : "\n";
     }
-    out += pad(indent, 1) + "}\n";
+    out += pad(1) + "}\n";
   } else {
     out += "}\n";
   }

@@ -202,8 +202,7 @@ class ScopedAttribution final : public tee::ClockSink {
 /// every category always present in enum order. 2-space indented,
 /// trailing newline.
 [[nodiscard]] std::string export_profile_json(
-    const AttributionStore& store = AttributionStore::global(),
-    int indent = 2);
+    const AttributionStore& store = AttributionStore::global());
 
 /// Fixed-width text rendering of the aggregates for bench stdout: one row
 /// per profile name, categories as percentages of attributed time.

@@ -94,15 +94,6 @@ void FsShield::write(const std::string& path, crypto::BytesView data) {
 
 void FsShield::write_encrypted(const std::string& path, crypto::BytesView data,
                                std::uint64_t generation) {
-  if (config_.fidelity == CryptoFidelity::Modeled) {
-    // Charge the identical per-chunk sealing time without doing the bytes.
-    const std::size_t chunk_size = config_.chunk_size;
-    for (std::size_t off = 0; off < data.size(); off += chunk_size) {
-      clock_.advance(shield_aead_ns(config_, model_, std::min(chunk_size, data.size() - off)));
-    }
-    host_.write(path, crypto::Bytes(data.begin(), data.end()));
-    return;
-  }
   crypto::Bytes out;
   // Layout: [u64 chunk_count] then per chunk [12B nonce][ciphertext+tag].
   const std::size_t chunk_size = config_.chunk_size;
@@ -203,16 +194,6 @@ crypto::Bytes FsShield::read(const std::string& path) {
 crypto::Bytes FsShield::read_encrypted(const std::string& path,
                                        const crypto::Bytes& raw,
                                        const ShieldedFileMeta& meta) {
-  if (config_.fidelity == CryptoFidelity::Modeled) {
-    if (raw.size() != meta.size) {
-      throw SecurityError("fs shield: size mismatch on " + path);
-    }
-    const std::size_t chunk_size = config_.chunk_size;
-    for (std::size_t off = 0; off < raw.size(); off += chunk_size) {
-      clock_.advance(shield_aead_ns(config_, model_, std::min(chunk_size, raw.size() - off)));
-    }
-    return raw;
-  }
   if (raw.size() < 8) throw SecurityError("fs shield: truncated header");
   const std::uint64_t chunks = crypto::load_be64(raw.data());
   const std::size_t chunk_size = config_.chunk_size;

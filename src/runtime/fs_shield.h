@@ -32,13 +32,10 @@ enum class ShieldPolicy : std::uint8_t {
   Encrypt,       ///< confidentiality + integrity + freshness
 };
 
-/// Whether shield crypto is actually performed or only cost-accounted.
-/// `Real` (default) runs AES-GCM/HMAC on every byte — all security tests use
-/// it. `Modeled` charges identical virtual time but skips the byte work; the
-/// figure benchmarks use it so multi-hundred-MB model files don't burn wall
-/// clock on the software GHASH (the simulated platform has AES-NI; this
-/// toolchain does not).
-enum class CryptoFidelity : std::uint8_t { Real, Modeled };
+/// Shield crypto always runs AES-GCM/HMAC on every byte. The enum and
+/// `FsShieldConfig::fidelity` keep their one value so that configurations
+/// which name it (the perfbench cold-start workload does) still compile.
+enum class CryptoFidelity : std::uint8_t { Real };
 
 struct FsShieldConfig {
   /// Longest-prefix-match rules, evaluated per file path.

@@ -29,17 +29,16 @@ crypto::Bytes frame(std::uint8_t type, std::uint64_t id,
 }
 }  // namespace
 
-std::uint64_t RetryPolicy::timeout_for(unsigned attempt) const {
-  double t = static_cast<double>(base_timeout_ns);
-  for (unsigned k = 0; k < attempt; ++k) t *= backoff_factor;
-  t = std::min(t, static_cast<double>(max_timeout_ns));
+std::uint64_t timeout_for(unsigned attempt) {
+  double t = static_cast<double>(kBaseTimeoutNs);
+  for (unsigned k = 0; k < attempt; ++k) t *= kBackoffFactor;
+  t = std::min(t, static_cast<double>(kMaxTimeoutNs));
   return static_cast<std::uint64_t>(t);
 }
 
 ResilientChannel::ResilientChannel(SecureChannel channel, tee::SimClock& clock,
-                                   RetryPolicy policy,
                                    std::uint64_t jitter_seed)
-    : channel_(std::move(channel)), clock_(&clock), policy_(policy) {
+    : channel_(std::move(channel)), clock_(&clock) {
   // Loss tolerance is a precondition: without it the first retransmitted
   // record after a drop would look like a sequence violation.
   channel_.allow_gaps(true);
@@ -51,11 +50,9 @@ ResilientChannel::ResilientChannel(SecureChannel channel, tee::SimClock& clock,
 }
 
 void ResilientChannel::arm_deadline() {
-  const std::uint64_t jitter =
-      policy_.max_jitter_ns == 0 ? 0 : jitter_->uniform(policy_.max_jitter_ns);
-  outstanding_->deadline_ns = clock_->now_ns() +
-                              policy_.timeout_for(outstanding_->attempt) +
-                              jitter;
+  const std::uint64_t jitter = jitter_->uniform(kMaxJitterNs);
+  outstanding_->deadline_ns =
+      clock_->now_ns() + timeout_for(outstanding_->attempt) + jitter;
 }
 
 void ResilientChannel::post(crypto::BytesView payload) {
@@ -118,7 +115,7 @@ std::optional<crypto::Bytes> ResilientChannel::poll() {
 
 bool ResilientChannel::backoff_and_retransmit() {
   if (!outstanding_.has_value()) return true;
-  if (outstanding_->attempt >= policy_.max_attempts) {
+  if (outstanding_->attempt >= kMaxAttempts) {
     outstanding_.reset();  // abandon: retry budget exhausted
     return false;
   }
@@ -170,7 +167,7 @@ crypto::Bytes ResilientChannel::deliver(ResilientChannel& from,
     if (!from.backoff_and_retransmit()) {
       throw TransientError(
           "resilient channel: delivery failed after " +
-          std::to_string(from.policy_.max_attempts) + " attempts");
+          std::to_string(kMaxAttempts) + " attempts");
     }
   }
 }

@@ -31,18 +31,19 @@
 
 namespace stf::runtime {
 
-/// Bounded-retry schedule: attempt k (0-based) times out after
-/// `base_timeout_ns * backoff_factor^k + jitter`, jitter uniform in
-/// [0, max_jitter_ns) from the channel's seeded DRBG.
-struct RetryPolicy {
-  unsigned max_attempts = 12;
-  std::uint64_t base_timeout_ns = 2'000'000;  ///< 2 ms virtual
-  double backoff_factor = 2.0;
-  std::uint64_t max_jitter_ns = 500'000;
-  std::uint64_t max_timeout_ns = 500'000'000;  ///< backoff cap
+// The one bounded-retry schedule, shared by every resilient channel and by
+// the serving fleet's client retries: attempt k (0-based) times out after
+// `kBaseTimeoutNs * kBackoffFactor^k` (capped at kMaxTimeoutNs) plus jitter
+// uniform in [0, kMaxJitterNs) from the caller's seeded DRBG, and a message
+// is abandoned after kMaxAttempts transmissions.
+inline constexpr unsigned kMaxAttempts = 12;
+inline constexpr std::uint64_t kBaseTimeoutNs = 2'000'000;  ///< 2 ms virtual
+inline constexpr double kBackoffFactor = 2.0;
+inline constexpr std::uint64_t kMaxJitterNs = 500'000;
+inline constexpr std::uint64_t kMaxTimeoutNs = 500'000'000;  ///< backoff cap
 
-  [[nodiscard]] std::uint64_t timeout_for(unsigned attempt) const;
-};
+/// Timeout of attempt `attempt` (0-based), before jitter.
+[[nodiscard]] std::uint64_t timeout_for(unsigned attempt);
 
 /// One endpoint of a reliable shielded link. Move-only, like the channel it
 /// wraps. The channel must be in gap-tolerant mode (allow_gaps) — the ctor
@@ -52,7 +53,7 @@ class ResilientChannel {
  public:
   ResilientChannel() = default;
   ResilientChannel(SecureChannel channel, tee::SimClock& clock,
-                   RetryPolicy policy, std::uint64_t jitter_seed);
+                   std::uint64_t jitter_seed);
 
   /// Frames `payload` with a fresh message id and transmits it; the frame
   /// stays outstanding (retransmittable) until the matching ack arrives.
@@ -113,7 +114,6 @@ class ResilientChannel {
 
   SecureChannel channel_;
   tee::SimClock* clock_ = nullptr;
-  RetryPolicy policy_;
   std::unique_ptr<crypto::HmacDrbg> jitter_;
   std::optional<Outstanding> outstanding_;
   std::uint64_t next_id_ = 1;

@@ -48,12 +48,12 @@ Report Enclave::create_report(
   return r;
 }
 
-RegionId Enclave::alloc_region(std::string_view label, std::uint64_t bytes) {
+RegionId Enclave::alloc(std::string_view label, std::uint64_t bytes) {
   return platform_.epc().map_region(image_.name + "/" + std::string(label),
                                     bytes);
 }
 
-void Enclave::release_region(RegionId id) {
+void Enclave::release(RegionId id) {
   platform_.epc().unmap_region(id);
 }
 
@@ -112,19 +112,19 @@ void Enclave::pcie_transfer(std::uint64_t bytes) {
   platform_.clock().advance(platform_.model().pcie_ns(bytes));
 }
 
-void Enclave::prefetch_region(RegionId id, std::uint64_t offset,
-                              std::uint64_t len) {
+void Enclave::prefetch(RegionId id, std::uint64_t offset,
+                       std::uint64_t len) {
   platform_.epc().prefetch(id, offset, len, platform_.clock());
 }
 
-void Enclave::advise_evict_region(RegionId id, std::uint64_t offset,
-                                  std::uint64_t len) {
+void Enclave::advise_evict(RegionId id, std::uint64_t offset,
+                           std::uint64_t len) {
   platform_.epc().advise_evict(id, offset, len, platform_.clock());
 }
 
-void Enclave::pin_region(RegionId id) { platform_.epc().pin(id); }
+void Enclave::pin(RegionId id) { platform_.epc().pin(id); }
 
-void Enclave::unpin_region(RegionId id) { platform_.epc().unpin(id); }
+void Enclave::unpin(RegionId id) { platform_.epc().unpin(id); }
 
 void Enclave::touch_binary(double fraction) {
   const std::uint64_t bytes = static_cast<std::uint64_t>(

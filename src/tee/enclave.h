@@ -36,11 +36,13 @@ struct EnclaveImage {
   [[nodiscard]] Measurement measure() const;
 };
 
-class Enclave {
+/// An enclave is the memory environment its ML executors charge. `final`,
+/// so calls through an `Enclave` itself stay non-virtual.
+class Enclave final : public MemoryEnv {
  public:
   /// Created via Platform::launch_enclave().
   Enclave(Platform& platform, EnclaveImage image);
-  ~Enclave();
+  ~Enclave() override;
 
   Enclave(const Enclave&) = delete;
   Enclave& operator=(const Enclave&) = delete;
@@ -55,28 +57,31 @@ class Enclave {
   [[nodiscard]] Report create_report(
       const std::array<std::uint8_t, 64>& report_data) const;
 
-  // --- memory (region handles are EPC regions) -------------------------
-  RegionId alloc_region(std::string_view label, std::uint64_t bytes);
-  void release_region(RegionId id);
-  void access(RegionId id, std::uint64_t offset, std::uint64_t len, bool write);
-  void compute(double flops);
+  // --- MemoryEnv (region handles are EPC regions) -----------------------
+  RegionId alloc(std::string_view label, std::uint64_t bytes) override;
+  void release(RegionId id) override;
+  void access(RegionId id, std::uint64_t offset, std::uint64_t len,
+              bool write) override;
+  void compute(double flops) override;
   /// int8 integer ops (quantized kernels): same runtime-overhead multiplier
   /// as compute(), but at the cost model's int8 throughput multiple and a
   /// quarter of the per-op MEE traffic (1-byte operands).
-  void compute_int8(double ops);
+  void compute_int8(double ops) override;
   /// Work offloaded to the untrusted accelerator (docs/GPU_OFFLOAD.md):
   /// billed at the cost model's GPU rate under profile.gpu, with no runtime
   /// overhead and no MEE traffic — it runs outside the TEE.
-  void gpu_compute(double flops);
+  void gpu_compute(double flops) override;
   /// Host<->GPU activation/weight shipping, billed under profile.pcie.
-  void pcie_transfer(std::uint64_t bytes);
+  void pcie_transfer(std::uint64_t bytes) override;
   /// EPC streaming hints (forwarded to the platform's EpcManager; no-ops
   /// outside Hardware mode). See docs/MEMORY_PLANNER.md.
-  void prefetch_region(RegionId id, std::uint64_t offset, std::uint64_t len);
-  void advise_evict_region(RegionId id, std::uint64_t offset,
-                           std::uint64_t len);
-  void pin_region(RegionId id);
-  void unpin_region(RegionId id);
+  void prefetch(RegionId id, std::uint64_t offset, std::uint64_t len) override;
+  void advise_evict(RegionId id, std::uint64_t offset,
+                    std::uint64_t len) override;
+  void pin(RegionId id) override;
+  void unpin(RegionId id) override;
+  /// Virtual time of the platform clock this enclave charges into.
+  [[nodiscard]] std::uint64_t now_ns() const override;
 
   // --- transitions and syscalls -----------------------------------------
   /// A synchronous enclave transition pair (EENTER + EEXIT).
@@ -89,9 +94,6 @@ class Enclave {
   void charge_uthread_switch();
 
   [[nodiscard]] std::uint64_t syscall_count() const { return syscall_count_; }
-
-  /// Virtual time of the platform clock this enclave charges into.
-  [[nodiscard]] std::uint64_t now_ns() const;
 
   /// The region that pins the enclave binary in the EPC.
   [[nodiscard]] RegionId binary_region() const { return binary_region_; }
@@ -115,45 +117,6 @@ class Enclave {
   std::uint64_t syscall_count_ = 0;
   double runtime_overhead_ = 1.05;
   double bytes_per_flop_ = -1;  // negative: use the model default
-};
-
-/// MemoryEnv adapter that routes the ML executor's traffic into an Enclave.
-class EnclaveEnv final : public MemoryEnv {
- public:
-  explicit EnclaveEnv(Enclave& enclave) : enclave_(enclave) {}
-
-  std::uint64_t alloc(std::string_view label, std::uint64_t bytes) override {
-    return enclave_.alloc_region(label, bytes);
-  }
-  void release(std::uint64_t region) override {
-    enclave_.release_region(region);
-  }
-  void access(std::uint64_t region, std::uint64_t offset, std::uint64_t len,
-              bool write) override {
-    enclave_.access(region, offset, len, write);
-  }
-  void compute(double flops) override { enclave_.compute(flops); }
-  void compute_int8(double ops) override { enclave_.compute_int8(ops); }
-  void gpu_compute(double flops) override { enclave_.gpu_compute(flops); }
-  void pcie_transfer(std::uint64_t bytes) override {
-    enclave_.pcie_transfer(bytes);
-  }
-  void prefetch(std::uint64_t region, std::uint64_t offset,
-                std::uint64_t len) override {
-    enclave_.prefetch_region(region, offset, len);
-  }
-  void advise_evict(std::uint64_t region, std::uint64_t offset,
-                    std::uint64_t len) override {
-    enclave_.advise_evict_region(region, offset, len);
-  }
-  void pin(std::uint64_t region) override { enclave_.pin_region(region); }
-  void unpin(std::uint64_t region) override { enclave_.unpin_region(region); }
-  [[nodiscard]] std::uint64_t now_ns() const override {
-    return enclave_.now_ns();
-  }
-
- private:
-  Enclave& enclave_;
 };
 
 }  // namespace stf::tee

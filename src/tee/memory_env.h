@@ -81,8 +81,4 @@ class MemoryEnv {
   [[nodiscard]] virtual std::uint64_t now_ns() const { return 0; }
 };
 
-/// Environment used by native (untrusted) execution: charges baseline
-/// compute/DRAM cost into a clock but has no enclave semantics.
-class NativeEnv;
-
 }  // namespace stf::tee

@@ -2,7 +2,10 @@
 // storage, CAS attachment, and inference containers across modes.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/securetf.h"
+#include "crypto/sha256.h"
 #include "ml/dataset.h"
 #include "ml/models.h"
 
@@ -175,6 +178,153 @@ TEST(InferenceServiceTest, LabelHelperAgreesWithProbs) {
     }
     EXPECT_EQ(service->classify_label(data.sample(i)), best);
   }
+}
+
+// Pins everything the container computes and charges around its executor,
+// per configuration: the output bytes, the platform clock and the bits of
+// last_latency_ms() after each call, the EPC faults, loads and evictions,
+// the enclave's syscall count, the GPU health answers and every offload
+// counter. Each config makes two classify calls and, on the Lite path, one
+// classify_batch of 3; the full-TF path must refuse the batch before it
+// charges anything. The 40-page EPC makes the order of the binary touch,
+// the heap sweeps and the executor's own charges show in the paging. The
+// digest was computed from the container with one constructor body per
+// executor, one request body per call shape and its own GPU failure
+// counter; a mismatch means an output or a charge moved.
+TEST(InferenceServiceTest, AccountingMatchesPinnedDigest) {
+  ml::Graph g = ml::mnist_mlp(32, 5);
+  ml::Session session(g);
+  const ml::Graph frozen = ml::freeze(g, session);
+  const auto model = ml::lite::FlatModel::from_frozen(frozen, "input", "probs");
+  const ml::Dataset calibration = ml::synthetic_mnist(4, 21);
+  std::vector<ml::Tensor> calib;
+  for (std::int64_t i = 0; i < 4; ++i) calib.push_back(calibration.sample(i));
+  const auto quantized = model.quantized(calib);
+  const ml::Dataset data = ml::synthetic_mnist(5, 33);
+
+  struct Config {
+    tee::TeeMode mode;
+    bool full_tf = false;
+    bool int8 = false;
+    int lying_requests = 0;  // the GPU corrupts its results on these first
+    InferenceOptions options;
+  };
+  const auto base = [] {
+    InferenceOptions o;
+    o.container_name = "digest";
+    o.binary_bytes = 16 * 4096;
+    return o;
+  };
+  std::vector<Config> configs;
+  for (const auto mode : {tee::TeeMode::Native, tee::TeeMode::Simulation,
+                          tee::TeeMode::Hardware}) {
+    configs.push_back({mode, false, false, 0, base()});
+  }
+  {
+    Config c{tee::TeeMode::Hardware, false, false, 0, base()};
+    c.options.weight_streaming = true;
+    configs.push_back(c);
+  }
+  {
+    Config c{tee::TeeMode::Hardware, false, false, 0, base()};
+    c.options.sync_syscalls = true;
+    c.options.runtime_overhead = 1.08;
+    c.options.hot_binary_fraction = 0.04;
+    c.options.extra_gflops_per_inference = 0.002;
+    configs.push_back(c);  // the Graphene profile of bench_classification
+  }
+  {
+    Config c{tee::TeeMode::Hardware, false, true, 0, base()};
+    c.options.int8_compute = true;
+    configs.push_back(c);
+  }
+  {
+    Config c{tee::TeeMode::Hardware, false, false, 2, base()};
+    c.options.gpu_offload = true;
+    c.options.slalom.distrust_after = 2;
+    configs.push_back(c);
+  }
+  configs.push_back({tee::TeeMode::Native, true, false, 0, base()});
+  for (const bool planner : {false, true}) {
+    Config c{tee::TeeMode::Hardware, true, false, 0, base()};
+    c.options.framework_heap_bytes = 12 * 4096;
+    c.options.heap_passes_per_inference = 3;
+    c.options.memory_planner = planner;
+    configs.push_back(c);
+  }
+  {
+    Config c{tee::TeeMode::Hardware, true, false, 1, base()};
+    c.options.gpu_offload = true;
+    configs.push_back(c);
+  }
+
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  const auto put_double = [&](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, 8);
+    put(bits);
+  };
+  for (const Config& c : configs) {
+    tee::CostModel cost;
+    cost.epc_bytes = 40 * cost.page_size;
+    tee::Platform platform("digest", c.mode, cost);
+    std::unique_ptr<InferenceService> service =
+        c.full_tf ? std::make_unique<InferenceService>(platform, frozen,
+                                                       c.options)
+                  : std::make_unique<InferenceService>(
+                        platform, c.int8 ? quantized : model, c.options);
+    int request = 0;
+    service->set_gpu_corruption([&](std::uint64_t, ml::Tensor& t) {
+      if (request < c.lying_requests) t.at(t.size() / 2) += 1.0f;
+    });
+    const auto record = [&](const std::vector<ml::Tensor>& outs) {
+      for (const ml::Tensor& out : outs) {
+        for (const auto d : out.shape()) put(static_cast<std::uint64_t>(d));
+        digest.update(crypto::BytesView(
+            reinterpret_cast<const std::uint8_t*>(out.data()),
+            out.byte_size()));
+      }
+      put(platform.clock().now_ns());
+      put_double(service->last_latency_ms());
+      const tee::EpcStats& epc = platform.epc().stats();
+      put(epc.faults);
+      put(epc.loads);
+      put(epc.evictions);
+      put(service->enclave() ? service->enclave()->syscall_count() : 0);
+      put(service->gpu_fallbacks());
+      put(service->gpu_distrusted() ? 1 : 0);
+      if (const ml::SlalomStats* s = service->slalom_stats()) {
+        put(s->offloaded_ops);
+        put(s->verifications);
+        put(s->fallbacks);
+        put_double(s->gpu_flops);
+        put_double(s->verification_flops);
+        put(s->pcie_bytes);
+      }
+      ++request;
+    };
+    for (std::int64_t i = 0; i < 2; ++i) {
+      record({service->classify(data.sample(i))});
+    }
+    std::vector<ml::Tensor> batch;
+    for (std::int64_t i = 2; i < 5; ++i) batch.push_back(data.sample(i));
+    const std::vector<const ml::Tensor*> inputs = {&batch[0], &batch[1],
+                                                   &batch[2]};
+    if (c.full_tf) {
+      EXPECT_THROW((void)service->classify_batch(inputs), std::logic_error);
+      record({});
+    } else {
+      record(service->classify_batch(inputs));
+    }
+    EXPECT_TRUE(service->classify_batch({}).empty());
+  }
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "c66b690366f270999bda8e4c1dc36d4790156da52f19dbd89d6650db1f905ffe");
 }
 
 TEST(WorkloadsTest, SpecsMatchPaperSizes) {

@@ -231,5 +231,37 @@ TEST(ClassifierServerTest, MalformedRequestGetsErrorReply) {
   EXPECT_EQ(server.requests_rejected(), 1u);
 }
 
+TEST(ClassifierServerTest, ClientHangUpEndsTheConnection) {
+  // A client that sends its last request and hangs up has stopped sending:
+  // the server answers the request and returns instead of throwing.
+  ml::Graph g = ml::mnist_mlp(16, 5);
+  ml::Session s(g);
+  const auto model =
+      ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input", "probs");
+  core::SecureTfConfig cfg;
+  cfg.mode = tee::TeeMode::Simulation;
+  core::SecureTfContext ctx(cfg);
+  auto inference = ctx.create_lite_service(model);
+  crypto::HmacDrbg rng(to_bytes("srv"));
+  core::ClassifierServer server(*inference, rng, 784);
+
+  net::SimNetwork net;
+  tee::SimClock client_clock;
+  const auto cn = net.add_node("client", client_clock);
+  const auto sn = net.add_node("server", ctx.platform().base_clock());
+  auto [client_conn, server_conn] = net.connect(cn, sn);
+  crypto::HmacDrbg client_rng(to_bytes("cli"));
+  core::ClassifierClient client(client_rng, cfg.model, client_clock);
+  client_conn.send(client.hello());
+
+  EXPECT_NO_THROW(server.serve_connection(server_conn, [&] {
+    client.finish(*client_conn.recv(), client_conn);
+    client.send_image(ml::Tensor({1, 784}));
+    client_conn.close();
+  }));
+  EXPECT_EQ(server.requests_served(), 1u);
+  EXPECT_EQ(server.requests_rejected(), 0u);
+}
+
 }  // namespace
 }  // namespace stf

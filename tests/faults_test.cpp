@@ -36,8 +36,7 @@ struct ChannelRig {
   faults::FaultPlane plane;
   runtime::ResilientChannel a, b;
 
-  explicit ChannelRig(std::uint64_t fault_seed, faults::LinkFaultSpec spec,
-                      runtime::RetryPolicy policy = {})
+  ChannelRig(std::uint64_t fault_seed, faults::LinkFaultSpec spec)
       : plane(fault_seed) {
     node_a = net.add_node("a", clock_a);
     node_b = net.add_node("b", clock_b);
@@ -46,8 +45,8 @@ struct ChannelRig {
                                                  clock_a, clock_b, rng);
     plane.attach(net);
     plane.set_link_faults(node_a, node_b, spec);
-    a = runtime::ResilientChannel(std::move(link.a_to_b), clock_a, policy, 11);
-    b = runtime::ResilientChannel(std::move(link.b_to_a), clock_b, policy, 22);
+    a = runtime::ResilientChannel(std::move(link.a_to_b), clock_a, 11);
+    b = runtime::ResilientChannel(std::move(link.b_to_a), clock_b, 22);
   }
 };
 
@@ -96,13 +95,11 @@ TEST(ResilientChannelTest, RetryScheduleIsBitReproducible) {
 TEST(ResilientChannelTest, GivesUpAfterBoundedRetries) {
   faults::LinkFaultSpec black_hole;
   black_hole.drop_prob = 1.0;  // nothing ever gets through
-  runtime::RetryPolicy policy;
-  policy.max_attempts = 4;
-  ChannelRig rig(3, black_hole, policy);
+  ChannelRig rig(3, black_hole);
   EXPECT_THROW((void)runtime::ResilientChannel::deliver(
                    rig.a, rig.b, crypto::to_bytes("doomed")),
                runtime::TransientError);
-  EXPECT_EQ(rig.a.retransmits(), 3u);  // attempts 2..4
+  EXPECT_EQ(rig.a.retransmits(), runtime::kMaxAttempts - 1);  // attempts 2..12
   EXPECT_FALSE(rig.a.has_outstanding()) << "abandoned, not stuck";
 }
 
@@ -118,8 +115,8 @@ TEST(ResilientChannelTest, AdversaryReplayIsAbsorbedNotFatal) {
   crypto::HmacDrbg rng(crypto::to_bytes("replay-rig"));
   auto link = runtime::ShieldedLink::establish(net, na, nb, model, clock_a,
                                                clock_b, rng);
-  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, {}, 1);
-  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, {}, 2);
+  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, 1);
+  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, 2);
   net.set_adversary(
       [](crypto::Bytes&) { return net::AdversaryAction::Replay; });
   for (int i = 0; i < 4; ++i) {
@@ -141,8 +138,8 @@ TEST(ResilientChannelTest, TamperingIsNeverRetried) {
   crypto::HmacDrbg rng(crypto::to_bytes("tamper-rig"));
   auto link = runtime::ShieldedLink::establish(net, na, nb, model, clock_a,
                                                clock_b, rng);
-  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, {}, 1);
-  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, {}, 2);
+  runtime::ResilientChannel a(std::move(link.a_to_b), clock_a, 1);
+  runtime::ResilientChannel b(std::move(link.b_to_a), clock_b, 2);
   net.set_adversary([](crypto::Bytes& payload) {
     payload[payload.size() / 2] ^= 0x01;
     return net::AdversaryAction::Tamper;

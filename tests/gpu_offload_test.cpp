@@ -131,9 +131,10 @@ TEST(GpuOffloadTest, SessionDetectsCorruptedMatmul) {
   const ml::Graph frozen = frozen_graph(ml::mnist_mlp(32, 5));
   ml::Session session = offload_session(frozen);
   int corrupted = 0;
-  session.set_gpu_corruption([&corrupted](std::uint64_t, ml::Tensor& t) {
-    if (corrupted++ == 1) t.at(t.size() / 2) += 0.75f;  // hit the 2nd matmul
-  });
+  session.gpu_engine()->set_corruption(
+      [&corrupted](std::uint64_t, ml::Tensor& t) {
+        if (corrupted++ == 1) t.at(t.size() / 2) += 0.75f;  // the 2nd matmul
+      });
   EXPECT_THROW(
       (void)session.run1("probs", {{"input", mnist_samples(4, 9).front()}}),
       ml::VerificationError);
@@ -150,7 +151,7 @@ TEST(GpuOffloadTest, SessionDetectsCorruptedConv) {
 
   // Corrupt a large patch of the first conv output: spot checks must hit it.
   ml::Session attacked = offload_session(frozen, cfg);
-  attacked.set_gpu_corruption([](std::uint64_t, ml::Tensor& t) {
+  attacked.gpu_engine()->set_corruption([](std::uint64_t, ml::Tensor& t) {
     for (std::int64_t i = 0; i < t.size(); i += 2) t.at(i) += 1.0f;
   });
   EXPECT_THROW((void)attacked.run1("probs", {{"input", image}}),

@@ -585,7 +585,6 @@ struct SmallEnclave {
   tee::Platform platform{"p", tee::TeeMode::Hardware, cost()};
   std::unique_ptr<tee::Enclave> enclave = platform.launch_enclave(
       {.name = "lite", .content = crypto::to_bytes("lite"), .binary_bytes = 0});
-  tee::EnclaveEnv env{*enclave};
 };
 
 std::size_t first_op(const lite::FlatModel& m, OpType type) {
@@ -846,7 +845,7 @@ TEST(LiteTest, MalformedInputsFailTypedInBothDomains) {
       SCOPED_TRACE(std::string(convnet ? "convnet" : "mlp") +
                    (int8_compute ? " int8" : " float"));
       SmallEnclave used;
-      lite::LiteInterpreter interp(q, &used.env,
+      lite::LiteInterpreter interp(q, used.enclave.get(),
                                    kernels::KernelContext::shared(),
                                    /*weight_streaming=*/false, int8_compute);
       for (const Shape& shape : bad_requests) {
@@ -863,7 +862,7 @@ TEST(LiteTest, MalformedInputsFailTypedInBothDomains) {
       // The rejected invokes charged nothing: a valid one afterwards costs
       // what it costs a fresh interpreter.
       SmallEnclave fresh;
-      lite::LiteInterpreter reference(q, &fresh.env,
+      lite::LiteInterpreter reference(q, fresh.enclave.get(),
                                       kernels::KernelContext::shared(),
                                       /*weight_streaming=*/false,
                                       int8_compute);
@@ -1068,8 +1067,8 @@ TEST(LiteTest, WeightStreamingDoesNotChangeResults) {
   tee::Platform platform("p", tee::TeeMode::Hardware, cost);
   auto enclave = platform.launch_enclave(
       {.name = "lite", .content = crypto::to_bytes("lite"), .binary_bytes = 0});
-  tee::EnclaveEnv env(*enclave);
-  lite::LiteInterpreter streamed(model, &env, kernels::KernelContext::shared(),
+  lite::LiteInterpreter streamed(model, enclave.get(),
+                                 kernels::KernelContext::shared(),
                                  /*weight_streaming=*/true);
   lite::LiteInterpreter pure(model);
 
@@ -1147,7 +1146,7 @@ TEST(LiteTest, InvokeAccountingMatchesPinnedDigest) {
     digest.update(q.serialize());
     for (const Config& c : configs) {
       SmallEnclave e;
-      lite::LiteInterpreter interp(c.quantized ? q : model, &e.env,
+      lite::LiteInterpreter interp(c.quantized ? q : model, e.enclave.get(),
                                    kernels::KernelContext::shared(),
                                    c.streaming, c.int8_compute, c.gpu_offload);
       for (const std::size_t batch : {1u, 3u, 8u}) {
@@ -1216,7 +1215,8 @@ TEST(SessionTest, RunAccountingMatchesPinnedDigest) {
   for (const Graph& program : programs) {
     for (const Config& c : configs) {
       SmallEnclave e;
-      Session session(program, &e.env, kernels::KernelContext::shared(),
+      Session session(program, e.enclave.get(),
+                      kernels::KernelContext::shared(),
                       {.use_memory_planner = c.planner,
                        .weight_streaming = c.streaming,
                        .gpu_offload = c.gpu_offload});

@@ -262,14 +262,13 @@ TEST(ObsExport, SeededWorkloadExportIsByteIdentical) {
     tee::Platform platform("node", tee::TeeMode::Hardware, model);
     auto enclave = platform.launch_enclave(tee::EnclaveImage{
         .name = "wl", .content = crypto::to_bytes("wl"), .binary_bytes = 1});
-    const auto region =
-        enclave->alloc_region("data", 128 * model.page_size);
+    const auto region = enclave->alloc("data", 128 * model.page_size);
     for (int pass = 0; pass < 3; ++pass) {
       enclave->access(region, 0, 128 * model.page_size, pass == 0);
       enclave->charge_transition();
       enclave->syscall(256, /*asynchronous=*/false);
     }
-    enclave->release_region(region);
+    enclave->release(region);
     const std::uint64_t elapsed = platform.clock().now_ns();
     enclave.reset();
     return std::pair{elapsed, obs::export_json(obs::Registry::global(),
@@ -808,10 +807,9 @@ TEST(ObsConcurrency, ConcurrentPlannedSessionsShareTheGlobalPlaneSafely) {
                              tee::TeeMode::Hardware, cost);
       auto enclave = platform.launch_enclave(
           {.name = "sess", .content = crypto::to_bytes("sess")});
-      tee::EnclaveEnv env(*enclave);
       ml::Graph g = ml::mnist_mlp(16, static_cast<std::uint64_t>(t) + 1);
       ml::Session session(
-          g, &env, ml::kernels::KernelContext::shared(),
+          g, enclave.get(), ml::kernels::KernelContext::shared(),
           {.use_memory_planner = true, .weight_streaming = true});
       const ml::Dataset d =
           ml::synthetic_mnist(8, static_cast<std::uint64_t>(t) + 3);

@@ -214,30 +214,6 @@ INSTANTIATE_TEST_SUITE_P(
                       FsShieldParam{4096, 100'000},
                       FsShieldParam{65536, 65536}));
 
-TEST(FsShieldProperty, ModeledFidelityMatchesRealCostAccounting) {
-  // The Modeled fidelity must charge the same virtual time as Real crypto.
-  tee::CostModel model;
-  crypto::HmacDrbg rng1(to_bytes("r")), rng2(to_bytes("r"));
-  const auto key = crypto::HmacDrbg(to_bytes("key")).generate(32);
-  const Bytes data = crypto::HmacDrbg(to_bytes("d")).generate(300'000);
-
-  tee::SimClock real_clock, modeled_clock;
-  runtime::UntrustedFs host1, host2;
-  runtime::FsShield real_shield(
-      {.prefixes = {{"/", runtime::ShieldPolicy::Encrypt}}}, key, host1, model,
-      real_clock, rng1);
-  runtime::FsShield modeled_shield(
-      {.prefixes = {{"/", runtime::ShieldPolicy::Encrypt}},
-       .fidelity = runtime::CryptoFidelity::Modeled},
-      key, host2, model, modeled_clock, rng2);
-
-  real_shield.write("/f", data);
-  (void)real_shield.read("/f");
-  modeled_shield.write("/f", data);
-  (void)modeled_shield.read("/f");
-  EXPECT_EQ(real_clock.now_ns(), modeled_clock.now_ns());
-}
-
 // ---------------------------------------------------------------------------
 // Secure channel under a randomized adversary
 // ---------------------------------------------------------------------------

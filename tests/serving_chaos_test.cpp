@@ -319,7 +319,6 @@ TEST(ServingChaosTest, HedgingDuplicatesSlowQueueHeads) {
     ServingFleet fleet(f.model, f.config(), 2);
     fleet.attach_fault_plane(plane);
     HedgePolicy hedge;
-    hedge.enabled = true;
     hedge.hedge_delay_s = 1e-6;
     fleet.configure_hedging(hedge);
     return fleet.serve_trace(trace.requests, f.window());
@@ -354,7 +353,6 @@ TEST(ServingChaosTest, FullChaosScheduleIsDeterministicAcrossReruns) {
     retry.jitter_seed = 7;
     fleet.configure_retry(retry);
     HedgePolicy hedge;
-    hedge.enabled = true;
     hedge.hedge_delay_s = 0.002;
     fleet.configure_hedging(hedge);
     return fleet.serve_trace(trace.requests, f.window());

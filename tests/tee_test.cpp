@@ -278,7 +278,7 @@ TEST(EnclaveTest, BinaryOccupiesEpc) {
   auto enclave = platform.launch_enclave(std::move(image));
   EXPECT_EQ(platform.epc().resident_pages(), 12u);
   // Only 4 pages remain: a 8-page working set must thrash.
-  const auto region = enclave->alloc_region("heap", 8 * m.page_size);
+  const auto region = enclave->alloc("heap", 8 * m.page_size);
   platform.epc().reset_stats();
   enclave->access(region, 0, 8 * m.page_size, true);
   EXPECT_GT(platform.epc().stats().evictions, 0u);
@@ -415,7 +415,7 @@ TEST(EnclaveKnobTest, TouchBinaryFractionTouchesPrefix) {
   Platform p("n", TeeMode::Hardware, m);
   auto e = p.launch_enclave({.name = "s", .binary_bytes = 40 * m.page_size});
   // Launch faulted all 40 pages; map a cold region to displace half of them.
-  const auto cold = e->alloc_region("cold", 48 * m.page_size);
+  const auto cold = e->alloc("cold", 48 * m.page_size);
   e->access(cold, 0, 48 * m.page_size, true);
   p.epc().reset_stats();
   e->touch_binary(0.25);  // 10 pages; some will refault
