@@ -6,8 +6,6 @@
 // chunks amortize overhead but force whole-chunk rewrites. This bench
 // measures sealed-file size overhead and shield throughput across chunk
 // sizes, with real AES-GCM on a moderately sized file.
-#include <chrono>
-
 #include "bench_common.h"
 #include "crypto/drbg.h"
 #include "runtime/fs_shield.h"
@@ -16,7 +14,7 @@ namespace {
 
 using namespace stf;
 
-void run() {
+bool run() {
   bench::print_header(
       "Ablation — file-system shield chunk size",
       "per-chunk overhead vs amortization; default 64 KB is the flat part "
@@ -28,8 +26,8 @@ void run() {
   const crypto::Bytes payload =
       crypto::HmacDrbg(crypto::to_bytes("payload")).generate(4 << 20);  // 4 MB
 
-  std::printf("\n  %-12s %16s %16s %18s\n", "chunk", "virtual MB/s",
-              "size overhead", "real wall ms/MB");
+  std::printf("\n  %-12s %16s %16s\n", "chunk", "virtual MB/s",
+              "size overhead");
   for (const std::size_t chunk :
        {1024ul, 4096ul, 16384ul, 65536ul, 262144ul, 1048576ul}) {
     tee::SimClock clock;
@@ -40,13 +38,10 @@ void run() {
             .chunk_size = chunk},
         key, host, model, clock, rng);
 
-    const auto wall_start = std::chrono::steady_clock::now();
     shield.write("/f", payload);
-    const auto round = shield.read("/f");
-    const auto wall_end = std::chrono::steady_clock::now();
-    if (round != payload) {
-      std::printf("  ERROR: round trip failed at chunk %zu\n", chunk);
-      return;
+    if (shield.read("/f") != payload) {
+      std::fprintf(stderr, "round trip failed at chunk %zu\n", chunk);
+      return false;
     }
 
     const double virtual_s = clock.now_s();
@@ -55,20 +50,12 @@ void run() {
         static_cast<double>(host.read("/f")->size()) /
             static_cast<double>(payload.size()) -
         1.0;
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(wall_end - wall_start)
-            .count();
-    std::printf("  %-12zu %16.1f %15.2f%% %18.2f\n", chunk,
-                2 * mb / virtual_s, sealed_overhead * 100.0, wall_ms / mb / 2);
+    std::printf("  %-12zu %16.1f %15.2f%%\n", chunk, 2 * mb / virtual_s,
+                sealed_overhead * 100.0);
   }
-  bench::print_note(
-      "virtual throughput uses the cost model (AES-NI rates); wall time is "
-      "this host's software AES-GCM, shown for the real-crypto path");
+  return true;
 }
 
 }  // namespace
 
-int main() {
-  run();
-  return 0;
-}
+int main() { return run() ? 0 : 1; }

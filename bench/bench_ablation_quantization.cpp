@@ -103,21 +103,6 @@ SweepResult run_config(const std::string& name, std::uint64_t qweight_bytes,
   return r;
 }
 
-void check_conservation() {
-  std::uint64_t total = 0, exact = 0;
-  for (const auto& row : obs::AttributionStore::global().rows()) {
-    ++total;
-    if (row.conserved()) ++exact;
-  }
-  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
-              " attribution rows decompose exactly\n",
-              exact, total);
-  if (exact != total) {
-    std::fprintf(stderr, "conservation invariant violated\n");
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -205,7 +190,7 @@ int main() {
       "compute keeps the win and drops the per-invoke dequant + float "
       "activation traffic on top");
 
-  check_conservation();
+  bench::check_conservation();
   bench::print_registry_summary();
 
   std::FILE* out = std::fopen("BENCH_quantization.json", "w");

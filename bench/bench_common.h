@@ -12,7 +12,10 @@
 // and integer-valued, so a fixed seed reproduces it byte for byte.
 #pragma once
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -85,6 +88,24 @@ inline void fprint_json_member(std::FILE* out, const char* name,
   std::fputs(block.c_str(), out);
 }
 
+/// Prints how many attribution rows decompose exactly (`note` follows the
+/// sentence) and exits 1 unless all of them do: a bench whose profile does
+/// not add up writes no payload.
+inline void check_conservation(const char* note = "") {
+  std::uint64_t total = 0, exact = 0;
+  for (const auto& row : obs::AttributionStore::global().rows()) {
+    ++total;
+    if (row.conserved()) ++exact;
+  }
+  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
+              " attribution rows decompose exactly%s\n",
+              exact, total, note);
+  if (exact != total) {
+    std::fprintf(stderr, "conservation invariant violated\n");
+    std::exit(1);
+  }
+}
+
 /// One workload-config entry for the BENCH JSON "config" section. `value`
 /// is pre-rendered JSON: a bare integer ("42") or a quoted string
 /// ("\"poisson\"") — never a float, per the integer-only export contract.
@@ -103,10 +124,9 @@ inline ConfigEntry config_str(const std::string& key,
 }
 
 /// Appends `"config": {...},\n`: the workload parameters (seed, arrival
-/// model, offered load, batch window, ...) that produced the run. Committed
-/// baselines are thereby self-describing, and tools/bench_compare refuses
-/// to diff two runs whose configs disagree — comparing different workloads
-/// silently would make the regression gate meaningless.
+/// model, offered load, batch window, ...) that produced the run, so a
+/// committed baseline says which workload it holds and a run of another
+/// workload fails the byte comparison.
 inline void fprint_config_section(std::FILE* out,
                                   const std::vector<ConfigEntry>& entries) {
   std::fputs("  \"config\": {\n", out);
@@ -120,8 +140,8 @@ inline void fprint_config_section(std::FILE* out,
 
 /// Appends `"registry": {...},\n"profile": {...}\n` (call between the last
 /// figure section's "],\n" and the closing "}"). Every BENCH_*.json thus
-/// carries both the metric registry and the cost-attribution table, which is
-/// what tools/bench_compare diffs against bench/baselines/.
+/// carries both the metric registry and the cost-attribution table, and
+/// ctest compares it byte for byte with bench/baselines/.
 inline void fprint_registry_section(std::FILE* out) {
   const std::string block = detail::indent_member("registry", registry_json()) +
                             ",\n" +
@@ -131,7 +151,7 @@ inline void fprint_registry_section(std::FILE* out) {
 }
 
 /// Writes `{"registry": {...}, "profile": {...}}` to `path` (e.g.
-/// "BENCH_x.registry.json") — same payload shape bench_compare expects.
+/// "BENCH_x.registry.json").
 inline void write_registry_json(const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {

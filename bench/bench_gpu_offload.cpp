@@ -147,21 +147,6 @@ bool run_corruption_gate(const ml::lite::FlatModel& model,
   return ok;
 }
 
-void check_conservation() {
-  std::uint64_t total = 0, exact = 0;
-  for (const auto& row : obs::AttributionStore::global().rows()) {
-    ++total;
-    if (row.conserved()) ++exact;
-  }
-  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
-              " attribution rows decompose exactly\n",
-              exact, total);
-  if (exact != total) {
-    std::fprintf(stderr, "conservation invariant violated\n");
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -274,7 +259,7 @@ int main() {
       "enclave; batch 8 pays it once for the stack and the GPU's 15x "
       "arithmetic advantage shows through");
 
-  check_conservation();
+  bench::check_conservation();
   bench::print_registry_summary();
 
   std::FILE* out = std::fopen("BENCH_gpu_offload.json", "w");

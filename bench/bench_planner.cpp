@@ -77,21 +77,6 @@ ConfigResult run_config(const std::string& name, std::uint64_t weight_bytes,
   return r;
 }
 
-void check_conservation() {
-  std::uint64_t total = 0, exact = 0;
-  for (const auto& row : obs::AttributionStore::global().rows()) {
-    ++total;
-    if (row.conserved()) ++exact;
-  }
-  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
-              " attribution rows decompose exactly (incl. epc_prefetch)\n",
-              exact, total);
-  if (exact != total) {
-    std::fprintf(stderr, "conservation invariant violated\n");
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -143,7 +128,7 @@ int main() {
       "advised evictions replace demand evictions: the same pages leave the "
       "EPC, but off the critical path, before the pressure hits");
 
-  check_conservation();
+  bench::check_conservation(" (incl. epc_prefetch)");
   bench::print_registry_summary();
 
   std::FILE* out = std::fopen("BENCH_planner.json", "w");

@@ -4,9 +4,7 @@
 // for this bench (it is the one binary that exercises the attribution
 // plane); everything is virtual time from a fixed seed, so the emitted
 // BENCH_profile.json is byte-reproducible and serves as the committed
-// baseline for the bench_regression gate (tools/bench_compare).
-#include <cinttypes>
-
+// baseline for the bench_regression gate (ctest compares it byte for byte).
 #include "bench_common.h"
 #include "core/securetf.h"
 #include "distributed/training.h"
@@ -65,28 +63,13 @@ void run_training() {
   bench::print_row("seconds per round", stats.seconds_per_round, "s");
 }
 
-void check_conservation() {
-  std::uint64_t total = 0, exact = 0;
-  for (const auto& row : obs::AttributionStore::global().rows()) {
-    ++total;
-    if (row.conserved()) ++exact;
-  }
-  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
-              " attribution rows decompose exactly\n",
-              exact, total);
-  if (exact != total) {
-    std::fprintf(stderr, "conservation invariant violated\n");
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main() {
   obs::set_profiling_enabled(true);
   run_classification();
   run_training();
-  check_conservation();
+  bench::check_conservation();
 
   std::printf("\n[attribution table]\n%s",
               obs::profile_table(obs::AttributionStore::global()).c_str());

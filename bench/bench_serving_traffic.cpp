@@ -125,21 +125,6 @@ SweepRow run_point(const ml::lite::FlatModel& model, std::int64_t offered_rps,
   return row;
 }
 
-void check_conservation() {
-  std::uint64_t total = 0, exact = 0;
-  for (const auto& row : obs::AttributionStore::global().rows()) {
-    ++total;
-    if (row.conserved()) ++exact;
-  }
-  std::printf("\n  conservation: %" PRIu64 "/%" PRIu64
-              " attribution rows decompose exactly\n",
-              exact, total);
-  if (exact != total) {
-    std::fprintf(stderr, "conservation invariant violated\n");
-    std::exit(1);
-  }
-}
-
 }  // namespace
 
 int main() {
@@ -242,7 +227,7 @@ int main() {
       "same trace, same fleet: the batched columns complete more of the "
       "offered load per virtual second once arrivals outpace capacity");
 
-  check_conservation();
+  bench::check_conservation();
   bench::print_registry_summary();
 
   std::FILE* out = std::fopen("BENCH_serving_traffic.json", "w");

@@ -40,7 +40,10 @@ InferenceService::InferenceService(tee::Platform& platform,
   launch();
 }
 
-InferenceService::~InferenceService() = default;
+InferenceService::~InferenceService() {
+  // The executors release their own regions when they are destroyed next.
+  if (heap_region_ != 0) enclave_->release(heap_region_);
+}
 
 void InferenceService::launch() {
   tee::MemoryEnv* env = nullptr;

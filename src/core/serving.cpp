@@ -288,20 +288,6 @@ std::uint64_t ServingNode::serve_batch(
   return completion;
 }
 
-double ServingNode::classify_stream(const ml::Tensor& image,
-                                    std::int64_t count) {
-  const std::uint64_t start = lanes_[0].now_ns();
-  for (std::int64_t i = 0; i < count; ++i) {
-    // Least-loaded dispatch instead of round-robin: fixed-order assignment
-    // drifts out of balance as per-request costs diverge (reclaim jitter,
-    // mixed batch sizes), leaving some lanes idle while others queue.
-    classify_on_lane(least_loaded_lane(), image);
-  }
-  std::uint64_t end = start;
-  for (const auto& lane : lanes_) end = std::max(end, lane.now_ns());
-  return static_cast<double>(end - start) / 1e9;
-}
-
 double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
                                             std::int64_t count) {
   for (int r = 0; r < kWarmupRounds; ++r) {

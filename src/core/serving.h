@@ -152,11 +152,6 @@ class ServingNode {
   ServingNode(const ml::lite::FlatModel& model, ServingConfig config,
               unsigned ordinal = 0);
 
-  /// Classifies `count` copies of `image`, dispatching each to the
-  /// least-loaded thread lane; returns the virtual seconds until the last
-  /// lane finishes.
-  double classify_stream(const ml::Tensor& image, std::int64_t count);
-
   /// Steady-state estimate for long streams: warms the EPC (3 rounds, one
   /// request per lane each), measures 5 steady rounds for real, and
   /// extrapolates (exact for the deterministic cost model up to reclaim

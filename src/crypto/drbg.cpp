@@ -1,6 +1,5 @@
 #include "crypto/drbg.h"
 
-#include <random>
 #include <stdexcept>
 
 #include "crypto/backend.h"
@@ -59,21 +58,6 @@ std::uint64_t HmacDrbg::uniform(std::uint64_t bound) {
     const std::uint64_t v = load_be64(raw);
     if (v < limit) return v % bound;
   }
-}
-
-HmacDrbg& system_drbg() {
-  static HmacDrbg drbg = [] {
-    std::random_device rd;
-    Bytes seed(48);
-    for (std::size_t i = 0; i < seed.size(); i += 4) {
-      const std::uint32_t r = rd();
-      for (std::size_t j = 0; j < 4 && i + j < seed.size(); ++j) {
-        seed[i + j] = static_cast<std::uint8_t>(r >> (8 * j));
-      }
-    }
-    return HmacDrbg(seed);
-  }();
-  return drbg;
 }
 
 }  // namespace stf::crypto

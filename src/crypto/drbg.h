@@ -41,8 +41,4 @@ class HmacDrbg {
   std::array<std::uint8_t, Sha256::kDigestSize> value_{};
 };
 
-/// Process-wide DRBG seeded from std::random_device, for code paths that do
-/// not need determinism (e.g. example binaries).
-HmacDrbg& system_drbg();
-
 }  // namespace stf::crypto

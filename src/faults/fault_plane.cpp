@@ -59,10 +59,6 @@ bool FaultPlane::gpu_corrupt(net::NodeId node, std::uint64_t now_ns) {
   return false;
 }
 
-void FaultPlane::set_node_throttle(net::NodeId node, std::uint64_t extra_ns) {
-  throttles_[node] = extra_ns;
-}
-
 void FaultPlane::attach(net::SimNetwork& net) {
   net_ = &net;
   net.set_fault_hook([this](net::NodeId from, net::NodeId to,
@@ -82,13 +78,6 @@ void FaultPlane::crash_now(net::NodeId node) {
     throw std::logic_error("FaultPlane: crash_now before attach");
   }
   net_->kill_node(node);
-}
-
-void FaultPlane::revive_now(net::NodeId node) {
-  if (net_ == nullptr) {
-    throw std::logic_error("FaultPlane: revive_now before attach");
-  }
-  net_->revive_node(node);
 }
 
 const LinkFaultSpec& FaultPlane::spec_for(net::NodeId a, net::NodeId b) const {
@@ -141,11 +130,6 @@ net::FaultDecision FaultPlane::on_message(net::NodeId from, net::NodeId to,
     decision.drop = true;
     return decision;
   }
-
-  const auto ft = throttles_.find(from);
-  if (ft != throttles_.end()) decision.extra_delay_ns += ft->second;
-  const auto tt = throttles_.find(to);
-  if (tt != throttles_.end()) decision.extra_delay_ns += tt->second;
 
   const LinkFaultSpec& spec = spec_for(from, to);
   if (!spec.any()) return decision;

@@ -68,10 +68,6 @@ class FaultPlane {
   void schedule_crash(net::NodeId node, std::uint64_t down_ns,
                       std::uint64_t up_ns);
 
-  /// Slow-node throttle: every message from or to `node` picks up
-  /// `extra_ns` of latency (a straggling NIC/stack, not a dead one).
-  void set_node_throttle(net::NodeId node, std::uint64_t extra_ns);
-
   /// Probability that one host filesystem operation fails transiently
   /// (attach_fs installs the injector; failures throw TransientError).
   void set_io_fault_prob(double prob) { io_fail_prob_ = prob; }
@@ -88,7 +84,7 @@ class FaultPlane {
   // --- attachment ---------------------------------------------------------
 
   /// Installs the message-weather hook on `net`. The plane must outlive the
-  /// network. Also enables crash_now()/revive_now() on it.
+  /// network. Also enables crash_now() on it.
   void attach(net::SimNetwork& net);
 
   /// Installs the transient-I/O injector on a host filesystem. The plane
@@ -100,10 +96,6 @@ class FaultPlane {
   /// Crash-stops `node` on the attached network: its connections turn
   /// peer-dead and queued traffic to it is lost. Requires attach().
   void crash_now(net::NodeId node);
-
-  /// Restarts a crash_now()'d node. Its old connections stay dead — the
-  /// survivor must reconnect (and, in attested deployments, re-attest).
-  void revive_now(net::NodeId node);
 
   // --- crash-schedule queries (mid-trace failover, docs/SERVING.md) -------
 
@@ -145,7 +137,6 @@ class FaultPlane {
   };
   std::map<net::NodeId, std::vector<CrashWindow>> crash_windows_;
   std::map<net::NodeId, std::vector<CrashWindow>> gpu_corruption_windows_;
-  std::map<net::NodeId, std::uint64_t> throttles_;
   double io_fail_prob_ = 0;
   net::SimNetwork* net_ = nullptr;
   FaultStats stats_;

@@ -75,14 +75,6 @@ std::vector<NodeId> Graph::variables() const {
   return out;
 }
 
-std::vector<NodeId> Graph::placeholders() const {
-  std::vector<NodeId> out;
-  for (const Node& n : nodes_) {
-    if (n.type == OpType::Placeholder) out.push_back(n.id);
-  }
-  return out;
-}
-
 std::vector<NodeId> Graph::topological_order(
     const std::vector<NodeId>& outputs) const {
   enum class Mark : std::uint8_t { None, InProgress, Done };

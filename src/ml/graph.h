@@ -82,8 +82,6 @@ class Graph {
 
   /// All Variable node ids (the trainable parameters).
   [[nodiscard]] std::vector<NodeId> variables() const;
-  /// All Placeholder node ids (the feeds).
-  [[nodiscard]] std::vector<NodeId> placeholders() const;
 
   /// Topological order ending at `outputs` (only reachable nodes).
   /// Throws std::logic_error on a cycle.

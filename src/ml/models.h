@@ -37,15 +37,4 @@ namespace stf::ml {
                                      std::int64_t classes = 10,
                                      std::uint64_t seed = 7);
 
-// The paper's three model sizes (§5.3).
-[[nodiscard]] inline Graph densenet_42mb() {
-  return sized_classifier("densenet", 42ull << 20);
-}
-[[nodiscard]] inline Graph inception_v3_91mb() {
-  return sized_classifier("inception_v3", 91ull << 20);
-}
-[[nodiscard]] inline Graph inception_v4_163mb() {
-  return sized_classifier("inception_v4", 163ull << 20);
-}
-
 }  // namespace stf::ml

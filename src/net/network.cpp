@@ -63,8 +63,6 @@ void SimNetwork::kill_node(NodeId id) {
   }
 }
 
-void SimNetwork::revive_node(NodeId id) { nodes_.at(id).down = false; }
-
 const LinkSpec& SimNetwork::link_between(NodeId a, NodeId b) const {
   const auto it = links_.find(link_key(a, b));
   return it != links_.end() ? it->second : default_link_;
@@ -84,8 +82,8 @@ std::pair<Connection, Connection> SimNetwork::connect(NodeId dialer,
     obs::ScopedCategory attribution(obs::Category::kNet);
     nodes_[dialer].clock->advance(link_between(dialer, listener).rtt_ns);
   }
-  return {Connection(this, id, /*side=*/false, dialer, listener),
-          Connection(this, id, /*side=*/true, listener, dialer)};
+  return {Connection(this, id, /*side=*/false, listener),
+          Connection(this, id, /*side=*/true, dialer)};
 }
 
 void SimNetwork::send_impl(std::uint64_t conn_id, bool from_side,

@@ -93,20 +93,16 @@ class Connection {
   void close();
 
   [[nodiscard]] bool valid() const { return network_ != nullptr; }
-  [[nodiscard]] NodeId local_node() const { return local_; }
-  [[nodiscard]] NodeId remote_node() const { return remote_; }
 
  private:
   friend class SimNetwork;
   Connection(SimNetwork* network, std::uint64_t conn_id, bool side,
-             NodeId local, NodeId remote)
-      : network_(network), conn_id_(conn_id), side_(side), local_(local),
-        remote_(remote) {}
+             NodeId remote)
+      : network_(network), conn_id_(conn_id), side_(side), remote_(remote) {}
 
   SimNetwork* network_ = nullptr;
   std::uint64_t conn_id_ = 0;
   bool side_ = false;  // false = dialer, true = listener
-  NodeId local_ = 0;
   NodeId remote_ = 0;
 };
 
@@ -127,12 +123,8 @@ class SimNetwork {
 
   /// Crash-stops a node: every connection touching it turns peer-dead,
   /// undelivered messages addressed to it are lost, and further traffic
-  /// from/to it vanishes until revive_node().
+  /// from/to it vanishes.
   void kill_node(NodeId id);
-
-  /// Brings a crashed node back. Existing connections stay dead (the crash
-  /// lost their state) — survivors must reconnect.
-  void revive_node(NodeId id);
 
   [[nodiscard]] bool node_down(NodeId id) const {
     return nodes_.at(id).down;
@@ -144,9 +136,6 @@ class SimNetwork {
 
   [[nodiscard]] const std::string& node_name(NodeId id) const {
     return nodes_.at(id).name;
-  }
-  [[nodiscard]] tee::SimClock& node_clock(NodeId id) {
-    return *nodes_.at(id).clock;
   }
   [[nodiscard]] std::uint64_t messages_delivered() const {
     return messages_delivered_;

@@ -95,9 +95,6 @@ class Enclave final : public MemoryEnv {
 
   [[nodiscard]] std::uint64_t syscall_count() const { return syscall_count_; }
 
-  /// The region that pins the enclave binary in the EPC.
-  [[nodiscard]] RegionId binary_region() const { return binary_region_; }
-
   /// Touches the leading `fraction` of the binary image (the hot code +
   /// static data executed during one unit of work); in HW mode this is what
   /// makes a large binary compete with model data for EPC residency.

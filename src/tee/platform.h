@@ -102,8 +102,6 @@ class NativeEnv final : public MemoryEnv {
     return clock_->now_ns();
   }
 
-  void set_clock(SimClock& clock) { clock_ = &clock; }
-
  private:
   const CostModel& model_;
   SimClock* clock_;

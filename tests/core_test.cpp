@@ -327,6 +327,33 @@ TEST(InferenceServiceTest, AccountingMatchesPinnedDigest) {
             "c66b690366f270999bda8e4c1dc36d4790156da52f19dbd89d6650db1f905ffe");
 }
 
+// A full-TF service maps its framework heap into the enclave. Destroying the
+// service must hand those pages back; otherwise each later service on the
+// platform starts against an EPC full of dead heaps.
+TEST(InferenceServiceTest, FullTfServicesReleaseTheirFrameworkHeap) {
+  ml::Graph g = ml::mnist_mlp(32, 5);
+  ml::Session session(g);
+  const ml::Graph frozen = ml::freeze(g, session);
+  const ml::Dataset data = ml::synthetic_mnist(1, 33);
+  tee::Platform platform("heap", tee::TeeMode::Hardware, tee::CostModel{});
+  InferenceOptions options;
+  options.container_name = "heap";
+  options.binary_bytes = 16 * 4096;
+  options.framework_heap_bytes = 16ull << 20;
+  for (int service_index = 0; service_index < 3; ++service_index) {
+    const std::uint64_t mapped = platform.epc().mapped_bytes();
+    const std::uint64_t resident = platform.epc().resident_pages();
+    {
+      InferenceService service(platform, frozen, options);
+      (void)service.classify(data.sample(0));
+      ASSERT_GT(platform.epc().mapped_bytes(),
+                mapped + options.framework_heap_bytes);
+    }
+    EXPECT_EQ(platform.epc().mapped_bytes(), mapped) << service_index;
+    EXPECT_EQ(platform.epc().resident_pages(), resident) << service_index;
+  }
+}
+
 TEST(WorkloadsTest, SpecsMatchPaperSizes) {
   EXPECT_EQ(densenet_spec().weight_bytes, 42ull << 20);
   EXPECT_EQ(inception_v3_spec().weight_bytes, 91ull << 20);

@@ -942,9 +942,11 @@ std::vector<std::pair<std::string, Graph>> planner_model_zoo() {
   std::vector<std::pair<std::string, Graph>> zoo;
   zoo.emplace_back("mnist_mlp", mnist_mlp(32, 5));
   zoo.emplace_back("mnist_convnet", mnist_convnet(9));
-  zoo.emplace_back("densenet_42mb", densenet_42mb());
-  zoo.emplace_back("inception_v3_91mb", inception_v3_91mb());
-  zoo.emplace_back("inception_v4_163mb", inception_v4_163mb());
+  zoo.emplace_back("densenet_42mb", sized_classifier("densenet", 42ull << 20));
+  zoo.emplace_back("inception_v3_91mb",
+                   sized_classifier("inception_v3", 91ull << 20));
+  zoo.emplace_back("inception_v4_163mb",
+                   sized_classifier("inception_v4", 163ull << 20));
   return zoo;
 }
 
