@@ -246,6 +246,22 @@ BENCHMARK(BM_GemmSmallBatch)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
+// The serving bias add: an [m, 1024] activation plus a [1024] bias, on a
+// serial context (1 = an unbatched classify, 8 = a full batch). Every
+// served dense layer runs one.
+void BM_BiasAdd(benchmark::State& state) {
+  const std::int64_t m = state.range(0);
+  const std::int64_t n = 1024;
+  const ml::Tensor a = filled({m, n}, 7);
+  const ml::Tensor bias = filled({n}, 8);
+  const ml::kernels::KernelContext serial{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ml::ops::add(a, bias, serial));
+  }
+}
+BENCHMARK(BM_BiasAdd)->ArgName("m")->Arg(1)->Arg(8)
+    ->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -133,14 +133,25 @@ ml::Tensor InferenceService::classify(const ml::Tensor& input) {
 
 std::vector<ml::Tensor> InferenceService::classify_batch(
     const std::vector<const ml::Tensor*>& inputs) {
+  return charge_batch(inputs).run();
+}
+
+bool InferenceService::math_runs_inline() const {
+  return session_ != nullptr || interpreter_->offloading();
+}
+
+ml::lite::MathStep InferenceService::charge_batch(
+    const std::vector<const ml::Tensor*>& inputs) {
   if (inputs.empty()) return {};
   const bool single = inputs.size() == 1;
   if (!single && !interpreter_) {
     throw std::logic_error(
         "classify_batch: only the Lite path supports batched invocation");
   }
+  std::optional<ml::lite::ChargePlan> plan;
+  if (interpreter_) plan = interpreter_->plan(inputs);
   tee::SimStopwatch watch(platform_.clock());
-  std::vector<ml::Tensor> probs;
+  ml::lite::MathStep math;
   {
     // The profile observes the same clock over the same interval as the
     // span, so its category decomposition sums exactly to the span's
@@ -157,16 +168,14 @@ std::vector<ml::Tensor> InferenceService::classify_batch(
     // interpreter pays per-layer weight paging once — the amortization that
     // makes batching beat per-request dispatch at saturation.
     charge_per_inference_overheads();
-    const auto execute = [&]() -> std::vector<ml::Tensor> {
-      if (!single) return interpreter_->invoke_batch(inputs);
-      const ml::Tensor& input = *inputs.front();
+    const auto execute = [&]() -> ml::lite::MathStep {
+      if (interpreter_) return interpreter_->charge(*plan, inputs);
       std::vector<ml::Tensor> out;
-      out.push_back(interpreter_ ? interpreter_->invoke(input)
-                                 : session_->run1("probs", {{"input", input}}));
-      return out;
+      out.push_back(session_->run1("probs", {{"input", *inputs.front()}}));
+      return ml::lite::MathStep(std::move(out));
     };
     try {
-      probs = execute();
+      math = execute();
     } catch (const ml::VerificationError&) {
       // The GPU returned a wrong result: discard it, count the strike (one
       // for a whole batch, whose stacked result failed its batched check),
@@ -175,7 +184,7 @@ std::vector<ml::Tensor> InferenceService::classify_batch(
       ml::GpuOffloadEngine* engine = gpu_engine();
       engine->note_fallback();
       engine->set_active(false);
-      probs = execute();
+      math = execute();
       engine->set_active(!gpu_distrusted());
     }
   }
@@ -190,7 +199,7 @@ std::vector<ml::Tensor> InferenceService::classify_batch(
     obs::counter<obs::names::kInferenceBatches>().add();
     obs::counter<obs::names::kInferenceRequests>().add(inputs.size());
   }
-  return probs;
+  return math;
 }
 
 std::int64_t InferenceService::classify_label(const ml::Tensor& input) {

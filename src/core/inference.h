@@ -105,6 +105,19 @@ class InferenceService {
   std::vector<ml::Tensor> classify_batch(
       const std::vector<const ml::Tensor*>& inputs);
 
+  /// The charge step of classify_batch (docs/SERVING.md): every check
+  /// first, so a batch it cannot run throws before anything is charged,
+  /// then every virtual-time charge of the call in classify_batch's order —
+  /// which last_latency_ms() and the request metrics then reflect. Returns
+  /// the math step, which computes the outputs and charges nothing. The
+  /// full-TF path, and a Lite batch while its linear layers go to the GPU
+  /// (math_runs_inline()), run their math here; their step holds the
+  /// outputs.
+  ml::lite::MathStep charge_batch(const std::vector<const ml::Tensor*>& inputs);
+
+  /// True while charge_batch runs the math itself (see above).
+  [[nodiscard]] bool math_runs_inline() const;
+
   /// Argmax convenience.
   std::int64_t classify_label(const ml::Tensor& input);
 

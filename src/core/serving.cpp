@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "crypto/bytes.h"
@@ -187,6 +191,77 @@ std::string export_traffic_summary_json(const TrafficSummary& s) {
   return out;
 }
 
+// The node's math worker (docs/SERVING.md): one host thread that runs the
+// math steps of charged batches in dispatch order, as the calling thread of
+// the node's kernel pool, so the node still runs `kernel_threads` kernel
+// threads. It starts with the first step queued.
+class ServingNode::MathWorker {
+ public:
+  ~MathWorker() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  void push(ml::lite::MathStep math, std::vector<ml::Tensor>* outputs) {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+    room_.wait(lock, [&] { return jobs_.size() < kMathQueueDepth; });
+    jobs_.push_back({std::move(math), outputs});
+    wake_.notify_one();
+  }
+
+  /// Waits for an empty queue and an idle thread; returns the first
+  /// exception a step threw since the last drain.
+  std::exception_ptr drain() {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_.wait(lock, [&] { return jobs_.empty() && !busy_; });
+    return std::exchange(error_, nullptr);
+  }
+
+ private:
+  struct Job {
+    ml::lite::MathStep math;
+    std::vector<ml::Tensor>* outputs;
+  };
+
+  void loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      wake_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
+      if (jobs_.empty()) return;  // stopping, and nothing left to run
+      Job job = std::move(jobs_.front());
+      jobs_.pop_front();
+      busy_ = true;
+      room_.notify_one();
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        *job.outputs = job.math.run();
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error && !error_) error_ = error;
+      busy_ = false;
+      if (jobs_.empty()) idle_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable wake_;  ///< a step was queued, or stop
+  std::condition_variable room_;  ///< the queue has room
+  std::condition_variable idle_;  ///< the queue is empty and no step runs
+  std::deque<Job> jobs_;
+  bool busy_ = false;
+  bool stop_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;
+};
+
 ServingNode::ServingNode(const ml::lite::FlatModel& model,
                          ServingConfig config, unsigned ordinal)
     : config_(std::move(config)), ordinal_(ordinal) {
@@ -228,9 +303,28 @@ ServingNode::ServingNode(const ml::lite::FlatModel& model,
           "thread-scratch-" + std::to_string(t), config_.per_thread_scratch));
     }
   }
+  worker_ = std::make_unique<MathWorker>();
+}
+
+ServingNode::~ServingNode() = default;
+
+void ServingNode::queue_math(ml::lite::MathStep math,
+                             std::vector<ml::Tensor>* outputs) {
+  if (math.pending()) {
+    worker_->push(std::move(math), outputs);
+  } else {
+    *outputs = math.run();
+  }
+}
+
+void ServingNode::drain() {
+  if (std::exception_ptr error = worker_->drain()) {
+    std::rethrow_exception(error);
+  }
 }
 
 void ServingNode::classify_on_lane(unsigned lane, const ml::Tensor& image) {
+  drain();  // an inline call runs after every queued step
   // Spans/profiles recorded inside this request carry (node ordinal, lane)
   // so the Chrome trace draws one row per simulated core lane.
   obs::ScopedLane lane_scope(static_cast<std::uint16_t>(ordinal_),
@@ -258,9 +352,10 @@ std::uint64_t ServingNode::next_free_ns() const {
   return lanes_[least_loaded_lane()].now_ns();
 }
 
-std::uint64_t ServingNode::serve_batch(
+ServingNode::ChargedBatch ServingNode::serve_batch(
     const std::vector<const ml::Tensor*>& inputs, std::uint64_t dispatch_ns,
     const BatchTraceInfo* trace) {
+  if (service_->math_runs_inline()) drain();
   const unsigned lane = least_loaded_lane();
   obs::ScopedLane lane_scope(static_cast<std::uint16_t>(ordinal_),
                              static_cast<std::uint16_t>(lane));
@@ -282,10 +377,11 @@ std::uint64_t ServingNode::serve_batch(
   if (tee::Enclave* enclave = service_->enclave()) {
     enclave->access(scratch_[lane], 0, config_.per_thread_scratch, true);
   }
-  (void)service_->classify_batch(inputs);
-  const std::uint64_t completion = lanes_[lane].now_ns();
+  ChargedBatch charged;
+  charged.math = service_->charge_batch(inputs);
+  charged.completion_ns = lanes_[lane].now_ns();
   platform_->set_active_lane(nullptr);
-  return completion;
+  return charged;
 }
 
 double ServingNode::estimate_stream_seconds(const ml::Tensor& image,
@@ -462,12 +558,32 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     std::uint64_t node_arrival_ns = 0;
     std::uint64_t shed_ns = 0;  ///< where the decision lands on the Timeline
     bool by_hedge = false;
+    std::size_t batch = 0;  ///< a completion's output: outputs[batch][row]
+    std::size_t row = 0;
   };
   constexpr int kStrikeBudget = 8;
 
   std::vector<NodeLoop> loops(n);
   std::map<std::int64_t, Terminal> done;
   std::set<std::int64_t> hedged;
+
+  // The outputs of every batch whose math was queued, one slot per batch,
+  // written by that node's worker. Every exit drains every worker first
+  // (the guard is declared after the slots, so it runs before they go): no
+  // queued step outlives `requests` or `outputs`, and none runs into the
+  // caller's next measurement.
+  std::deque<std::vector<ml::Tensor>> outputs;
+  struct Join {
+    std::vector<std::unique_ptr<ServingNode>>& nodes;
+    ~Join() {
+      for (auto& node : nodes) {
+        try {
+          node->drain();
+        } catch (...) {  // the exception already in flight wins
+        }
+      }
+    }
+  } join{nodes_};
 
   // Static partition round-robin by request order over the nodes alive at
   // trace start; every arrival pays the network shield + LAN cost before
@@ -537,8 +653,11 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
   auto record_complete = [&](const Pending& p, std::size_t i,
                              std::uint64_t dispatch_ns,
                              std::uint64_t completion_ns,
-                             std::int64_t batch_size) {
+                             std::int64_t batch_size, std::size_t slot,
+                             std::size_t row) {
     Terminal t;
+    t.batch = slot;
+    t.row = row;
     t.out.id = p.req->id;
     t.out.status =
         p.attempts > 0 ? RequestStatus::Retried : RequestStatus::Completed;
@@ -835,8 +954,9 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
       }
     }
 
-    const std::uint64_t completion = nodes_[i]->serve_batch(
+    ServingNode::ChargedBatch charged = nodes_[i]->serve_batch(
         inputs, dispatch_at, members.empty() ? nullptr : &tinfo);
+    const std::uint64_t completion = charged.completion_ns;
     obs::counter<obs::names::kServingDispatches>().add();
     tl.record_batch(dispatch_at, static_cast<std::int64_t>(batch.size()));
     tl.record_queue_depth(
@@ -844,7 +964,8 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
 
     // Mid-service interruption: a crash window opening before the batch
     // completes loses the whole batch at the crash instant; the dispatcher
-    // notices a timeout later, and every member retries or fails.
+    // notices a timeout later, and every member retries or fails. The lost
+    // batch's math is dropped unrun.
     std::optional<std::uint64_t> crash;
     if (fault_plane_ != nullptr) {
       crash = fault_plane_->next_crash_after(
@@ -859,15 +980,18 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
       continue;
     }
 
-    // The batch really completed: record every member's causal tree (hedge
-    // twins each get their own root; trace_report keeps the earliest).
+    // The batch really completed: its math goes to the node's worker, and
+    // every member's causal tree is recorded (hedge twins each get their
+    // own root; trace_report keeps the earliest).
+    const std::size_t slot = outputs.size();
+    nodes_[i]->queue_math(std::move(charged.math), &outputs.emplace_back());
     for (const MemberTrace& m : members) {
       record_member_trace(m, static_cast<std::uint16_t>(i), dispatch_at,
                           completion);
     }
-    for (const Pending& p : batch) {
-      record_complete(p, i, dispatch_at, completion,
-                      static_cast<std::int64_t>(batch.size()));
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      record_complete(batch[k], i, dispatch_at, completion,
+                      static_cast<std::int64_t>(batch.size()), slot, k);
     }
 
     // Hedging: a queue head that has already waited past the hedge delay
@@ -895,6 +1019,10 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     }
   }
 
+  // The join: every queued math step has run, and a step's exception
+  // surfaces here.
+  for (auto& node : nodes_) node->drain();
+
   // Finalize: every offered request must hold exactly one terminal outcome.
   std::vector<RequestOutcome> out;
   out.reserve(requests.size());
@@ -906,7 +1034,6 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
     }
     RequestOutcome o = it->second.out;
     o.arrival_ns = r.arrival_ns;  // client-side arrival: e2e includes the wire
-    out.push_back(o);
     switch (o.status) {
       case RequestStatus::Completed:
       case RequestStatus::Retried:
@@ -919,6 +1046,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
         obs::quantiles<obs::names::kServingRequestQuantileNs>().observe(
             o.completion_ns - o.dispatch_ns);
         if (o.node >= 0) ++status_[static_cast<std::size_t>(o.node)].served;
+        o.output = std::move(outputs[it->second.batch][it->second.row]);
         if (it->second.by_hedge) {
           obs::counter<obs::names::kServingFailoverHedgeWins>().add();
         }
@@ -937,6 +1065,7 @@ std::vector<RequestOutcome> ServingFleet::serve_trace(
         obs::counter<obs::names::kServingFailoverFailedRequests>().add();
         break;
     }
+    out.push_back(std::move(o));
   }
   std::sort(out.begin(), out.end(),
             [](const RequestOutcome& a, const RequestOutcome& b) {

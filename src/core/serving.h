@@ -68,6 +68,9 @@ struct RequestOutcome {
   std::int64_t retries = 0;          ///< client-side retry attempts consumed
   std::int64_t steered_from = -1;    ///< node it was re-steered away from
   std::int64_t node = -1;            ///< node that produced the outcome
+  /// The request's class probabilities (Completed and Retried only; empty
+  /// otherwise), from the copy whose completion counts.
+  ml::Tensor output;
 };
 
 /// Causal linkage for one batch dispatch (docs/TRACING.md). Only built when
@@ -158,16 +161,42 @@ class ServingNode {
   /// jitter, which the averaging absorbs).
   double estimate_stream_seconds(const ml::Tensor& image, std::int64_t count);
 
-  /// Runs one batch on the least-loaded lane as a single batched container
-  /// invocation launching at `dispatch_ns` (the lane clock is advanced to
-  /// it first); returns the batch completion time. Building block of
-  /// ServingFleet::serve_trace, which owns queueing and shedding. `trace`,
-  /// when non-null with a nonzero trace_id, installs the head member's
-  /// trace context for the batch and finishes every member's flow arrow at
-  /// the dispatch (docs/TRACING.md).
-  std::uint64_t serve_batch(const std::vector<const ml::Tensor*>& inputs,
-                            std::uint64_t dispatch_ns,
-                            const BatchTraceInfo* trace = nullptr);
+  ServingNode(const ServingNode&) = delete;
+  ServingNode& operator=(const ServingNode&) = delete;
+  ~ServingNode();
+
+  /// A batch whose charges are paid: when it completes, and its math step.
+  struct ChargedBatch {
+    std::uint64_t completion_ns = 0;
+    ml::lite::MathStep math;
+  };
+
+  /// Runs one batch's charge step on the least-loaded lane as a single
+  /// batched container invocation launching at `dispatch_ns` (the lane
+  /// clock is advanced to it first). Its completion time depends on shapes
+  /// only, so the math is left to the caller: queue it with queue_math(),
+  /// or drop it. A batch whose math must run inline (GPU offload) drains
+  /// the worker first. Building block of ServingFleet::serve_trace, which
+  /// owns queueing and shedding. `trace`, when non-null with a nonzero
+  /// trace_id, installs the head member's trace context for the batch and
+  /// finishes every member's flow arrow at the dispatch (docs/TRACING.md).
+  ChargedBatch serve_batch(const std::vector<const ml::Tensor*>& inputs,
+                           std::uint64_t dispatch_ns,
+                           const BatchTraceInfo* trace = nullptr);
+
+  /// Hands a math step to the node's worker thread, which runs it on the
+  /// node's kernel pool and writes its outputs to `*outputs`; blocks while
+  /// the worker already has kMathQueueDepth steps waiting. A step whose
+  /// math already ran is delivered here. `*outputs` and the step's inputs
+  /// must stay valid until drain() returns.
+  void queue_math(ml::lite::MathStep math, std::vector<ml::Tensor>* outputs);
+
+  /// Waits until the worker has run every queued step, then rethrows the
+  /// first exception a step threw since the last drain.
+  void drain();
+
+  /// Math steps the worker holds waiting, at most.
+  static constexpr std::size_t kMathQueueDepth = 4;
 
   /// Clock of the least-loaded lane: the earliest time a new batch could
   /// start computing on this node.
@@ -187,6 +216,8 @@ class ServingNode {
   /// diverge (reclaim jitter, mixed batch sizes).
   [[nodiscard]] unsigned least_loaded_lane() const;
 
+  class MathWorker;
+
   ServingConfig config_;
   unsigned ordinal_ = 0;
   std::unique_ptr<runtime::ThreadPool> kernel_pool_;  // when kernel_threads > 1
@@ -194,6 +225,9 @@ class ServingNode {
   std::unique_ptr<InferenceService> service_;
   std::vector<tee::RegionId> scratch_;
   std::vector<tee::SimClock> lanes_;
+  /// Declared last: it stops, after its queue drained, before the service
+  /// and the pool its steps run on go.
+  std::unique_ptr<MathWorker> worker_;
 };
 
 /// Circuit-breaker resilience knobs for a fleet facing node failures and

@@ -9,6 +9,7 @@
 // (the 71x result of §5.3 #4).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -128,6 +129,75 @@ class FlatModel {
   std::int32_t output_ = -1;
 };
 
+/// The calibration hook: sees the input and every float activation, by
+/// tensor index.
+using Observer = std::function<void(std::int32_t, const Tensor&)>;
+
+/// One forward pass as the charge step sees it (docs/SERVING.md): every
+/// tensor's shape and, per op, its domain, the bytes it reads and writes
+/// and the work it charges, all from shapes. Which values cross between
+/// floats and int8 codes, and where, follows from op types — under
+/// int8_compute a MatMul or Conv2D with a weight operand, an Add, a Relu, a
+/// MaxPool2D and a Reshape run on codes, every other op on floats, and a
+/// value crosses on its first use in the other domain — never from values.
+struct ChargePlan {
+  struct Op {
+    bool on_codes = false;
+    /// Each activation operand's bytes as stored when the op reads it (1
+    /// per element as int8 codes); weights are read in the arena. The shape
+    /// rule admits no op with more than two operands.
+    std::array<std::uint64_t, 2> read_bytes{};
+    std::uint64_t write_bytes = 0;
+    double flops = 0;  ///< float work (ml::op_flops); 0 on codes
+    /// Quantized weights dequantized to floats here: counted in
+    /// last_invoke_flops(), never charged.
+    double weight_flops = 0;
+    double int8_ops = 0;  ///< 2 * MACs + requantized elements + crossings
+  };
+  std::vector<Shape> shapes;
+  std::vector<Op> ops;
+  bool int8 = false;               ///< the input is quantized (int8_compute)
+  double input_int8_ops = 0;       ///< quantizing the input
+  double output_int8_ops = 0;      ///< dequantizing codes at the output
+  double output_weight_flops = 0;  ///< a weight as the model output
+  double macs = 0;      ///< int8 MACs, for ml.quant.int8_macs
+  double requants = 0;  ///< for ml.quant.requantized_elements
+};
+
+/// The math step of one charged forward pass (LiteInterpreter::charge): it
+/// stacks the inputs, computes every op's values and splits the output. It
+/// touches values and kernels only — no env call, no virtual clock, no
+/// span — so it may run on any thread while later passes are charged on
+/// the same interpreter. The model, the inputs and the kernel pool must
+/// outlive it.
+class MathStep {
+ public:
+  MathStep() = default;
+  /// A step whose outputs already exist: math that ran inline.
+  explicit MathStep(std::vector<Tensor> outputs)
+      : outputs_(std::move(outputs)) {}
+
+  /// Runs the math, once, and returns one output per input.
+  std::vector<Tensor> run();
+  /// True until the math has run.
+  [[nodiscard]] bool pending() const { return model_ != nullptr; }
+
+ private:
+  friend class LiteInterpreter;
+  MathStep(const FlatModel& model, kernels::KernelContext ctx,
+           ChargePlan plan, std::vector<const Tensor*> inputs,
+           const Observer* observer)
+      : model_(&model), ctx_(ctx), plan_(std::move(plan)),
+        inputs_(std::move(inputs)), observer_(observer) {}
+
+  const FlatModel* model_ = nullptr;
+  kernels::KernelContext ctx_;
+  ChargePlan plan_;
+  std::vector<const Tensor*> inputs_;
+  const Observer* observer_ = nullptr;
+  std::vector<Tensor> outputs_;
+};
+
 /// Forward-only interpreter with a bounded activation footprint.
 class LiteInterpreter {
  public:
@@ -147,9 +217,9 @@ class LiteInterpreter {
   /// (docs/GPU_OFFLOAD.md); outputs stay bit-identical to the offload-off
   /// path, and a lying GPU raises VerificationError from invoke. Mutually
   /// exclusive with int8_compute (the GPU path is float-only). Every
-  /// domain runs in one forward loop, after one shape pass: an input or
-  /// program some op cannot run throws std::invalid_argument from invoke
-  /// before anything is charged.
+  /// invoke is a charge step and then a math step over one plan: an input
+  /// or program some op cannot run throws std::invalid_argument from the
+  /// plan, before anything is charged.
   explicit LiteInterpreter(const FlatModel& model,
                            tee::MemoryEnv* env = nullptr,
                            kernels::KernelContext kernel_ctx =
@@ -181,9 +251,25 @@ class LiteInterpreter {
   /// Runs one float forward pass, handing the input and every produced
   /// activation to `observer(tensor_index, value)` — the hook min/max
   /// calibration is built on. Math identical to invoke().
-  Tensor invoke_observed(
-      const Tensor& input,
-      const std::function<void(std::int32_t, const Tensor&)>& observer);
+  Tensor invoke_observed(const Tensor& input, const Observer& observer);
+
+  /// Every check of invoke_batch(inputs) (of invoke() for one input) and
+  /// the plan of its pass; no env call. Throws std::invalid_argument for
+  /// inputs of different shapes, inputs without a leading batch dimension
+  /// of 1 (batches only), and anything the shape rule rejects.
+  [[nodiscard]] ChargePlan plan(
+      const std::vector<const Tensor*>& inputs) const;
+
+  /// The charge step of `plan`, made for `inputs`: every env call of the
+  /// pass — streaming windows, weight and activation reads, activation
+  /// growth, the output write, compute and int8 compute, the ml.lite.op
+  /// spans — plus last_invoke_flops(), last_invoke_int8_ops() and the
+  /// ml.quant.* counters. Returns the math step. With an active GPU offload
+  /// engine the math runs here instead, each op between its reads and its
+  /// charges (the engine bills the GPU and reads the clock inside the
+  /// math), and the returned step holds the outputs.
+  MathStep charge(const ChargePlan& plan,
+                  const std::vector<const Tensor*>& inputs);
 
   /// Peak activation bytes the interpreter keeps live (two buffers).
   [[nodiscard]] std::uint64_t activation_bytes() const {
@@ -202,13 +288,18 @@ class LiteInterpreter {
   /// and fault-injection hook); nullptr when constructed without
   /// gpu_offload.
   [[nodiscard]] GpuOffloadEngine* gpu_engine() { return gpu_engine_.get(); }
+  /// True while the linear layers go to the GPU, so charge() runs the math.
+  [[nodiscard]] bool offloading() const {
+    return gpu_engine_ != nullptr && gpu_engine_->active();
+  }
 
  private:
-  /// The forward pass, for every domain: float ops, int8 codes under
-  /// int8_compute (docs/QUANTIZATION.md), GPU offload of MatMul/Conv2D.
-  /// `batch` is the leading batch dimension of `input` (1 for single
-  /// requests); it scales fully specified Reshape targets.
-  Tensor forward(const Tensor& input, std::int64_t batch);
+  /// The charge loop. Per op: its span start, streaming window and reads;
+  /// then `math(j)`, when given, which runs op j's math and returns the
+  /// flops to charge (the op-interleaved offload path); then its
+  /// activation growth, output write, compute and span.
+  void charge_ops(const ChargePlan& plan,
+                  const std::function<double(std::size_t)>& math);
 
   const FlatModel& model_;
   tee::MemoryEnv* env_;
@@ -224,7 +315,7 @@ class LiteInterpreter {
   /// Offload backend; non-null iff constructed with gpu_offload.
   std::unique_ptr<GpuOffloadEngine> gpu_engine_;
   /// Non-null only inside invoke_observed(): the calibration hook.
-  const std::function<void(std::int32_t, const Tensor&)>* observer_ = nullptr;
+  const Observer* observer_ = nullptr;
 };
 
 }  // namespace stf::ml::lite

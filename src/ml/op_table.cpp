@@ -122,6 +122,42 @@ Shape output_shape(OpType type, const NodeAttrs& attrs,
   }
 }
 
+// The formulas ops:: reports, term for term (ml/ops.cpp).
+double op_flops(OpType type, const NodeAttrs& attrs,
+                const std::vector<const Shape*>& inputs, const Shape& out) {
+  const Shape& a = *inputs[0];
+  const auto size = static_cast<double>(num_elements(out));
+  switch (type) {
+    case OpType::MatMul:
+      return 2.0 * static_cast<double>(a[0]) * a[1] * out[1];
+    case OpType::Softmax:
+      return 5.0 * static_cast<double>(a[0]) * a[1];
+    case OpType::SoftmaxCrossEntropy:
+      return 5.0 * static_cast<double>(a[0]) * a[1] +
+             2.0 * static_cast<double>(a[0]) * a[1];
+    case OpType::Sigmoid:
+    case OpType::Tanh:
+      return 4.0 * size;
+    case OpType::Conv2D: {
+      const Shape& f = *inputs[1];
+      const kernels::ConvShape s = kernels::conv_shape(
+          a[0], a[1], a[2], a[3], f[0], f[1], f[3], attrs.stride);
+      return 2.0 * static_cast<double>(s.n) * s.oh * s.ow * s.fh * s.fw *
+             s.c * s.k;
+    }
+    case OpType::MaxPool2D:
+    case OpType::AvgPool2D:
+      return size * attrs.window * attrs.window;
+    case OpType::GlobalAvgPool:
+    case OpType::ArgMax:
+      return static_cast<double>(num_elements(a));
+    case OpType::Reshape:
+      return 0;
+    default:  // Add, Relu, Scale: one flop per output element
+      return size;
+  }
+}
+
 ops::OpResult run_float_op(OpType type, const NodeAttrs& attrs,
                            const Shape& out_shape, const FloatOperands& in,
                            const Offload& gpu,

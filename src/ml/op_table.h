@@ -3,9 +3,10 @@
 //
 // The Session (full TensorFlow) and the Lite interpreter run the same op
 // vocabulary (§3.3.4). `output_shape` is the one rule for what an op accepts
-// and produces; `run_float_op` is the one switch from an op to its float
-// kernel, GPU offload of the linear layers included (docs/GPU_OFFLOAD.md).
-// The executors differ only in how they hold operands and what they charge.
+// and produces; `op_flops` the one rule for what its float kernel costs;
+// `run_float_op` is the one switch from an op to its float kernel, GPU
+// offload of the linear layers included (docs/GPU_OFFLOAD.md). The
+// executors differ only in how they hold operands and what they charge.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,14 @@ namespace stf::ml {
 [[nodiscard]] Shape output_shape(OpType type, const NodeAttrs& attrs,
                                  const std::vector<const Shape*>& inputs,
                                  std::int64_t batch = 1);
+
+/// The flops an op's float kernel reports, from the shapes of its inputs
+/// and output (output_shape()'s answer): one rule per forward op type, so
+/// an executor can charge an op before, or without, running it. 0 for a
+/// Reshape, which moves no value.
+[[nodiscard]] double op_flops(OpType type, const NodeAttrs& attrs,
+                              const std::vector<const Shape*>& inputs,
+                              const Shape& out);
 
 /// An op's float operands as its executor holds them.
 struct FloatOperands {

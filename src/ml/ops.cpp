@@ -74,11 +74,19 @@ OpResult add(const Tensor& a, const Tensor& b,
   require(b.rank() == 1 && !a.shape().empty() &&
               a.shape().back() == b.dim(0),
           "add: shapes neither equal nor bias-broadcastable");
+  // Rows x columns: the same additions in the same order as a flat walk
+  // with b[i % n], without a division per element.
   Tensor out = a;
-  const float* pb = b.data();
   const std::int64_t n = b.dim(0);
-  elementwise(ctx, out,
-              [&](float v, std::int64_t i) { return v + pb[i % n]; });
+  kernels::parallel_for(
+      ctx, 0, out.size() / n, std::max<std::int64_t>(1, kElementwiseGrain / n),
+      [&out, &b](std::int64_t r0, std::int64_t r1) {
+        const std::int64_t cols = b.dim(0);
+        for (std::int64_t r = r0; r < r1; ++r) {
+          float* row = out.data() + r * cols;
+          for (std::int64_t c = 0; c < cols; ++c) row[c] += b.data()[c];
+        }
+      });
   return {std::move(out), static_cast<double>(a.size())};
 }
 

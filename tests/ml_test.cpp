@@ -11,6 +11,7 @@
 #include "ml/graph.h"
 #include "ml/lite/flat_model.h"
 #include "ml/models.h"
+#include "ml/op_table.h"
 #include "ml/ops.h"
 #include "ml/serialize.h"
 #include "ml/session.h"
@@ -183,6 +184,79 @@ TEST(OpsTest, ArgMaxAndScale) {
   EXPECT_FLOAT_EQ(am.output.at(0), 1.0f);
   EXPECT_FLOAT_EQ(am.output.at(1), 0.0f);
   EXPECT_FLOAT_EQ(ops::scale(x, 0.5f).output.at2(1, 0), 4.5f);
+}
+
+// The bias add walks rows x columns; its bits equal the flat walk with
+// b[i % n], across several parallel chunks.
+TEST(OpsTest, BiasAddMatchesFlatWalk) {
+  Tensor a({40, 3, 257});
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    a.at(i) = static_cast<float>(i % 101) * 0.013f - 0.6f;
+  }
+  Tensor bias({257});
+  for (std::int64_t i = 0; i < bias.size(); ++i) {
+    bias.at(i) = static_cast<float>(i % 17) * 0.37f - 2.9f;
+  }
+  const Tensor out = ops::add(a, bias).output;
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    const float want = a.at(i) + bias.at(i % 257);
+    ASSERT_EQ(std::memcmp(&out.data()[i], &want, sizeof(float)), 0) << i;
+  }
+}
+
+// The flop rule (op_table) charges exactly what each forward kernel
+// reports, so the Lite charge step can price an op before its math runs.
+TEST(OpsTest, FlopRuleMatchesKernels) {
+  struct Case {
+    OpType type;
+    std::vector<Shape> in;
+    NodeAttrs attrs;
+  };
+  NodeAttrs conv;
+  conv.stride = 2;
+  NodeAttrs pool;
+  pool.window = 2;
+  pool.stride = 2;
+  NodeAttrs reshape;
+  reshape.target_shape = {-1, 24};
+  NodeAttrs scale;
+  scale.scalar = 0.5f;
+  const std::vector<Case> cases = {
+      {OpType::MatMul, {{3, 5}, {5, 7}}, {}},
+      {OpType::Add, {{3, 7}, {7}}, {}},
+      {OpType::Add, {{3, 7}, {3, 7}}, {}},
+      {OpType::Relu, {{4, 6}}, {}},
+      {OpType::Softmax, {{3, 9}}, {}},
+      {OpType::Sigmoid, {{2, 5}}, {}},
+      {OpType::Tanh, {{2, 5}}, {}},
+      {OpType::SoftmaxCrossEntropy, {{3, 4}, {3, 4}}, {}},
+      {OpType::Conv2D, {{2, 7, 6, 3}, {3, 3, 3, 4}}, conv},
+      {OpType::MaxPool2D, {{2, 6, 6, 3}}, pool},
+      {OpType::AvgPool2D, {{2, 6, 6, 3}}, pool},
+      {OpType::GlobalAvgPool, {{2, 4, 5, 3}}, {}},
+      {OpType::Reshape, {{2, 4, 6}}, reshape},
+      {OpType::ArgMax, {{3, 8}}, {}},
+      {OpType::Scale, {{5, 3}}, scale},
+  };
+  for (const Case& c : cases) {
+    std::vector<Tensor> operands;
+    std::vector<const Shape*> shapes;
+    for (const Shape& s : c.in) {
+      Tensor t(s);
+      for (std::int64_t i = 0; i < t.size(); ++i) {
+        t.at(i) = static_cast<float>(i % 5) * 0.25f;
+      }
+      operands.push_back(std::move(t));
+    }
+    for (const Tensor& t : operands) shapes.push_back(&t.shape());
+    const Shape out = output_shape(c.type, c.attrs, shapes);
+    const ops::OpResult r = run_float_op(
+        c.type, c.attrs, out,
+        {[&](std::size_t i) -> const Tensor& { return operands[i]; }}, {},
+        kernels::KernelContext{});
+    EXPECT_EQ(op_flops(c.type, c.attrs, shapes, out), r.flops)
+        << static_cast<int>(c.type);
+  }
 }
 
 // --- session ---------------------------------------------------------------
