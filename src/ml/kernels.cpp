@@ -357,8 +357,7 @@ const KernelContext& KernelContext::shared() {
 }
 
 void parallel_for(const KernelContext& ctx, std::int64_t begin,
-                  std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn) {
+                  std::int64_t end, std::int64_t grain, runtime::ChunkFn fn) {
   if (ctx.pool != nullptr && ctx.threads > 1) {
     ctx.pool->parallel_for(begin, end, grain, fn);
     return;

@@ -32,10 +32,10 @@ struct KernelContext {
 
 /// Runs fn(chunk_begin, chunk_end) over [begin, end) in grain-sized chunks,
 /// on the context's pool when it has one. The chunk decomposition is the
-/// same with or without a pool.
+/// same with or without a pool. `fn` is bound by reference: no call
+/// allocates.
 void parallel_for(const KernelContext& ctx, std::int64_t begin,
-                  std::int64_t end, std::int64_t grain,
-                  const std::function<void(std::int64_t, std::int64_t)>& fn);
+                  std::int64_t end, std::int64_t grain, runtime::ChunkFn fn);
 
 // --- GEMM ----------------------------------------------------------------
 // All matrices are row-major and dense. `c` is overwritten with the

@@ -5,11 +5,6 @@
 namespace stf::ml {
 namespace {
 
-// The legacy bump-cursor arena's growth rule (Session::charge): start at
-// 1 MB, on overflow grow to max(out_bytes, 2x). The report replays it so
-// PlanReport::bump_peak_bytes is exactly the arena the planner replaced.
-constexpr std::uint64_t kLegacyArenaInitialBytes = 1ull << 20;
-
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
 }
@@ -18,33 +13,27 @@ bool is_parameter(OpType t) {
   return t == OpType::Const || t == OpType::Variable;
 }
 
-std::uint64_t simulate_bump_peak(const Graph& graph,
-                                 const std::vector<NodeId>& order,
-                                 const std::map<NodeId, std::uint64_t>& sizes) {
-  std::uint64_t bytes = kLegacyArenaInitialBytes;
-  std::uint64_t cursor = 0;
-  for (const NodeId id : order) {
-    const Node& node = graph.node(id);
-    // The legacy path only writes op outputs (feeds and parameters never
-    // enter the arena).
-    if (is_parameter(node.type) || node.type == OpType::Placeholder) continue;
-    const auto it = sizes.find(id);
-    const std::uint64_t out = it == sizes.end() ? 0 : it->second;
-    if (out == 0) continue;
-    if (out > bytes || cursor + out > bytes) {
-      if (out > bytes) bytes = std::max(out, bytes * 2);
-      cursor = 0;
-    }
-    cursor += out;
+}  // namespace
+
+std::uint64_t BumpArena::write(std::uint64_t out) {
+  if (out > bytes || cursor + out > bytes) {
+    if (out > bytes) bytes = std::max(out, bytes * 2);
+    cursor = 0;
   }
-  return bytes;
+  cursor += out;
+  return cursor - out;
 }
 
-}  // namespace
+std::pair<std::uint64_t, std::uint64_t> BumpArena::read(
+    std::uint64_t len) const {
+  len = std::min(len, bytes);
+  const std::uint64_t offset = cursor >= len ? cursor - len : 0;
+  return {std::min(offset, bytes - len), len};
+}
 
 MemoryPlan MemoryPlanner::plan(const Graph& graph,
                                const std::vector<NodeId>& order,
-                               const std::map<NodeId, std::uint64_t>& sizes,
+                               const std::vector<std::uint64_t>& sizes,
                                const std::vector<NodeId>& fetch_ids,
                                std::uint64_t alignment) {
   if (alignment == 0) alignment = 1;
@@ -54,12 +43,14 @@ MemoryPlan MemoryPlanner::plan(const Graph& graph,
   for (std::size_t i = 0; i < order.size(); ++i) position[order[i]] = i;
 
   std::map<NodeId, TensorInterval> by_id;
+  BumpArena bump;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const Node& node = graph.node(order[i]);
     if (is_parameter(node.type)) continue;  // lives in its own param region
-    const auto it = sizes.find(node.id);
-    const std::uint64_t bytes = it == sizes.end() ? 0 : it->second;
+    const std::uint64_t bytes = sizes.at(static_cast<std::size_t>(node.id));
     if (bytes == 0) continue;
+    // The bump arena holds op outputs only; feeds never enter it.
+    if (node.type != OpType::Placeholder) (void)bump.write(bytes);
     by_id[node.id] = TensorInterval{
         .id = node.id, .bytes = bytes, .first = i, .last = i, .offset = 0};
   }
@@ -135,7 +126,7 @@ MemoryPlan MemoryPlanner::plan(const Graph& graph,
             });
   out.intervals_ = std::move(placed);
   out.report_.tensor_count = out.intervals_.size();
-  out.report_.bump_peak_bytes = simulate_bump_peak(graph, order, sizes);
+  out.report_.bump_peak_bytes = bump.bytes;
   return out;
 }
 

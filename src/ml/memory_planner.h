@@ -25,12 +25,32 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "ml/graph.h"
 #include "tee/memory_env.h"
 
 namespace stf::ml {
+
+/// The legacy bump-cursor activation arena: the one rule a Session's
+/// bump-arena runs are charged by and PlanReport::bump_peak_bytes replays.
+/// It starts at 1 MB. Each op output is written at a cursor that only moves
+/// forward; an output that overruns the arena wraps the cursor to 0, first
+/// growing the arena to max(out, 2x) when the output is larger than it.
+struct BumpArena {
+  std::uint64_t bytes = 1ull << 20;
+  std::uint64_t cursor = 0;
+
+  /// Places an output of `out` > 0 bytes; returns its offset.
+  std::uint64_t write(std::uint64_t out);
+  /// Where a read of `len` > 0 bytes lands, as (offset, bytes): the `len`
+  /// bytes behind the cursor (re-reads of recent outputs hit the same hot
+  /// pages), clamped to the arena (a fed batch larger than it reads the
+  /// whole arena).
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> read(
+      std::uint64_t len) const;
+};
 
 /// What the plan achieved, surfaced through Session::last_plan_report().
 struct PlanReport {
@@ -39,9 +59,8 @@ struct PlanReport {
   /// Sum of all planned tensor sizes: what "every tensor gets its own
   /// buffer" would cost.
   std::uint64_t total_bytes = 0;
-  /// The arena size the legacy bump-cursor rule would have reached for the
-  /// same pass (initial 1 MB, grow to max(out, 2x) on overflow) — the
-  /// baseline the planner beats.
+  /// The size BumpArena reaches over the same pass: the baseline the
+  /// planner beats.
   std::uint64_t bump_peak_bytes = 0;
   std::size_t tensor_count = 0;
 
@@ -88,15 +107,15 @@ class MemoryPlanner {
   /// Builds a plan for one executed pass.
   ///
   /// `order` is the topological order the Session will charge in; `sizes`
-  /// maps every node in it to its output byte size (known after shape
-  /// evaluation). Parameter nodes (Const/Variable) are skipped — they live
-  /// in their own persistent regions — while Placeholder outputs and every
-  /// op output get an interval from their defining position to their last
-  /// consumer. Nodes in `fetch_ids` stay live to the end of the pass (their
-  /// values are returned to the caller).
+  /// holds, by node id, every node's output byte size (known from shapes
+  /// before the pass runs). Parameter nodes (Const/Variable) are skipped —
+  /// they live in their own persistent regions — while Placeholder outputs
+  /// and every op output get an interval from their defining position to
+  /// their last consumer. Nodes in `fetch_ids` stay live to the end of the
+  /// pass (their values are returned to the caller).
   [[nodiscard]] static MemoryPlan plan(
       const Graph& graph, const std::vector<NodeId>& order,
-      const std::map<NodeId, std::uint64_t>& sizes,
+      const std::vector<std::uint64_t>& sizes,
       const std::vector<NodeId>& fetch_ids,
       std::uint64_t alignment = kDefaultAlignment);
 
@@ -106,7 +125,7 @@ class MemoryPlanner {
 /// Layer-wise weight streaming over a sequence of ops: before op j runs,
 /// the windows whose last reader was op j-1 are advise-evicted, then op
 /// j+1's windows are prefetched under op j's compute. The one schedule of
-/// the Session's planned replay and of the Lite interpreter.
+/// the Session's planned arena and of the Lite interpreter.
 class WeightStreaming {
  public:
   /// `bytes` at `offset` of env region `region`.

@@ -11,20 +11,10 @@
 namespace stf::ml {
 namespace {
 
-constexpr std::uint64_t kArenaInitialBytes = 1 << 20;
-
-bool is_parameter(OpType t) {
-  return t == OpType::Const || t == OpType::Variable;
-}
-
-// Records an ml.session.gemm span from `start_ns` to now. A 0-length
-// interval means the environment has no clock; skip.
-void record_gemm(const tee::MemoryEnv& env, std::uint64_t start_ns) {
-  const std::uint64_t end_ns = env.now_ns();
-  if (end_ns > start_ns) {
-    obs::SpanTracer::global().record(
-        obs::span_id<obs::names::kSpanSessionGemm>(), start_ns, end_ns);
-  }
+// Const, Variable and Placeholder: values the pass reads where they live.
+bool is_source(OpType t) {
+  return t == OpType::Const || t == OpType::Variable ||
+         t == OpType::Placeholder;
 }
 
 // grad_a = g [m,n] x b^T [n,k] -> [m,k]
@@ -60,15 +50,6 @@ void accumulate(std::optional<Tensor>& into, Tensor value) {
 
 }  // namespace
 
-struct Session::Tape {
-  struct Record {
-    NodeId id;
-    std::vector<Tensor> inputs;
-    Tensor output;
-  };
-  std::map<NodeId, Record> records;
-};
-
 Session::Session(const Graph& graph, tee::MemoryEnv* env,
                  kernels::KernelContext kernel_ctx, SessionOptions options)
     : graph_(graph), env_(env), kernel_ctx_(kernel_ctx), options_(options) {
@@ -80,13 +61,13 @@ Session::Session(const Graph& graph, tee::MemoryEnv* env,
       }
       variables_[n.name] = *n.value;
     }
-    if (env_ != nullptr && is_parameter(n.type) && n.value.has_value()) {
+    if (env_ != nullptr && n.value.has_value() &&
+        (n.type == OpType::Const || n.type == OpType::Variable)) {
       param_regions_[n.id] = env_->alloc(n.name, n.value->byte_size());
     }
   }
   if (env_ != nullptr) {
-    arena_bytes_ = kArenaInitialBytes;
-    arena_region_ = env_->alloc("activation-arena", arena_bytes_);
+    arena_region_ = env_->alloc("activation-arena", arena_.bytes);
   }
   if (options_.gpu_offload) {
     gpu_engine_ =
@@ -104,145 +85,165 @@ Session::~Session() {
   }
 }
 
-void Session::charge(const Node& node, const std::vector<const Tensor*>& inputs,
-                     const Tensor& output, double flops) {
-  if (env_ == nullptr) return;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const Node& in_node = graph_.node(node.inputs[i]);
-    const std::uint64_t bytes = inputs[i]->byte_size();
-    if (const auto it = param_regions_.find(in_node.id);
-        it != param_regions_.end()) {
-      env_->access(it->second, 0, bytes, /*write=*/false);
-    } else if (bytes > 0) {
-      // Activation read from the arena (position approximated by cursor
-      // history; re-reads of recent outputs hit the same hot pages). Inputs
-      // larger than the current arena (e.g. a big fed batch before any
-      // output grew it) clamp to the arena window.
-      const std::uint64_t len = std::min(bytes, arena_bytes_);
-      const std::uint64_t offset =
-          arena_cursor_ >= len ? arena_cursor_ - len : 0;
-      env_->access(arena_region_, std::min(offset, arena_bytes_ - len), len,
-                   false);
-    }
-  }
-  // Output write into the arena at the bump cursor.
-  const std::uint64_t out_bytes = output.byte_size();
-  if (out_bytes > 0 && !is_parameter(node.type)) {
-    if (out_bytes > arena_bytes_ ||
-        arena_cursor_ + out_bytes > arena_bytes_) {
-      // Grow (or wrap) the arena: model frameworks growing their activation
-      // workspace to the pass's high-water mark.
-      if (out_bytes > arena_bytes_) {
-        env_->release(arena_region_);
-        arena_bytes_ = std::max(out_bytes, arena_bytes_ * 2);
-        arena_region_ = env_->alloc("activation-arena", arena_bytes_);
-      }
-      arena_cursor_ = 0;
-    }
-    env_->access(arena_region_, arena_cursor_, out_bytes, /*write=*/true);
-    arena_cursor_ += out_bytes;
-  }
-  env_->compute(flops);
-}
-
-std::vector<Tensor> Session::run_internal(
+Session::Pass Session::run_internal(
     const std::vector<NodeId>& fetch_ids,
-    const std::map<std::string, Tensor>& feeds, Tape* tape) {
-  const auto order = graph_.topological_order(fetch_ids);
-  // GPU offload and the planner cover forward passes only. Training keeps
-  // every op in-enclave (SessionOptions::gpu_offload doc) and the legacy
-  // arena: the tape pins every activation to the end of the pass, so there
-  // is no lifetime sharing for the planner to exploit.
-  GpuOffloadEngine* gpu = tape == nullptr ? gpu_engine_.get() : nullptr;
-  if (gpu != nullptr && !gpu->active()) gpu = nullptr;
-  const bool planned =
-      options_.use_memory_planner && env_ != nullptr && tape == nullptr;
-  std::map<NodeId, Tensor> values;
-  std::map<NodeId, double> node_flops;
-  last_run_flops_ = 0;
-  arena_cursor_ = 0;
+    const std::map<std::string, Tensor>& feeds, bool training) {
+  Pass pass{.order = graph_.topological_order(fetch_ids),
+            .value = std::vector<const Tensor*>(graph_.node_count()),
+            .outputs = std::vector<Tensor>(graph_.node_count())};
+  const std::vector<NodeId>& order = pass.order;
 
+  // Shapes first: the one shape rule over every node, before any math or
+  // charge. Sources take theirs from where their values live.
+  std::vector<Shape> shapes(graph_.node_count());
+  std::vector<std::uint64_t> sizes(graph_.node_count());
   for (const NodeId id : order) {
     const Node& node = graph_.node(id);
-    switch (node.type) {
-      case OpType::Const:
-        values[id] = *node.value;
-        continue;
-      case OpType::Variable:
-        values[id] = variables_.at(node.name);
-        continue;
-      case OpType::Placeholder: {
-        const auto it = feeds.find(node.name);
-        if (it == feeds.end()) {
-          throw std::invalid_argument("placeholder '" + node.name +
-                                      "' was not fed");
-        }
-        values[id] = it->second;
-        continue;
+    const Tensor*& value = pass.value[id];
+    if (node.type == OpType::Placeholder) {
+      const auto it = feeds.find(node.name);
+      if (it == feeds.end()) {
+        throw std::invalid_argument("placeholder '" + node.name +
+                                    "' was not fed");
       }
-      default:
-        break;
+      value = &it->second;
+    } else if (node.type == OpType::Variable) {
+      value = &variables_.at(node.name);
+    } else if (node.type == OpType::Const && node.value.has_value()) {
+      value = &*node.value;  // without one, the shape rule refuses it
     }
-    std::vector<const Tensor*> inputs;
-    std::vector<const Shape*> shapes;
-    inputs.reserve(node.inputs.size());
-    shapes.reserve(node.inputs.size());
-    for (const NodeId in : node.inputs) {
-      inputs.push_back(&values.at(in));
-      shapes.push_back(&inputs.back()->shape());
+    if (value != nullptr) {
+      sizes[id] = value->byte_size();
+      continue;
     }
-    // A planned run charges nothing here: the plan decides where every
-    // access lands, and the replay after the pass charges it.
-    const bool timed = !planned && env_ != nullptr &&
-                       (node.type == OpType::MatMul ||
-                        node.type == OpType::Conv2D);
-    const std::uint64_t gemm_start = timed ? env_->now_ns() : 0;
-    ops::OpResult r = run_float_op(
-        node.type, node.attrs, output_shape(node.type, node.attrs, shapes),
-        {[&](std::size_t i) -> const Tensor& { return *inputs[i]; }},
-        {gpu, "sess:", id}, kernel_ctx_);
-    if (planned) {
-      node_flops[id] = r.flops;
-    } else {
-      charge(node, inputs, r.output, r.flops);
+    std::vector<const Shape*> in;
+    in.reserve(node.inputs.size());
+    for (const NodeId i : node.inputs) {
+      in.push_back(pass.value[i] != nullptr ? &pass.value[i]->shape()
+                                            : &shapes[i]);
     }
-    if (timed) record_gemm(*env_, gemm_start);
-    last_run_flops_ += r.flops;
-    if (tape != nullptr) {
-      Tape::Record rec{.id = id, .inputs = {}, .output = r.output};
-      for (const Tensor* t : inputs) rec.inputs.push_back(*t);
-      tape->records.emplace(id, std::move(rec));
-    }
-    values[id] = std::move(r.output);
+    shapes[id] = output_shape(node.type, node.attrs, in);
+    sizes[id] = static_cast<std::uint64_t>(num_elements(shapes[id])) *
+                sizeof(float);
   }
-  if (planned) replay_planned(order, fetch_ids, values, node_flops);
 
-  std::vector<Tensor> out;
-  out.reserve(fetch_ids.size());
-  for (const NodeId id : fetch_ids) out.push_back(values.at(id));
+  // GPU offload and the planner cover forward passes only. Training keeps
+  // every op in-enclave (SessionOptions::gpu_offload doc) and the bump
+  // arena: the tape pins every activation to the end of the pass, so there
+  // is no lifetime sharing for the planner to exploit.
+  GpuOffloadEngine* gpu = training ? nullptr : gpu_engine_.get();
+  if (gpu != nullptr && !gpu->active()) gpu = nullptr;
+  const MemoryPlan* plan =
+      options_.use_memory_planner && env_ != nullptr && !training
+          ? &plan_arena(order, fetch_ids, sizes)
+          : nullptr;
+  // Weight streaming over the ops of the pass, each reading its weight
+  // regions whole; the first op's weights are prefetched up front,
+  // overlapping feed ingestion.
+  std::optional<WeightStreaming> streaming;
+  if (plan != nullptr && options_.weight_streaming) {
+    std::vector<std::vector<WeightStreaming::Window>> reads;
+    for (const NodeId id : order) {
+      const Node& node = graph_.node(id);
+      if (is_source(node.type)) continue;
+      auto& op_reads = reads.emplace_back();
+      for (const NodeId in : node.inputs) {
+        if (const auto it = param_regions_.find(in);
+            it != param_regions_.end()) {
+          op_reads.push_back({it->second, 0, sizes[in]});
+        }
+      }
+    }
+    streaming.emplace(std::move(reads));
+    streaming->prefetch_first(*env_);
+  }
+
+  // Where an activation access of node `t` lands: its planned window, or
+  // the bump arena — a write at the cursor (growing or wrapping it), a
+  // read at the cursor-history window.
+  const auto land = [&](NodeId t, bool write) {
+    if (plan != nullptr) {
+      env_->access(plan_arena_region_, plan->offset_of(t), sizes[t], write);
+    } else if (write) {
+      const std::uint64_t was = arena_.bytes;
+      const std::uint64_t offset = arena_.write(sizes[t]);
+      if (arena_.bytes != was) {
+        // Model frameworks growing their activation workspace to the
+        // pass's high-water mark.
+        env_->release(arena_region_);
+        arena_region_ = env_->alloc("activation-arena", arena_.bytes);
+      }
+      env_->access(arena_region_, offset, sizes[t], true);
+    } else {
+      const auto [offset, len] = arena_.read(sizes[t]);
+      env_->access(arena_region_, offset, len, false);
+    }
+  };
+
+  last_run_flops_ = 0;
+  arena_.cursor = 0;
+  std::size_t op_index = 0;
+  for (const NodeId id : order) {
+    const Node& node = graph_.node(id);
+    if (node.type == OpType::Placeholder && plan != nullptr && sizes[id] > 0) {
+      // Feeding copies the batch into enclave memory: a full write at the
+      // tensor's planned window. The bump arena never holds feeds.
+      land(id, /*write=*/true);
+    }
+    if (is_source(node.type)) continue;
+    if (streaming) streaming->before_op(*env_, op_index);
+    const bool gemm = env_ != nullptr && (node.type == OpType::MatMul ||
+                                          node.type == OpType::Conv2D);
+    const std::uint64_t gemm_start = gemm ? env_->now_ns() : 0;
+    ops::OpResult r = run_float_op(
+        node.type, node.attrs, shapes[id],
+        {[&](std::size_t i) -> const Tensor& {
+          return *pass.value[node.inputs[i]];
+        }},
+        {gpu, "sess:", id}, kernel_ctx_);
+    if (env_ != nullptr) {
+      for (const NodeId in : node.inputs) {
+        if (const auto it = param_regions_.find(in);
+            it != param_regions_.end()) {
+          env_->access(it->second, 0, sizes[in], /*write=*/false);
+        } else if (sizes[in] > 0) {
+          land(in, /*write=*/false);
+        }
+      }
+      if (sizes[id] > 0) land(id, /*write=*/true);
+      env_->compute(r.flops);
+    }
+    // An ml.session.gemm span; a 0-length one means the environment has
+    // no clock.
+    if (gemm && env_->now_ns() > gemm_start) {
+      obs::SpanTracer::global().record(
+          obs::span_id<obs::names::kSpanSessionGemm>(), gemm_start,
+          env_->now_ns());
+    }
+    last_run_flops_ += r.flops;
+    pass.outputs[id] = std::move(r.output);
+    pass.value[id] = &pass.outputs[id];
+    ++op_index;
+  }
   obs::counter<obs::names::kSessionRuns>().add();
   obs::counter<obs::names::kSessionFlops>().add(
       static_cast<std::uint64_t>(last_run_flops_));
-  return out;
+  return pass;
 }
 
-void Session::replay_planned(const std::vector<NodeId>& order,
-                             const std::vector<NodeId>& fetch_ids,
-                             const std::map<NodeId, Tensor>& values,
-                             const std::map<NodeId, double>& node_flops) {
-  std::map<NodeId, std::uint64_t> sizes;
-  for (const NodeId id : order) sizes[id] = values.at(id).byte_size();
-
-  // Look up / build the plan. The signature captures exactly what
-  // placement depends on: which nodes stay live to the end (fetches) and
-  // the fed tensor sizes (batch-size polymorphism).
+const MemoryPlan& Session::plan_arena(const std::vector<NodeId>& order,
+                                      const std::vector<NodeId>& fetch_ids,
+                                      const std::vector<std::uint64_t>& sizes) {
+  // The signature captures exactly what placement depends on: which nodes
+  // stay live to the end (fetches) and the fed tensor sizes (batch-size
+  // polymorphism).
   std::string key;
   for (const NodeId id : fetch_ids) key += std::to_string(id) + ",";
   key += '|';
   for (const NodeId id : order) {
     const Node& node = graph_.node(id);
     if (node.type == OpType::Placeholder) {
-      key += node.name + ':' + std::to_string(sizes.at(id)) + ';';
+      key += node.name + ':' + std::to_string(sizes[id]) + ';';
     }
   }
   auto pit = plan_cache_.find(key);
@@ -252,8 +253,7 @@ void Session::replay_planned(const std::vector<NodeId>& order,
               .first;
     obs::counter<obs::names::kPlannerPlans>().add();
   }
-  const MemoryPlan& plan = pit->second;
-  const PlanReport& rep = plan.report();
+  const PlanReport& rep = pit->second.report();
   last_plan_report_ = rep;
   obs::gauge<obs::names::kPlannerPeakBytes>().set(rep.peak_bytes);
   obs::gauge<obs::names::kPlannerSavedBytes>().set(
@@ -268,64 +268,7 @@ void Session::replay_planned(const std::vector<NodeId>& order,
         "planned-arena", std::max<std::uint64_t>(plan_arena_bytes_, 1));
     plan_arena_mapped_ = true;
   }
-
-  // Weight streaming over the ops of the pass, each reading its weight
-  // regions whole; the first op's weights are prefetched up front,
-  // overlapping feed ingestion.
-  std::optional<WeightStreaming> streaming;
-  if (options_.weight_streaming) {
-    std::vector<std::vector<WeightStreaming::Window>> reads;
-    for (const NodeId id : order) {
-      const Node& node = graph_.node(id);
-      if (is_parameter(node.type) || node.type == OpType::Placeholder) continue;
-      auto& op_reads = reads.emplace_back();
-      for (const NodeId in : node.inputs) {
-        if (const auto it = param_regions_.find(in);
-            it != param_regions_.end()) {
-          op_reads.push_back({it->second, 0, sizes.at(in)});
-        }
-      }
-    }
-    streaming.emplace(std::move(reads));
-    streaming->prefetch_first(*env_);
-  }
-
-  // Replay the pass against the plan. Every access is charged at its exact
-  // [offset, offset+bytes) window — including fed batches, which the
-  // legacy arena clamps to its size.
-  std::size_t op_index = 0;
-  for (const NodeId id : order) {
-    const Node& node = graph_.node(id);
-    if (is_parameter(node.type)) continue;
-    if (node.type == OpType::Placeholder) {
-      // Feeding copies the batch into enclave memory: a full write at the
-      // tensor's planned slot.
-      if (plan.has(id)) {
-        env_->access(plan_arena_region_, plan.offset_of(id), sizes.at(id),
-                     /*write=*/true);
-      }
-      continue;
-    }
-    if (streaming) streaming->before_op(*env_, op_index);
-    const bool is_gemm =
-        node.type == OpType::MatMul || node.type == OpType::Conv2D;
-    const std::uint64_t gemm_start = is_gemm ? env_->now_ns() : 0;
-    for (const NodeId in : node.inputs) {
-      if (const auto it = param_regions_.find(in); it != param_regions_.end()) {
-        env_->access(it->second, 0, sizes.at(in), /*write=*/false);
-      } else if (plan.has(in)) {
-        env_->access(plan_arena_region_, plan.offset_of(in), sizes.at(in),
-                     /*write=*/false);
-      }
-    }
-    if (plan.has(id)) {
-      env_->access(plan_arena_region_, plan.offset_of(id), sizes.at(id),
-                   /*write=*/true);
-    }
-    env_->compute(node_flops.at(id));
-    if (is_gemm) record_gemm(*env_, gemm_start);
-    ++op_index;
-  }
+  return pit->second;
 }
 
 std::vector<Tensor> Session::run(const std::vector<std::string>& fetches,
@@ -333,7 +276,11 @@ std::vector<Tensor> Session::run(const std::vector<std::string>& fetches,
   std::vector<NodeId> ids;
   ids.reserve(fetches.size());
   for (const auto& name : fetches) ids.push_back(graph_.find(name));
-  return run_internal(ids, feeds, nullptr);
+  const Pass pass = run_internal(ids, feeds, /*training=*/false);
+  std::vector<Tensor> out;
+  out.reserve(ids.size());
+  for (const NodeId id : ids) out.push_back(*pass.value[id]);
+  return out;
 }
 
 Tensor Session::run1(const std::string& fetch,
@@ -368,8 +315,9 @@ void Session::restore_variables(const std::map<std::string, Tensor>& values) {
   for (const auto& [name, value] : values) assign(name, value);
 }
 
-void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
+void Session::backward(const Pass& tape,
                        std::map<std::string, Tensor>& grads_out) {
+  const std::vector<NodeId>& order = tape.order;
   std::map<NodeId, std::optional<Tensor>> grads;
   // Seed: d(loss)/d(loss) = 1.
   grads[order.back()] = Tensor({1}, {1.0f});
@@ -395,11 +343,15 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
       continue;
     }
 
-    const auto& rec = tape.records.at(id);
+    // The op's operands and output, as the forward pass left them.
+    const auto in = [&](std::size_t i) -> const Tensor& {
+      return *tape.value[node.inputs[i]];
+    };
+    const Tensor& out = tape.outputs[id];
     switch (node.type) {
       case OpType::SoftmaxCrossEntropy: {
         // d(mean xent)/d(logits) = (softmax - labels)/m, scaled by upstream.
-        auto r = ops::softmax_cross_entropy_grad(rec.inputs[0], rec.inputs[1]);
+        auto r = ops::softmax_cross_entropy_grad(in(0), in(1));
         const float upstream = g.at(0);
         for (std::int64_t i = 0; i < r.output.size(); ++i) {
           r.output.at(i) *= upstream;
@@ -410,22 +362,25 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
       }
       case OpType::MatMul: {
         accumulate(grads[node.inputs[0]],
-                   matmul_nt(kernel_ctx_, g, rec.inputs[1], flops));
+                   matmul_nt(kernel_ctx_, g, in(1), flops));
         accumulate(grads[node.inputs[1]],
-                   matmul_tn(kernel_ctx_, rec.inputs[0], g, flops));
+                   matmul_tn(kernel_ctx_, in(0), g, flops));
         break;
       }
       case OpType::Add: {
         accumulate(grads[node.inputs[0]], g);
-        const Tensor& b = rec.inputs[1];
+        const Tensor& b = in(1);
         if (b.same_shape(g)) {
           accumulate(grads[node.inputs[1]], g);
         } else {
-          // Bias broadcast: sum the gradient over the broadcast rows.
+          // Bias broadcast: sum the gradient over the broadcast rows, each
+          // column's rows in ascending order (a flat walk with gb[i % n],
+          // without a division per element).
           Tensor gb(b.shape());
-          const std::int64_t n = b.dim(0);
-          for (std::int64_t i = 0; i < g.size(); ++i) {
-            gb.at(i % n) += g.at(i);
+          const std::int64_t cols = b.dim(0);
+          for (std::int64_t r = 0; r < g.size() / cols; ++r) {
+            const float* row = g.data() + r * cols;
+            for (std::int64_t c = 0; c < cols; ++c) gb.data()[c] += row[c];
           }
           flops += static_cast<double>(g.size());
           accumulate(grads[node.inputs[1]], std::move(gb));
@@ -434,8 +389,9 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
       }
       case OpType::Relu: {
         Tensor gx = g;
+        const Tensor& x = in(0);
         for (std::int64_t i = 0; i < gx.size(); ++i) {
-          if (rec.inputs[0].at(i) <= 0.0f) gx.at(i) = 0.0f;
+          if (x.at(i) <= 0.0f) gx.at(i) = 0.0f;
         }
         flops += static_cast<double>(gx.size());
         accumulate(grads[node.inputs[0]], std::move(gx));
@@ -445,7 +401,7 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
         // d/dx sigmoid = s * (1 - s), with s the recorded output.
         Tensor gx = g;
         for (std::int64_t i = 0; i < gx.size(); ++i) {
-          const float sv = rec.output.at(i);
+          const float sv = out.at(i);
           gx.at(i) *= sv * (1.0f - sv);
         }
         flops += 3.0 * static_cast<double>(gx.size());
@@ -456,7 +412,7 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
         // d/dx tanh = 1 - t^2, with t the recorded output.
         Tensor gx = g;
         for (std::int64_t i = 0; i < gx.size(); ++i) {
-          const float tv = rec.output.at(i);
+          const float tv = out.at(i);
           gx.at(i) *= 1.0f - tv * tv;
         }
         flops += 3.0 * static_cast<double>(gx.size());
@@ -464,7 +420,7 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
         break;
       }
       case OpType::Reshape: {
-        accumulate(grads[node.inputs[0]], g.reshaped(rec.inputs[0].shape()));
+        accumulate(grads[node.inputs[0]], g.reshaped(in(0).shape()));
         break;
       }
       case OpType::Scale: {
@@ -477,9 +433,9 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
         break;
       }
       case OpType::Conv2D: {
-        auto gi = ops::conv2d_grad_input(rec.inputs[0], rec.inputs[1], g,
+        auto gi = ops::conv2d_grad_input(in(0), in(1), g,
                                          node.attrs.stride, kernel_ctx_);
-        auto gf = ops::conv2d_grad_filter(rec.inputs[0], rec.inputs[1], g,
+        auto gf = ops::conv2d_grad_filter(in(0), in(1), g,
                                           node.attrs.stride, kernel_ctx_);
         flops += gi.flops + gf.flops;
         accumulate(grads[node.inputs[0]], std::move(gi.output));
@@ -487,21 +443,21 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
         break;
       }
       case OpType::MaxPool2D: {
-        auto gi = ops::max_pool2d_grad(rec.inputs[0], g, node.attrs.window,
+        auto gi = ops::max_pool2d_grad(in(0), g, node.attrs.window,
                                        node.attrs.stride, kernel_ctx_);
         flops += gi.flops;
         accumulate(grads[node.inputs[0]], std::move(gi.output));
         break;
       }
       case OpType::AvgPool2D: {
-        auto gi = ops::avg_pool2d_grad(rec.inputs[0], g, node.attrs.window,
+        auto gi = ops::avg_pool2d_grad(in(0), g, node.attrs.window,
                                        node.attrs.stride, kernel_ctx_);
         flops += gi.flops;
         accumulate(grads[node.inputs[0]], std::move(gi.output));
         break;
       }
       case OpType::GlobalAvgPool: {
-        auto gi = ops::global_avg_pool_grad(rec.inputs[0], g);
+        auto gi = ops::global_avg_pool_grad(in(0), g);
         flops += gi.flops;
         accumulate(grads[node.inputs[0]], std::move(gi.output));
         break;
@@ -521,30 +477,27 @@ void Session::backward(const Tape& tape, const std::vector<NodeId>& order,
 std::map<std::string, Tensor> Session::gradients(
     const std::string& loss, const std::map<std::string, Tensor>& feeds) {
   const NodeId loss_id = graph_.find(loss);
-  const auto order = graph_.topological_order({loss_id});
-  Tape tape;
-  const auto loss_value = run_internal({loss_id}, feeds, &tape);
-  last_loss_ = loss_value.front().size() > 0 ? loss_value.front().at(0) : 0.0f;
+  const Pass tape = run_internal({loss_id}, feeds, /*training=*/true);
+  const Tensor& loss_value = *tape.value[loss_id];
+  last_loss_ = loss_value.size() > 0 ? loss_value.at(0) : 0.0f;
   const double forward_flops = last_run_flops_;
 
   std::map<std::string, Tensor> grads;
-  backward(tape, order, grads);
+  backward(tape, grads);
   last_run_flops_ += forward_flops;  // report forward+backward total
 
-  // Backward reads every stashed activation and weight once more; charge the
+  // Backward reads every stashed op output once more; charge the
   // corresponding memory traffic (tape size) to the environment.
   if (env_ != nullptr) {
     std::uint64_t tape_bytes = 0;
-    for (const auto& [id, rec] : tape.records) {
-      tape_bytes += rec.output.byte_size();
-    }
+    for (const Tensor& output : tape.outputs) tape_bytes += output.byte_size();
     if (tape_bytes > 0) {
-      if (tape_bytes > arena_bytes_) {
+      if (tape_bytes > arena_.bytes) {
         env_->release(arena_region_);
-        arena_bytes_ = tape_bytes;
-        arena_region_ = env_->alloc("activation-arena", arena_bytes_);
+        arena_.bytes = tape_bytes;
+        arena_region_ = env_->alloc("activation-arena", arena_.bytes);
       }
-      env_->access(arena_region_, 0, std::min(tape_bytes, arena_bytes_), false);
+      env_->access(arena_region_, 0, std::min(tape_bytes, arena_.bytes), false);
     }
   }
   return grads;

@@ -29,7 +29,7 @@ struct SessionOptions {
   bool use_memory_planner = false;
   /// Layer-wise weight streaming: while op k executes, prefetch op k+1's
   /// weights and advise-evict dead weights of op k-1. Only effective
-  /// together with `use_memory_planner` (it rides the planned replay).
+  /// together with `use_memory_planner` (it rides the planned arena).
   bool weight_streaming = false;
   /// Offload linear layers (MatMul/Conv2D) to the simulated untrusted GPU
   /// with in-enclave verification per `slalom` (docs/GPU_OFFLOAD.md).
@@ -108,21 +108,28 @@ class Session {
   [[nodiscard]] GpuOffloadEngine* gpu_engine() { return gpu_engine_.get(); }
 
  private:
-  struct Tape;  // records per-node inputs/outputs of one forward pass
+  /// One pass's values, by node id. Op outputs are owned here; Const,
+  /// Variable and fed tensors are read where they live, so a pass copies
+  /// none of them. gradients() keeps it as the backward tape.
+  struct Pass {
+    std::vector<NodeId> order;
+    std::vector<const Tensor*> value;
+    std::vector<Tensor> outputs;  ///< empty for the source nodes
+  };
 
-  /// The one evaluation loop. The legacy arena charges each node as it
-  /// runs; a planned run charges nothing until replay_planned() after it.
-  std::vector<Tensor> run_internal(const std::vector<NodeId>& fetch_ids,
-                                   const std::map<std::string, Tensor>& feeds,
-                                   Tape* tape);
-  void replay_planned(const std::vector<NodeId>& order,
-                      const std::vector<NodeId>& fetch_ids,
-                      const std::map<NodeId, Tensor>& values,
-                      const std::map<NodeId, double>& node_flops);
-  void charge(const Node& node, const std::vector<const Tensor*>& inputs,
-              const Tensor& output, double flops);
-  void backward(const Tape& tape, const std::vector<NodeId>& order,
-                std::map<std::string, Tensor>& grads_out);
+  /// The one pass: every node's shape first (a graph the shape rule rejects
+  /// throws before the first charge), then one loop that computes each op
+  /// and charges it. The bump and the planned arena differ only in where
+  /// an activation access lands. `training` keeps ops in the enclave and
+  /// on the bump arena.
+  Pass run_internal(const std::vector<NodeId>& fetch_ids,
+                    const std::map<std::string, Tensor>& feeds, bool training);
+  /// The cached plan for this pass's fetches and feed sizes, with the
+  /// packed arena grown to hold it.
+  const MemoryPlan& plan_arena(const std::vector<NodeId>& order,
+                               const std::vector<NodeId>& fetch_ids,
+                               const std::vector<std::uint64_t>& sizes);
+  void backward(const Pass& tape, std::map<std::string, Tensor>& grads_out);
 
   const Graph& graph_;
   tee::MemoryEnv* env_;
@@ -133,14 +140,13 @@ class Session {
   std::map<NodeId, std::uint64_t> param_regions_;
   /// Rotating activation arena region.
   std::uint64_t arena_region_ = 0;
-  std::uint64_t arena_bytes_ = 0;
-  std::uint64_t arena_cursor_ = 0;
+  BumpArena arena_;
   /// Packed arena for planned runs, sized to the exact plan peak.
   std::uint64_t plan_arena_region_ = 0;
   std::uint64_t plan_arena_bytes_ = 0;
   bool plan_arena_mapped_ = false;
   /// Plans keyed by (fetches, fed shapes) signature — a steady-state serving
-  /// loop plans once and replays forever.
+  /// loop plans once and reuses the plan on every later run.
   std::map<std::string, MemoryPlan> plan_cache_;
   std::optional<PlanReport> last_plan_report_;
   /// Offload backend; non-null iff options_.gpu_offload. Active only during

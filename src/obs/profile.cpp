@@ -57,13 +57,7 @@ void AttributionStore::add(AttributionRow row) {
   for (std::size_t i = 0; i < kCategoryCount; ++i) {
     s.by_category[i] += row.by_category[i];
   }
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(row));
-  } else {
-    ring_[next_] = std::move(row);
-    next_ = (next_ + 1) % capacity_;
-    ++dropped_;
-  }
+  if (ring_.push(std::move(row))) ++dropped_;
 }
 
 std::uint64_t AttributionStore::dropped() const {
@@ -73,12 +67,7 @@ std::uint64_t AttributionStore::dropped() const {
 
 std::vector<AttributionRow> AttributionStore::rows() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<AttributionRow> out;
-  out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::map<std::string, AttributionSummary> AttributionStore::summaries()
@@ -90,7 +79,6 @@ std::map<std::string, AttributionSummary> AttributionStore::summaries()
 void AttributionStore::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
-  next_ = 0;
   dropped_ = 0;
   summaries_.clear();
 }

@@ -43,6 +43,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.h"
 #include "tee/sim_clock.h"
 
 namespace stf::obs {
@@ -136,13 +137,13 @@ class AttributionStore {
   static constexpr std::size_t kDefaultCapacity = 1024;
 
   explicit AttributionStore(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : ring_(capacity) {}
   AttributionStore(const AttributionStore&) = delete;
   AttributionStore& operator=(const AttributionStore&) = delete;
 
   void add(AttributionRow row);
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   [[nodiscard]] std::uint64_t dropped() const;
   /// Oldest-to-newest copy of the ring.
   [[nodiscard]] std::vector<AttributionRow> rows() const;
@@ -156,10 +157,8 @@ class AttributionStore {
   static AttributionStore& global();
 
  private:
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<AttributionRow> ring_;
-  std::size_t next_ = 0;  ///< ring write cursor once full
+  BoundedRing<AttributionRow> ring_;
   std::uint64_t dropped_ = 0;
   std::map<std::string, AttributionSummary> summaries_;
 };

@@ -53,13 +53,7 @@ void SpanTracer::record_traced(std::uint32_t name_id, std::uint64_t start_ns,
   SpanRecord rec{name_id, depth,   current_lane(), start_ns,
                  end_ns,  trace_id, span_id,       parent_id};
   std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(rec);
-  } else {
-    ring_[next_] = rec;
-    next_ = (next_ + 1) % capacity_;
-    count_drop_locked();
-  }
+  if (ring_.push(rec)) count_drop_locked();
   auto& s = summaries_[name_id];
   ++s.count;
   const std::uint64_t dur = end_ns >= start_ns ? end_ns - start_ns : 0;
@@ -71,13 +65,7 @@ void SpanTracer::record_flow(std::uint32_t name_id, std::uint64_t flow_id,
                              std::uint64_t ts_ns, FlowPhase phase) {
   FlowRecord rec{name_id, current_lane(), flow_id, ts_ns, phase};
   std::lock_guard<std::mutex> lock(mutex_);
-  if (flow_ring_.size() < capacity_) {
-    flow_ring_.push_back(rec);
-  } else {
-    flow_ring_[flow_next_] = rec;
-    flow_next_ = (flow_next_ + 1) % capacity_;
-    count_drop_locked();
-  }
+  if (flow_ring_.push(rec)) count_drop_locked();
 }
 
 void SpanTracer::count_drop_locked() {
@@ -92,23 +80,12 @@ std::uint64_t SpanTracer::dropped() const {
 
 std::vector<SpanRecord> SpanTracer::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SpanRecord> out;
-  out.reserve(ring_.size());
-  // Oldest first: once the ring has wrapped, `next_` points at the oldest.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
+  return ring_.snapshot();
 }
 
 std::vector<FlowRecord> SpanTracer::flows() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<FlowRecord> out;
-  out.reserve(flow_ring_.size());
-  for (std::size_t i = 0; i < flow_ring_.size(); ++i) {
-    out.push_back(flow_ring_[(flow_next_ + i) % flow_ring_.size()]);
-  }
-  return out;
+  return flow_ring_.snapshot();
 }
 
 std::map<std::string, SpanSummary> SpanTracer::summaries() const {
@@ -128,9 +105,7 @@ std::string SpanTracer::name(std::uint32_t id) const {
 void SpanTracer::reset() {
   std::lock_guard<std::mutex> lock(mutex_);
   ring_.clear();
-  next_ = 0;
   flow_ring_.clear();
-  flow_next_ = 0;
   dropped_ = 0;
   depth_ = 0;
   next_span_id_.store(0, std::memory_order_relaxed);

@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/ring.h"
 #include "tee/sim_clock.h"
 
 namespace stf::obs {
@@ -136,7 +137,7 @@ class SpanTracer {
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   explicit SpanTracer(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+      : ring_(capacity), flow_ring_(capacity) {}
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
@@ -178,7 +179,7 @@ class SpanTracer {
   void record_flow(std::uint32_t name_id, std::uint64_t flow_id,
                    std::uint64_t ts_ns, FlowPhase phase);
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   /// Records lost to ring overwrites (spans and flow events combined).
   /// Surfaced in the registry as the `obs.trace.dropped` counter.
   [[nodiscard]] std::uint64_t dropped() const;
@@ -202,14 +203,11 @@ class SpanTracer {
   /// Caller holds mutex_.
   void count_drop_locked();
 
-  const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::vector<std::string> names_;
   std::map<std::string, std::uint32_t, std::less<>> ids_;
-  std::vector<SpanRecord> ring_;
-  std::size_t next_ = 0;  ///< ring write cursor once full
-  std::vector<FlowRecord> flow_ring_;
-  std::size_t flow_next_ = 0;
+  BoundedRing<SpanRecord> ring_;
+  BoundedRing<FlowRecord> flow_ring_;
   std::uint64_t dropped_ = 0;
   std::uint32_t depth_ = 0;
   std::atomic<std::uint64_t> next_span_id_{0};

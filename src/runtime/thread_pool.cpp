@@ -33,7 +33,7 @@ void ThreadPool::ensure_started() {
 
 bool ThreadPool::claim_and_run_chunk() {
   std::int64_t chunk;
-  const std::function<void(std::int64_t, std::int64_t)>* fn;
+  const ChunkFn* fn;
   std::int64_t begin, end;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -73,9 +73,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::int64_t begin, std::int64_t end, std::int64_t grain,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
+                              std::int64_t grain, ChunkFn fn) {
   if (end <= begin) return;
   grain = std::max<std::int64_t>(1, grain);
   const std::int64_t chunks = (end - begin + grain - 1) / grain;

@@ -16,12 +16,38 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace stf::runtime {
+
+/// A non-owning reference to a chunk body `void(begin, end)`: an object
+/// pointer plus a trampoline. Binding one never allocates, whatever the
+/// callable captures; the callable must outlive the call it is passed to
+/// (a lambda written in the argument list does).
+class ChunkFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ChunkFn> &&
+             std::is_invocable_v<F&, std::int64_t, std::int64_t>)
+  ChunkFn(F&& fn)  // implicit: a lambda argument binds in place
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, std::int64_t begin, std::int64_t end) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(begin, end);
+        }) {}
+
+  void operator()(std::int64_t begin, std::int64_t end) const {
+    call_(obj_, begin, end);
+  }
+
+ private:
+  void* obj_;
+  void (*call_)(void*, std::int64_t, std::int64_t);
+};
 
 class ThreadPool {
  public:
@@ -39,7 +65,7 @@ class ThreadPool {
   /// writes disjoint outputs per index. Blocks until every chunk finished;
   /// the first exception thrown by fn is rethrown on the caller.
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
-                    const std::function<void(std::int64_t, std::int64_t)>& fn);
+                    ChunkFn fn);
 
   [[nodiscard]] unsigned thread_count() const { return threads_; }
 
@@ -66,7 +92,7 @@ class ThreadPool {
   std::condition_variable done_cv_;
   bool stop_ = false;
   std::uint64_t job_seq_ = 0;
-  const std::function<void(std::int64_t, std::int64_t)>* job_fn_ = nullptr;
+  const ChunkFn* job_fn_ = nullptr;
   std::int64_t job_begin_ = 0;
   std::int64_t job_grain_ = 1;
   std::int64_t job_end_ = 0;

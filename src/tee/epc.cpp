@@ -62,25 +62,10 @@ void EpcManager::unmap_region(RegionId id) {
     cached_id_ = 0;
     cached_region_ = nullptr;
   }
-  const std::uint64_t resident_before = resident_count_;
   for (std::uint32_t p = 0; p < it->second.pages.size(); ++p) {
-    Page& page = it->second.pages[p];
-    if (!page.resident) continue;
-    // Swap-remove from the resident list, fixing the moved page's position.
-    const std::uint32_t pos = page.resident_pos;
-    resident_list_[pos] = resident_list_.back();
-    resident_list_.pop_back();
-    if (pos < resident_list_.size()) {
-      const auto [moved_region, moved_page] = resident_list_[pos];
-      regions_.at(moved_region).pages[moved_page].resident_pos = pos;
-    }
-    --resident_count_;
-    if (it->second.pinned) --pinned_resident_;
-    page.resident = false;
+    if (it->second.pages[p].resident) drop_resident(it->second, p);
   }
   stats_.resident_pages = resident_count_;
-  obs::gauge<obs::names::kEpcResidentPages>().sub(
-      static_cast<std::int64_t>(resident_before - resident_count_));
   mapped_bytes_ -= it->second.bytes;
   obs::gauge<obs::names::kEpcMappedBytes>().sub(
       static_cast<std::int64_t>(it->second.bytes));
@@ -93,6 +78,7 @@ void EpcManager::drop_resident(Region& region, std::uint32_t page_index) {
   page.resident = false;
   --region.resident;
 
+  // Swap-remove, fixing the moved page's position.
   resident_list_[pos] = resident_list_.back();
   resident_list_.pop_back();
   if (pos < resident_list_.size()) {
@@ -133,6 +119,16 @@ void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
   ++stats_.faults;
   obs::counter<obs::names::kEpcFaults>().add();
   clock.advance(model_.page_fault_ns);
+  make_resident(region, id, page_index, clock);
+  ++stats_.loads;
+  obs::counter<obs::names::kEpcLoads>().add();
+  clock.advance(model_.page_load_ns);
+  // The load span is recorded by the caller, coalesced over the whole
+  // access()/prefetch() batch — one ring record per call, not per page.
+}
+
+void EpcManager::make_resident(Region& region, RegionId id,
+                               std::uint32_t page_index, SimClock& clock) {
   while (resident_count_ >= capacity_pages_) evict_one(clock);
   Page& page = region.pages[page_index];
   page.resident = true;
@@ -141,12 +137,7 @@ void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
   ++region.resident;
   ++resident_count_;
   if (region.pinned) ++pinned_resident_;
-  ++stats_.loads;
-  obs::counter<obs::names::kEpcLoads>().add();
   obs::gauge<obs::names::kEpcResidentPages>().add(1);
-  clock.advance(model_.page_load_ns);
-  // The load span is recorded by the caller, coalesced over the whole
-  // access()/prefetch() batch — one ring record per call, not per page.
 }
 
 void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
@@ -221,17 +212,9 @@ void EpcManager::prefetch(RegionId id, std::uint64_t offset, std::uint64_t len,
   std::uint64_t loaded = 0;
   for (std::uint32_t p = first; p <= last; ++p) {
     if (region.pages[p].resident) continue;
-    // Make room first (counts as demand eviction when it happens — the
-    // streaming caller is expected to advise_evict cold spans beforehand).
-    while (resident_count_ >= capacity_pages_) evict_one(clock);
-    Page& page = region.pages[p];
-    page.resident = true;
-    page.resident_pos = static_cast<std::uint32_t>(resident_list_.size());
-    resident_list_.emplace_back(id, p);
-    ++region.resident;
-    ++resident_count_;
-    if (region.pinned) ++pinned_resident_;
-    obs::gauge<obs::names::kEpcResidentPages>().add(1);
+    // Making room counts as demand eviction when it happens — the
+    // streaming caller is expected to advise_evict cold spans beforehand.
+    make_resident(region, id, p, clock);
     // Overlapped ELDU: only the enqueue hop + decrypt tail hits the
     // critical path; no AEX, no demand fault.
     clock.advance(model_.page_prefetch_ns);

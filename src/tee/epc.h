@@ -126,6 +126,11 @@ class EpcManager {
   void fault_in(Region& region, RegionId id, std::uint32_t page_index,
                 SimClock& clock);
   void evict_one(SimClock& clock);
+  /// The one way into the EPC: evicts while it is full, then appends the
+  /// page to the resident list.
+  void make_resident(Region& region, RegionId id, std::uint32_t page_index,
+                     SimClock& clock);
+  /// The one way out: swap-removes the page from the resident list.
   void drop_resident(Region& region, std::uint32_t page_index);
   std::uint64_t next_random();
 

@@ -5,7 +5,10 @@
 // "Lite matches the Session bit-for-bit" true on a parallel host).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,23 @@
 #include "ml/kernels.h"
 #include "ml/ops.h"
 #include "runtime/thread_pool.h"
+
+// This binary's global operator new counts its calls, so a test can pin a
+// path that must not allocate.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() meet a pointer from new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace stf::ml {
 namespace {
@@ -300,6 +320,28 @@ TEST(KernelDeterminism, RowsMatchSingleRowProductsAcrossSchedules) {
       }
     }
   }
+}
+
+// parallel_for binds its chunk body by reference: a closure that captures
+// six references, more than a std::function holds inline, reaches every
+// chunk with no heap allocation, on the caller alone or on a pool.
+TEST(KernelParallelFor, BindsTheClosureWithoutAllocating) {
+  runtime::ThreadPool pool(2);
+  const KernelContext contexts[] = {{}, {&pool, 2}};
+  std::vector<std::int64_t> sums(64, 0);
+  std::int64_t a = 1, b = 2, c = 3, d = 4, e = 5;
+  for (const KernelContext& ctx : contexts) {
+    // Starts the pool's worker, which allocates its thread.
+    kernels::parallel_for(ctx, 0, 64, 8, [](std::int64_t, std::int64_t) {});
+    const std::size_t before = g_allocations.load();
+    kernels::parallel_for(ctx, 0, 64, 8, [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        sums[static_cast<std::size_t>(i)] += a + b + c + d + e;
+      }
+    });
+    EXPECT_EQ(g_allocations.load() - before, 0u);
+  }
+  for (const std::int64_t s : sums) EXPECT_EQ(s, 30);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "ml/session.h"
 #include "obs/metrics.h"
 #include "obs/names.h"
+#include "obs/span.h"
 #include "tee/platform.h"
 
 namespace stf::ml {
@@ -1332,31 +1333,155 @@ TEST(SessionTest, RunAccountingMatchesPinnedDigest) {
             "1e10c17bc0694f968b70aef449d46ce6d8776b0eeb5cb30aa618a126296045ac");
 }
 
+// Pins the order of the Session's charges, not only their totals: a charge
+// moved inside one pass can keep the clock, the EPC counts and the flops
+// the test above pins. Each run's spans (every EPC load, eviction and
+// prefetch, and every ml.session.gemm, with its virtual start and end), the
+// tracer's drop count and its per-name summaries go into the digest, with
+// the tracer reset before each run, and the digest pins the order the
+// Session had before its passes became one loop. Planner + GPU offload is
+// left out on purpose: its GPU and PCIe charges are the ones that loop
+// moved, into each op's own step (docs/GPU_OFFLOAD.md). The third program
+// has a skip connection: in a chain every activation read is of the
+// latest write, so only a branch shows where the bump arena places the
+// read of an older tensor.
+TEST(SessionTest, ChargeSequenceMatchesPinnedDigest) {
+  struct Config {
+    bool planner, streaming, gpu_offload, train;
+  };
+  const Config configs[] = {
+      {false, false, false, false},  // bump arena
+      {false, true, false, false},   // bump arena: streaming stays off
+      {true, false, false, false},   // planner
+      {true, true, false, false},    // planner + streaming
+      {false, false, true, false},   // GPU offload, bump arena
+      {false, false, false, true},   // one train_step per batch
+  };
+  const auto skip_mlp = [] {
+    Graph g;
+    GraphBuilder b(g);
+    const NodeId input = b.placeholder("input");
+    const NodeId labels = b.placeholder("labels");
+    const NodeId h1 = b.dense("fc1", input, 784, 256, true, 3);
+    const NodeId h2 = b.dense("fc2", h1, 256, 256, true, 4);
+    const NodeId logits =
+        b.dense("fc3", b.add("skip", h1, h2), 256, 10, false, 5);
+    b.softmax("probs", logits);
+    b.softmax_cross_entropy("loss", logits, labels);
+    return g;
+  };
+  const Graph programs[] = {mnist_mlp(32, 5), mnist_convnet(9), skip_mlp()};
+  const Dataset data = synthetic_mnist(8, 33);
+  obs::SpanTracer& tracer = obs::SpanTracer::global();
+
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  const auto put_name = [&](const std::string& name) {
+    put(name.size());
+    digest.update(crypto::to_bytes(name));
+  };
+  for (const Graph& program : programs) {
+    for (const Config& c : configs) {
+      SmallEnclave e;
+      Session session(program, e.enclave.get(),
+                      kernels::KernelContext::shared(),
+                      {.use_memory_planner = c.planner,
+                       .weight_streaming = c.streaming,
+                       .gpu_offload = c.gpu_offload});
+      for (const std::int64_t batch : {1, 3, 8}) {
+        const auto feeds = data.batch_feeds(0, batch);
+        tracer.reset();
+        if (c.train) {
+          (void)session.train_step("loss", feeds, 0.1f);
+        } else {
+          (void)session.run({"probs"}, {{"input", feeds.at("input")}});
+        }
+        for (const obs::SpanRecord& s : tracer.snapshot()) {
+          put_name(tracer.name(s.name_id));
+          for (const std::uint64_t v :
+               {std::uint64_t{s.depth}, std::uint64_t{s.lane}, s.start_ns,
+                s.end_ns, s.trace_id, s.span_id, s.parent_id}) {
+            put(v);
+          }
+        }
+        put(tracer.dropped());
+        for (const auto& [name, sum] : tracer.summaries()) {
+          put_name(name);
+          put(sum.count);
+          put(sum.total_ns);
+          put(sum.max_ns);
+        }
+      }
+    }
+  }
+  tracer.reset();
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "b169a74b5bf1f8a143290d285a11c76436b06ab6c04e7d7acbb6f784b5e90b96");
+}
+
 // Graphs come from outside the enclave (deserialize_graph), and each of
 // these parses. Session::run must refuse every one with a typed error: no
 // Reshape inference divides by a zero dimension, and no op reads an input
-// it does not have.
+// it does not have. Behind a valid Relu and on an enclave, each is refused
+// before the first charge on either arena: the clock and the EPC counters
+// stay where they were.
 TEST(SessionTest, ForgedGraphsFailTyped) {
-  const auto forged = [](OpType type, std::size_t n_inputs, NodeAttrs attrs) {
+  const auto forged = [](OpType type, std::size_t n_inputs, NodeAttrs attrs,
+                         bool behind_relu) {
     Graph g;
-    const NodeId x = g.add_node(OpType::Placeholder, "input", {});
+    NodeId x = g.add_node(OpType::Placeholder, "input", {});
+    if (behind_relu) x = g.add_node(OpType::Relu, "relu", {x});
     g.add_node(type, "out", std::vector<NodeId>(n_inputs, x), attrs);
     return deserialize_graph(serialize_graph(g));
   };
-  const Graph graphs[] = {
-      forged(OpType::Reshape, 1, {.target_shape = {-1, 0}}),
-      forged(OpType::Reshape, 1, {.target_shape = {0, -1}}),
-      forged(OpType::MatMul, 1, {}),
-      forged(OpType::Relu, 0, {}),
-      forged(OpType::Reshape, 1, {.target_shape = {-1, -1}}),
-      forged(OpType::Reshape, 1, {.target_shape = {0, 4}}),
-      forged(OpType::MaxPool2D, 1, {.window = 0}),
-  };
   const Tensor feed({1, 4}, {1, 2, 3, 4});
-  for (const Graph& g : graphs) {
-    Session session(g);
-    EXPECT_THROW((void)session.run1("out", {{"input", feed}}),
-                 std::invalid_argument);
+  for (const bool behind_relu : {false, true}) {
+    std::vector<Graph> graphs = {
+        forged(OpType::Reshape, 1, {.target_shape = {-1, 0}}, behind_relu),
+        forged(OpType::Reshape, 1, {.target_shape = {0, -1}}, behind_relu),
+        forged(OpType::MatMul, 1, {}, behind_relu),
+        forged(OpType::Relu, 0, {}, behind_relu),
+        forged(OpType::Reshape, 1, {.target_shape = {-1, -1}}, behind_relu),
+        forged(OpType::Reshape, 1, {.target_shape = {0, 4}}, behind_relu),
+        forged(OpType::MaxPool2D, 1, {.window = 0}, behind_relu),
+        forged(OpType::Const, 0, {}, behind_relu),  // a Const with no value
+    };
+    if (!behind_relu) {
+      for (const Graph& g : graphs) {
+        Session session(g);
+        EXPECT_THROW((void)session.run1("out", {{"input", feed}}),
+                     std::invalid_argument);
+      }
+      continue;
+    }
+    // An unfed placeholder the pass reaches after the Relu.
+    Graph unfed;
+    const NodeId x = unfed.add_node(OpType::Placeholder, "input", {});
+    const NodeId r = unfed.add_node(OpType::Relu, "relu", {x});
+    const NodeId b = unfed.add_node(OpType::Placeholder, "bias", {});
+    unfed.add_node(OpType::Add, "out", {r, b});
+    graphs.push_back(std::move(unfed));
+    for (const Graph& g : graphs) {
+      for (const bool planner : {false, true}) {
+        SmallEnclave e;
+        Session session(g, e.enclave.get(), kernels::KernelContext::shared(),
+                        {.use_memory_planner = planner});
+        const std::uint64_t t0 = e.platform.clock().now_ns();
+        const tee::EpcStats s0 = e.platform.epc().stats();
+        EXPECT_THROW((void)session.run1("out", {{"input", feed}}),
+                     std::invalid_argument);
+        const tee::EpcStats s1 = e.platform.epc().stats();
+        EXPECT_EQ(e.platform.clock().now_ns(), t0) << "planner " << planner;
+        EXPECT_EQ(s1.accesses, s0.accesses) << "planner " << planner;
+        EXPECT_EQ(s1.faults, s0.faults) << "planner " << planner;
+        EXPECT_EQ(s1.loads, s0.loads) << "planner " << planner;
+        EXPECT_EQ(s1.evictions, s0.evictions) << "planner " << planner;
+      }
+    }
   }
 }
 
