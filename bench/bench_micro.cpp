@@ -221,26 +221,49 @@ BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(0)
 // distinct B matrices (16 MB) are cycled so B is not cache-hot, as a served
 // model's layers are not; bytes/s counts B, the operand that streams, per
 // second of wall time (the pool's workers are not on the main thread's
-// CPU clock).
-void BM_GemmSmallBatch(benchmark::State& state) {
+// CPU clock). B is row-major (gemm), or in the panel order a Lite MatMul
+// weight is held in (gemm_panels): same bits, different page walk.
+void gemm_small_batch(benchmark::State& state, bool panels) {
   const std::int64_t m = state.range(0);
   const std::int64_t k = 1024, n = 1024;
   const ml::Tensor a = filled({m, k}, 5);
   std::vector<ml::Tensor> bs;
-  for (int i = 0; i < 4; ++i) bs.push_back(filled({k, n}, 6 + i));
+  for (int i = 0; i < 4; ++i) {
+    bs.push_back(filled({k, n}, 6 + i));
+    if (panels) {
+      const ml::Tensor row_major = bs.back();
+      ml::kernels::to_panels(k, n, row_major.data(), bs.back().data());
+    }
+  }
   std::vector<float> c(static_cast<std::size_t>(m * n));
   runtime::ThreadPool pool(static_cast<unsigned>(state.range(1)));
   const ml::kernels::KernelContext ctx{&pool, pool.thread_count()};
   std::size_t next = 0;
   for (auto _ : state) {
-    ml::kernels::gemm(ctx, m, k, n, a.data(), bs[next].data(), c.data());
+    if (panels) {
+      ml::kernels::gemm_panels(ctx, m, k, n, a.data(), bs[next].data(),
+                               c.data());
+    } else {
+      ml::kernels::gemm(ctx, m, k, n, a.data(), bs[next].data(), c.data());
+    }
     benchmark::DoNotOptimize(c.data());
     next = (next + 1) % bs.size();
   }
   state.SetBytesProcessed(state.iterations() * k * n *
                           static_cast<std::int64_t>(sizeof(float)));
 }
+void BM_GemmSmallBatch(benchmark::State& state) {
+  gemm_small_batch(state, false);
+}
+void BM_GemmSmallBatchPanels(benchmark::State& state) {
+  gemm_small_batch(state, true);
+}
 BENCHMARK(BM_GemmSmallBatch)
+    ->ArgNames({"m", "threads"})
+    ->Args({1, 1})->Args({1, 2})->Args({8, 1})->Args({8, 2})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_GemmSmallBatchPanels)
     ->ArgNames({"m", "threads"})
     ->Args({1, 1})->Args({1, 2})->Args({8, 1})->Args({8, 2})
     ->UseRealTime()

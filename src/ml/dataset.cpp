@@ -82,7 +82,12 @@ std::map<std::string, Tensor> Dataset::batch_feeds(
       y.at2(r, c) = labels.at2(start + r, c);
     }
   }
-  return {{image_name, std::move(x)}, {label_name, std::move(y)}};
+  // Emplaced, not listed: an initializer_list's elements are const, so the
+  // map would copy both tensors out of it.
+  std::map<std::string, Tensor> feeds;
+  feeds.emplace(image_name, std::move(x));
+  feeds.emplace(label_name, std::move(y));
+  return feeds;
 }
 
 Tensor Dataset::sample(std::int64_t i) const {

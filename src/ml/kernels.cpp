@@ -1,6 +1,7 @@
 #include "ml/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@ namespace {
 constexpr std::int64_t MR = 8;
 constexpr std::int64_t VL = 16;      // floats per accumulator vector
 constexpr std::int64_t NR = 2 * VL;  // micro-tile width: two vectors
+static_assert(NR == kPanelWidth, "a panel-order B's panels are its tiles");
 constexpr std::int64_t KC = 256;
 constexpr std::int64_t MC = 72;  // multiple of MR
 // Small-batch schedule (m <= MR): NS columns of C per parallel strip, and
@@ -110,29 +112,47 @@ constexpr MicroKernel kRowKernels[MR] = {
     micro_kernel<1>, micro_kernel<2>, micro_kernel<3>, micro_kernel<4>,
     micro_kernel<5>, micro_kernel<6>, micro_kernel<7>, micro_kernel<8>};
 
+// How gemm_strided finds B: b'(kk,j) = b[kk*rs + j*cs], or in panel order
+// (kernels.h) when `panels`. Transposed operands are just different strides.
+struct BOperand {
+  const float* b;
+  std::int64_t rs = 0, cs = 1;
+  bool panels = false;
+};
+
 // Generic strided GEMM core: c[m,n] = a'[m,k] x b'[k,n], where
-// a'(i,kk) = a[i*a_rs + kk*a_cs] and b'(kk,j) = b[kk*b_rs + j*b_cs].
-// Transposed operands are just different strides. The schedule follows
+// a'(i,kk) = a[i*a_rs + kk*a_cs] and b' is `bop`. The schedule follows
 // from the shape alone (kernels.h): m <= MR runs the small-batch strips,
 // larger m the MC-row blocks. Both reduce every output element the same
 // way — acc = 0, acc += a*b with kk ascending within each KC panel, then
 // c = acc on the first panel and c += acc after it — so a row of C has the
-// same bits whichever schedule, batch size or thread count produced it.
+// same bits whichever schedule, batch size, thread count or layout of B
+// produced it.
 void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
                   std::int64_t n, const float* a, std::int64_t a_rs,
-                  std::int64_t a_cs, const float* b, std::int64_t b_rs,
-                  std::int64_t b_cs, float* c) {
+                  std::int64_t a_cs, const BOperand& bop, float* c) {
   if (m <= 0 || k <= 0 || n <= 0) return;
   obs::counter<obs::names::kKernelGemmCalls>().add();
   const std::int64_t num_pc = ceil_div(k, KC);
   const std::int64_t num_jt = ceil_div(n, NR);
 
-  // A row-major B (b_cs == 1) is read in place: each full NR-column tile is
-  // already kc rows of NR contiguous floats at stride b_rs. Only tiles that
-  // are not — the ragged last tile, and every tile of a transposed B — are
-  // packed up front, into KC*NR slots whose padded columns are zero and
-  // never stored back.
-  const std::int64_t jt_direct = (b_cs == 1) ? n / NR : 0;
+  // Column tile jt of B: element (kk, jj) lies at first[kk*rs + jj*cs]. A
+  // panel-order B's tiles are its panels: k rows of w contiguous floats.
+  struct Tile {
+    const float* first;
+    std::int64_t rs, cs;
+  };
+  const auto tile = [&](std::int64_t jt) -> Tile {
+    const std::int64_t jc = jt * NR;
+    if (bop.panels) return {bop.b + jc * k, std::min(NR, n - jc), 1};
+    return {bop.b + jc * bop.cs, bop.rs, bop.cs};
+  };
+  // A full tile with contiguous columns (row-major or panel order) is read
+  // in place: kc rows of NR floats at stride rs. Only tiles that are not —
+  // the ragged last tile, and every tile of a transposed B — are packed up
+  // front, into KC*NR slots whose padded columns are zero and never stored
+  // back.
+  const std::int64_t jt_direct = bop.panels || bop.cs == 1 ? n / NR : 0;
   thread_local std::vector<float> b_packed;
   b_packed.resize(static_cast<std::size_t>((num_jt - jt_direct) * num_pc) *
                   KC * NR);
@@ -143,16 +163,16 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
   parallel_for(ctx, jt_direct, num_jt, 4,
                [&](std::int64_t jt0, std::int64_t jt1) {
     for (std::int64_t jt = jt0; jt < jt1; ++jt) {
-      const std::int64_t jc = jt * NR;
-      const std::int64_t nr = std::min(NR, n - jc);
+      const std::int64_t nr = std::min(NR, n - jt * NR);
+      const Tile t = tile(jt);
       for (std::int64_t pi = 0; pi < num_pc; ++pi) {
         const std::int64_t pc = pi * KC;
         const std::int64_t kc = std::min(KC, k - pc);
         float* dst = packed_slot(jt, pi);
         for (std::int64_t kk = 0; kk < kc; ++kk) {
-          const float* src = b + (pc + kk) * b_rs + jc * b_cs;
+          const float* src = t.first + (pc + kk) * t.rs;
           for (std::int64_t jj = 0; jj < nr; ++jj) {
-            dst[kk * NR + jj] = src[jj * b_cs];
+            dst[kk * NR + jj] = src[jj * t.cs];
           }
           for (std::int64_t jj = nr; jj < NR; ++jj) dst[kk * NR + jj] = 0.0f;
         }
@@ -162,7 +182,10 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
   // B-tile (jt, pi) for the micro-kernel: its first row and its row stride.
   using BTile = std::pair<const float*, std::int64_t>;
   const auto b_tile = [&](std::int64_t jt, std::int64_t pi) -> BTile {
-    if (jt < jt_direct) return {b + pi * KC * b_rs + jt * NR, b_rs};
+    if (jt < jt_direct) {
+      const Tile t = tile(jt);
+      return {t.first + pi * KC * t.rs, t.rs};
+    }
     return {packed_slot(jt, pi), NR};
   };
 
@@ -348,6 +371,16 @@ std::vector<std::int8_t>& col_scratch_s8(std::int64_t elements) {
   return scratch;
 }
 
+// One run of a panel walk; a full panel row is a fixed 128-byte copy the
+// compiler inlines, so a 1024-wide layer's 32 runs a row make no calls.
+void copy_run(void* dst, const void* src, std::int64_t count) {
+  if (count == kPanelWidth) {
+    std::memcpy(dst, src, kPanelWidth * sizeof(float));
+  } else {
+    std::memcpy(dst, src, static_cast<std::size_t>(count) * sizeof(float));
+  }
+}
+
 }  // namespace
 
 const KernelContext& KernelContext::shared() {
@@ -370,17 +403,41 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 
 void gemm(const KernelContext& ctx, std::int64_t m, std::int64_t k,
           std::int64_t n, const float* a, const float* b, float* c) {
-  gemm_strided(ctx, m, k, n, a, k, 1, b, n, 1, c);
+  gemm_strided(ctx, m, k, n, a, k, 1, {b, n, 1}, c);
 }
 
 void gemm_nt(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const float* a, const float* b, float* c) {
-  gemm_strided(ctx, m, k, n, a, k, 1, b, 1, k, c);
+  gemm_strided(ctx, m, k, n, a, k, 1, {b, 1, k}, c);
 }
 
 void gemm_tn(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const float* a, const float* b, float* c) {
-  gemm_strided(ctx, m, k, n, a, 1, m, b, n, 1, c);
+  gemm_strided(ctx, m, k, n, a, 1, m, {b, n, 1}, c);
+}
+
+void gemm_panels(const KernelContext& ctx, std::int64_t m, std::int64_t k,
+                 std::int64_t n, const float* a, const float* b_panels,
+                 float* c) {
+  gemm_strided(ctx, m, k, n, a, k, 1, {b_panels, 0, 1, true}, c);
+}
+
+void to_panels(std::int64_t k, std::int64_t n, const void* row_major,
+               float* panels) {
+  const auto* src = static_cast<const unsigned char*>(row_major);
+  for_each_panel_run(k, n, [&](std::int64_t r, std::int64_t p,
+                               std::int64_t count) {
+    copy_run(panels + p, src + r * sizeof(float), count);
+  });
+}
+
+void from_panels(std::int64_t k, std::int64_t n, const float* panels,
+                 void* row_major) {
+  auto* dst = static_cast<unsigned char*>(row_major);
+  for_each_panel_run(k, n, [&](std::int64_t r, std::int64_t p,
+                               std::int64_t count) {
+    copy_run(dst + r * sizeof(float), panels + p, count);
+  });
 }
 
 ConvShape conv_shape(std::int64_t n, std::int64_t h, std::int64_t w,
@@ -419,7 +476,7 @@ void conv2d_grad_input(const KernelContext& ctx, const ConvShape& s,
   const std::int64_t patch = s.patch_size();
   auto& col_grad = col_scratch(rows * patch);
   // col_grad[rows, patch] = grad_output[rows, k] x filterᵀ[k, patch].
-  gemm_strided(ctx, rows, s.k, patch, grad_output, s.k, 1, filter, 1, s.k,
+  gemm_strided(ctx, rows, s.k, patch, grad_output, s.k, 1, {filter, 1, s.k},
                col_grad.data());
   // col2im scatter-add: windows overlap inside one image, so images are the
   // parallel unit (each owns a disjoint grad_input slice) and the scatter
@@ -458,8 +515,8 @@ void conv2d_grad_filter(const KernelContext& ctx, const ConvShape& s,
   auto& col = col_scratch(rows * patch);
   im2col(ctx, s, input, col.data());
   // grad_filter[patch, k] += colᵀ[patch, rows] x grad_output[rows, k].
-  gemm_strided(ctx, patch, rows, s.k, col.data(), 1, patch, grad_output, s.k,
-               1, grad_filter);
+  gemm_strided(ctx, patch, rows, s.k, col.data(), 1, patch,
+               {grad_output, s.k, 1}, grad_filter);
 }
 
 std::int8_t requantize(std::int32_t acc, float multiplier) {

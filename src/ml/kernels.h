@@ -38,11 +38,11 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
                   std::int64_t end, std::int64_t grain, runtime::ChunkFn fn);
 
 // --- GEMM ----------------------------------------------------------------
-// All matrices are row-major and dense. `c` is overwritten with the
-// product (the first k-panel stores, later panels accumulate — prior
-// contents of `c` never contribute, and single-panel problems touch each
-// output element exactly once). m/k/n are always the logical GEMM dims:
-// c is [m,n], the reduction runs over k.
+// A and C are row-major and dense; B's three layouts are below. `c` is
+// overwritten with the product (the first k-panel stores, later panels
+// accumulate — prior contents of `c` never contribute, and single-panel
+// problems touch each output element exactly once). m/k/n are always the
+// logical GEMM dims: c is [m,n], the reduction runs over k.
 //
 // Two schedules, picked from the shape alone (no option selects them):
 //  - Small-batch, m <= 8 — every serving batch and unbatched classify.
@@ -61,10 +61,19 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 // batch size or thread count computed it — what batched serving's "equal
 // to N single invokes" rests on.
 //
-// A row-major B (gemm, gemm_tn) is read in place, with no copy and no
-// packing pass; the small-batch schedule reads each of its bytes exactly
-// once. Only a transposed B (gemm_nt) and the ragged last 32-column tile
-// of any B are packed, into a thread-local buffer.
+// B comes in three layouts. The micro-kernel reads B in 32-column tiles,
+// k rows deep; the layout decides where a tile's rows lie:
+//  - row-major (gemm, gemm_tn): read in place, with no copy and no packing
+//    pass. A tile's rows are n floats apart, so at n = 1024 each row of a
+//    tile starts a new 4 KiB page.
+//  - transposed, stored [n,k] (gemm_nt): every tile is packed per call.
+//  - panel order (gemm_panels, below): read in place, each full tile as
+//    k × 32 contiguous floats, which the micro-kernel streams.
+// Only the ragged last tile of a row-major or panel-order B is packed.
+// Packing goes into a thread-local buffer whose padded columns are zero.
+// The small-batch schedule reads each byte of an in-place B exactly once.
+// The layout never changes a bit of C: every tile feeds the same
+// micro-kernel calls in the same order.
 
 /// c[m,n] = a[m,k] · b[k,n]
 void gemm(const KernelContext& ctx, std::int64_t m, std::int64_t k,
@@ -77,6 +86,49 @@ void gemm_nt(const KernelContext& ctx, std::int64_t m, std::int64_t k,
 /// c[m,n] = aᵀ · b[k,n], with a stored [k,m]
 void gemm_tn(const KernelContext& ctx, std::int64_t m, std::int64_t k,
              std::int64_t n, const float* a, const float* b, float* c);
+
+// --- Panel order ---------------------------------------------------------
+// The layout of a Lite MatMul weight in its arena (FlatModel): the GEMM's
+// B tiles, one after another. Panel p of a [k,n] matrix holds its columns
+// [32p, 32p + w), w = min(32, n - 32p), as k rows of w contiguous floats,
+// from element 32p·k on: first the ⌊n/32⌋ full panels, then the n mod 32
+// tail columns. For n ≤ 32 it is row-major order.
+inline constexpr std::int64_t kPanelWidth = 32;
+
+/// Walks a [k,n] matrix in row-major order, in runs of elements that lie
+/// contiguously both in row-major order and in panel order: calls
+/// fn(row_major_offset, panel_offset, count) once per row of each panel.
+/// For n ≤ 32 the whole matrix is one run. Every copy into or out of the
+/// layout goes through this walk; the GEMM reads the panels as its tiles.
+template <typename Fn>
+void for_each_panel_run(std::int64_t k, std::int64_t n, Fn&& fn) {
+  if (n <= kPanelWidth) {
+    if (k > 0 && n > 0) fn(std::int64_t{0}, std::int64_t{0}, k * n);
+    return;
+  }
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (std::int64_t jc = 0; jc < n; jc += kPanelWidth) {
+      const std::int64_t w = n - jc < kPanelWidth ? n - jc : kPanelWidth;
+      fn(kk * n + jc, jc * k + kk * w, w);
+    }
+  }
+}
+
+/// Copies a row-major [k,n] matrix into panel order, reading the row-major
+/// side once, front to back. `row_major` needs no float alignment (it may
+/// point into a model file).
+void to_panels(std::int64_t k, std::int64_t n, const void* row_major,
+               float* panels);
+
+/// The inverse copy: writes the row-major side once, front to back.
+void from_panels(std::int64_t k, std::int64_t n, const float* panels,
+                 void* row_major);
+
+/// c[m,n] = a[m,k] · b[k,n], with b in panel order: the bits gemm() gives
+/// for the row-major b, at any pool size.
+void gemm_panels(const KernelContext& ctx, std::int64_t m, std::int64_t k,
+                 std::int64_t n, const float* a, const float* b_panels,
+                 float* c);
 
 // --- Convolution ---------------------------------------------------------
 // NHWC input, HWIO filter, SAME padding; identical geometry to the

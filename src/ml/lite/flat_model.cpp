@@ -21,6 +21,75 @@ constexpr std::uint32_t kVersion = 2;
 // deserialize() accepts both.
 constexpr std::uint32_t kVersionCalibrated = 3;
 
+// Marks every float weight some MatMul reads as operand B, which the arena
+// holds in panel order. It follows from the ops alone, so a converted model
+// and the file it was saved to agree on the layout.
+void mark_panel_weights(std::vector<LiteTensorDesc>& tensors,
+                        const std::vector<LiteOp>& ops) {
+  for (const LiteOp& op : ops) {
+    if (op.type != OpType::MatMul || op.inputs.size() != 2) continue;
+    LiteTensorDesc& b = tensors[static_cast<std::size_t>(op.inputs[1])];
+    if (b.is_weight() && b.shape.size() == 2) b.panels = true;
+  }
+}
+
+// Walks a float arena of `size` elements front to back in runs: fn(offset,
+// count, desc), where desc is the panel-order weight spanning [offset,
+// offset + count), or nullptr for a run of row-major elements. Weights
+// never share bytes, so the panel spans in offset order tile the arena with
+// the runs between them.
+template <typename Fn>
+void for_each_arena_run(const std::vector<LiteTensorDesc>& tensors,
+                        std::int64_t size, Fn&& fn) {
+  std::vector<const LiteTensorDesc*> panels;
+  for (const LiteTensorDesc& d : tensors) {
+    if (d.panels) panels.push_back(&d);
+  }
+  std::sort(panels.begin(), panels.end(),
+            [](const LiteTensorDesc* a, const LiteTensorDesc* b) {
+              return a->weight_offset < b->weight_offset;
+            });
+  std::int64_t at = 0;
+  for (const LiteTensorDesc* d : panels) {
+    if (d->weight_offset > at) fn(at, d->weight_offset - at, nullptr);
+    at = d->weight_offset + num_elements(d->shape);
+    fn(d->weight_offset, at - d->weight_offset, d);
+  }
+  if (size > at) fn(at, size - at, nullptr);
+}
+
+// The capacity one insert of `count` elements at the end of a full vector
+// of `size` elements grows it to (libstdc++: size + max(size, count)). A
+// path that writes those elements piece by piece into that capacity makes
+// exactly the allocations the insert would.
+std::size_t insert_capacity(std::size_t size, std::size_t count) {
+  return size + std::max(size, count);
+}
+
+// Room for `count` more bytes at the end of `out`, grown as one insert.
+void reserve_as_insert(crypto::Bytes& out, std::size_t count) {
+  if (out.capacity() - out.size() < count) {
+    out.reserve(insert_capacity(out.size(), count));
+  }
+}
+
+// Appends `count` unwritten floats to the arena, grown as one insert, and
+// returns them. The floats already there move by memcpy: the vector's own
+// growth would move them one by one, as it does under any allocator but
+// std::allocator.
+float* append_unwritten(FloatArena& arena, std::size_t count) {
+  const std::size_t size = arena.size();
+  if (arena.capacity() - size < count) {
+    FloatArena grown;
+    grown.reserve(insert_capacity(size, count));
+    grown.resize(size);
+    if (size > 0) std::memcpy(grown.data(), arena.data(), size * sizeof(float));
+    arena.swap(grown);
+  }
+  arena.resize(size + count);
+  return arena.data() + size;
+}
+
 }  // namespace
 
 FlatModel FlatModel::from_frozen(const Graph& graph,
@@ -31,6 +100,8 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
   const auto order = graph.topological_order({output_id});
 
   std::map<NodeId, std::int32_t> tensor_of;
+  // Each Const's tensor and value, in the order the arena appends them.
+  std::vector<std::pair<std::int32_t, const Tensor*>> consts;
   for (const NodeId id : order) {
     const Node& node = graph.node(id);
     switch (node.type) {
@@ -54,14 +125,12 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
         break;
       }
       case OpType::Const: {
-        const Tensor& value = *node.value;
         LiteTensorDesc desc;
-        desc.shape = value.shape();
-        desc.weight_offset = static_cast<std::int64_t>(model.weights_.size());
-        model.weights_.insert(model.weights_.end(), value.data(),
-                              value.data() + value.size());
+        desc.shape = node.value->shape();
+        desc.weight_offset = 0;  // placed once the layout is known
         const auto idx = static_cast<std::int32_t>(model.tensors_.size());
         model.tensors_.push_back(std::move(desc));
+        consts.emplace_back(idx, &*node.value);
         tensor_of[id] = idx;
         break;
       }
@@ -84,6 +153,21 @@ FlatModel FlatModel::from_frozen(const Graph& graph,
                                 input_name + "'");
   }
   model.output_ = tensor_of.at(output_id);
+
+  // Each Const is written once, in the layout it keeps, and the arena goes
+  // through the allocations a row-major append of each would make.
+  mark_panel_weights(model.tensors_, model.ops_);
+  for (const auto& [idx, value] : consts) {
+    LiteTensorDesc& desc = model.tensors_[static_cast<std::size_t>(idx)];
+    desc.weight_offset = static_cast<std::int64_t>(model.weights_.size());
+    const auto count = static_cast<std::size_t>(value->size());
+    float* dst = append_unwritten(model.weights_, count);
+    if (desc.panels) {
+      kernels::to_panels(desc.shape[0], desc.shape[1], value->data(), dst);
+    } else if (count > 0) {
+      std::memcpy(dst, value->data(), count * sizeof(float));
+    }
+  }
   return model;
 }
 
@@ -117,18 +201,41 @@ crypto::Bytes FlatModel::serialize() const {
   w.u32(static_cast<std::uint32_t>(output_));
   w.i64(static_cast<std::int64_t>(quantized_ ? qweights_.size()
                                              : weights_.size()));
-  w.bytes(crypto::BytesView(
-      quantized_ ? reinterpret_cast<const std::uint8_t*>(qweights_.data())
-                 : reinterpret_cast<const std::uint8_t*>(weights_.data()),
-      weight_bytes()));
-  return w.take();
+  if (quantized_) {
+    w.bytes(crypto::BytesView(
+        reinterpret_cast<const std::uint8_t*>(qweights_.data()),
+        weight_bytes()));
+    return w.take();
+  }
+  // The row-major bytes, written once: the buffer grows as appending the
+  // whole arena at once would grow it, then each run is appended in turn.
+  crypto::Bytes out = w.take();
+  reserve_as_insert(out, weight_bytes());
+  const auto put = [&](const float* first, std::int64_t count) {
+    crypto::append(out, crypto::BytesView(
+                            reinterpret_cast<const std::uint8_t*>(first),
+                            static_cast<std::size_t>(count) * sizeof(float)));
+  };
+  for_each_arena_run(
+      tensors_, static_cast<std::int64_t>(weights_.size()),
+      [&](std::int64_t offset, std::int64_t count, const LiteTensorDesc* d) {
+        const float* run = weights_.data() + offset;
+        if (d == nullptr) return put(run, count);
+        kernels::for_each_panel_run(
+            d->shape[0], d->shape[1],
+            [&](std::int64_t, std::int64_t p, std::int64_t n) {
+              put(run + p, n);
+            });
+      });
+  return out;
 }
 
 FlatModel FlatModel::deserialize(crypto::BytesView data) {
   // Model files come from outside the enclave. The wire cursor checks every
   // count against the bytes still unread before anything is sized from it,
-  // and every weight tensor must lie inside the arena — the interpreter
-  // reads weights in place, with no copy to catch a bad range.
+  // and every weight tensor must lie inside the arena, apart from every
+  // other — the interpreter reads weights in place, with no copy to catch a
+  // bad range, and a MatMul weight is reordered inside its own span.
   wire::Reader r(data, "FlatModel");
   if (r.u32() != kLiteMagic) r.fail("bad magic");
   const std::uint32_t version = r.u32();
@@ -233,18 +340,39 @@ FlatModel FlatModel::deserialize(crypto::BytesView data) {
   if (n_weights < 0) r.fail("negative weight count");
   const crypto::BytesView arena =
       r.bytes(static_cast<std::uint64_t>(n_weights), elem_size);
+  std::vector<std::pair<std::int64_t, std::int64_t>> spans;  // [begin, end)
   for (const auto& desc : model.tensors_) {
-    if (desc.is_weight() &&
-        num_elements(desc.shape) > n_weights - desc.weight_offset) {
+    if (!desc.is_weight()) continue;
+    const std::int64_t n = num_elements(desc.shape);
+    if (n > n_weights - desc.weight_offset) {
       r.fail("weight tensor outside the arena");
     }
+    if (n > 0) spans.emplace_back(desc.weight_offset, desc.weight_offset + n);
+  }
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    if (spans[i].first < spans[i - 1].second) r.fail("weights overlap");
   }
   if (model.quantized_) {
     model.qweights_.resize(static_cast<std::size_t>(n_weights));
     std::memcpy(model.qweights_.data(), arena.data(), arena.size());
   } else {
+    // The arena's one copy out of the file, into unwritten floats, puts
+    // each MatMul weight in panel order on the way.
+    mark_panel_weights(model.tensors_, model.ops_);
     model.weights_.resize(static_cast<std::size_t>(n_weights));
-    std::memcpy(model.weights_.data(), arena.data(), arena.size());
+    float* dst = model.weights_.data();
+    for_each_arena_run(
+        model.tensors_, n_weights,
+        [&](std::int64_t offset, std::int64_t count, const LiteTensorDesc* d) {
+          const std::uint8_t* src = arena.data() + offset * sizeof(float);
+          if (d == nullptr) {
+            std::memcpy(dst + offset, src,
+                        static_cast<std::size_t>(count) * sizeof(float));
+          } else {
+            kernels::to_panels(d->shape[0], d->shape[1], src, dst + offset);
+          }
+        });
   }
   if (!r.done()) r.fail("trailing bytes");
   return model;
@@ -269,9 +397,18 @@ FlatModel FlatModel::quantized() const {
     }
     desc.quant_scale = max_abs > 0 ? max_abs / 127.0f : 1.0f;
     desc.weight_offset = static_cast<std::int64_t>(q.qweights_.size());
-    for (std::int64_t i = 0; i < n; ++i) {
-      q.qweights_.push_back(kernels::quantize_one(w[i], desc.quant_scale));
+    // Codes are row-major whatever the float layout (gemm_s8 reads them so).
+    const auto emit = [&](std::int64_t, std::int64_t p, std::int64_t count) {
+      for (std::int64_t i = p; i < p + count; ++i) {
+        q.qweights_.push_back(kernels::quantize_one(w[i], desc.quant_scale));
+      }
+    };
+    if (desc.panels) {
+      kernels::for_each_panel_run(desc.shape[0], desc.shape[1], emit);
+    } else {
+      emit(0, 0, n);
     }
+    desc.panels = false;
   }
   return q;
 }

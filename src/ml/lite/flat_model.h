@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/bytes.h"
@@ -26,6 +28,31 @@
 #include "tee/memory_env.h"
 
 namespace stf::ml::lite {
+
+/// The float weight arena's allocator: a resize leaves the new floats
+/// unwritten (default-initialized), so a load path sizes the arena and
+/// then writes each weight once, in its layout, with no zero-fill first.
+/// Everything else is std::allocator's.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using value_type = T;
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+using FloatArena = std::vector<float, DefaultInitAllocator<float>>;
 
 struct LiteTensorDesc {
   Shape shape;
@@ -39,6 +66,11 @@ struct LiteTensorDesc {
   /// requantizes this tensor's values into act_scale().
   float act_min = 0;
   float act_max = 0;
+  /// A float weight some MatMul reads as operand B: its arena span holds it
+  /// in the GEMM's panel order (ml/kernels.h), so every served batch
+  /// streams it. Derived from the ops, never serialized: files hold every
+  /// weight row-major.
+  bool panels = false;
 
   [[nodiscard]] bool is_weight() const { return weight_offset >= 0; }
 
@@ -69,12 +101,14 @@ class FlatModel {
                                const std::string& input_name = "input",
                                const std::string& output_name = "probs");
 
+  /// The model file: every weight row-major, whatever its arena layout.
   [[nodiscard]] crypto::Bytes serialize() const;
   /// Parses a model file from outside the enclave. Throws
   /// std::runtime_error for malformed bytes, for a malformed program, and
   /// for what no input could run: a Reshape target with a 0 or < -1 dim or
   /// two -1s, a window or stride below 1, a MatMul weight not of rank 2, a
-  /// Conv2D filter not of rank 4, a weight operand with no elements.
+  /// Conv2D filter not of rank 4, a weight operand with no elements, two
+  /// weights that share arena bytes.
   static FlatModel deserialize(crypto::BytesView data);
 
   /// Post-training int8 weight quantization (§7.2): per-tensor symmetric
@@ -105,7 +139,9 @@ class FlatModel {
   [[nodiscard]] const std::vector<LiteTensorDesc>& tensors() const {
     return tensors_;
   }
-  [[nodiscard]] const std::vector<float>& weights() const { return weights_; }
+  /// The float weight arena: panel order inside the span of each weight
+  /// marked `panels`, row-major everywhere else.
+  [[nodiscard]] const FloatArena& weights() const { return weights_; }
   [[nodiscard]] const std::vector<std::int8_t>& qweights() const {
     return qweights_;
   }
@@ -121,7 +157,7 @@ class FlatModel {
  private:
   std::vector<LiteTensorDesc> tensors_;
   std::vector<LiteOp> ops_;
-  std::vector<float> weights_;
+  FloatArena weights_;
   std::vector<std::int8_t> qweights_;
   bool quantized_ = false;
   bool calibrated_ = false;

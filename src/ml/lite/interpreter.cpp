@@ -112,7 +112,7 @@ std::vector<Tensor> split(Tensor out, std::size_t requests) {
 // it does on first use in the other domain; a slot is emptied after its
 // last reader. It holds no env: the math step computes values and makes no
 // charge. Weights are read where they lie in the arena (float MatMul
-// weights in place, int8 codes always).
+// weights in place, in panel order; int8 codes always).
 class ForwardValues {
  public:
   ForwardValues(const FlatModel& model, const ChargePlan& plan,
@@ -178,15 +178,14 @@ class ForwardValues {
 
   double run_on_floats(std::size_t j, const LiteOp& op,
                        GpuOffloadEngine* gpu) {
-    // A float weight as operand 1 is lent in place.
+    // A MatMul's float weight is lent in place, in panel order.
     const LiteTensorDesc* b = op.inputs.size() > 1 ? &desc(op.inputs[1])
                                                    : nullptr;
     ops::OpResult r = run_float_op(
         op.type, op.attrs, shape(op.output),
         {[&](std::size_t i) -> const Tensor& { return floats(op.inputs[i]); },
-         b != nullptr && b->is_weight() && !model_.is_quantized()
-             ? model_.weights().data() + b->weight_offset
-             : nullptr},
+         b != nullptr && b->panels ? model_.weights().data() + b->weight_offset
+                                   : nullptr},
         {gpu, "lite:op", static_cast<std::int64_t>(j)}, ctx_);
     Value& out = slot(op.output);
     out.f = std::move(r.output);
@@ -230,7 +229,11 @@ class ForwardValues {
     std::vector<float> data(static_cast<std::size_t>(n));
     if (d.is_weight() && !model_.is_quantized()) {
       const float* w = model_.weights().data() + d.weight_offset;
-      std::copy(w, w + n, data.begin());
+      if (d.panels) {
+        kernels::from_panels(d.shape[0], d.shape[1], w, data.data());
+      } else {
+        std::copy(w, w + n, data.begin());
+      }
     } else {
       const Codes c = codes(idx);
       std::transform(c.data, c.data + n, data.begin(), [&](std::int8_t q) {

@@ -174,9 +174,9 @@ ops::OpResult run_float_op(OpType type, const NodeAttrs& attrs,
                                   sig(":mm:" + std::to_string(a.dim(1)) +
                                       "x" + std::to_string(b.dim(1))));
       }
-      if (in.b_in_place != nullptr) {
+      if (in.b_panels != nullptr) {
         // B is [k, n] by the shape rule.
-        return ops::matmul(a, {a.dim(1), out_shape[1]}, in.b_in_place, ctx);
+        return ops::matmul(a, {a.dim(1), out_shape[1]}, in.b_panels, ctx);
       }
       return ops::matmul(a, in.get(1), ctx);
     case OpType::Add: return ops::add(a, in.get(1), ctx);

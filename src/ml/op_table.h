@@ -45,10 +45,10 @@ namespace stf::ml {
 struct FloatOperands {
   /// Operand i as a tensor, materialised on first use if need be.
   std::function<const Tensor&(std::size_t)> get;
-  /// Operand 1's elements where they lie (a float weight arena), or
-  /// nullptr. A MatMul kept in the enclave reads B from here, with no
-  /// Tensor copy.
-  const float* b_in_place = nullptr;
+  /// A MatMul's B where it lies in panel order (a Lite weight arena,
+  /// kernels.h), or nullptr. A MatMul kept in the enclave reads B from
+  /// here, with no Tensor copy.
+  const float* b_panels = nullptr;
 };
 
 /// Where the linear layers run: on `engine` (nullptr keeps them in the

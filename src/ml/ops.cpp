@@ -44,22 +44,35 @@ double conv_flops(const kernels::ConvShape& s) {
          s.k;
 }
 
-}  // namespace
-
-OpResult matmul(const Tensor& a, const Tensor& b,
-                const kernels::KernelContext& ctx) {
-  return matmul(a, b.shape(), b.data(), ctx);
-}
-
-OpResult matmul(const Tensor& a, const Shape& b_shape, const float* b,
-                const kernels::KernelContext& ctx) {
+// Both products make the same checks and charge the same flops; they
+// differ only in how B is laid out.
+template <typename Gemm>
+OpResult matmul_with(const Tensor& a, const Shape& b_shape, Gemm&& gemm) {
   require(a.rank() == 2 && b_shape.size() == 2,
           "matmul: rank-2 tensors required");
   const std::int64_t m = a.dim(0), k = a.dim(1), n = b_shape[1];
   require(b_shape[0] == k, "matmul: inner dimensions do not match");
   Tensor out({m, n});
-  kernels::gemm(ctx, m, k, n, a.data(), b, out.data());
+  gemm(m, k, n, out.data());
   return {std::move(out), 2.0 * static_cast<double>(m) * k * n};
+}
+
+}  // namespace
+
+OpResult matmul(const Tensor& a, const Tensor& b,
+                const kernels::KernelContext& ctx) {
+  return matmul_with(a, b.shape(), [&](std::int64_t m, std::int64_t k,
+                                       std::int64_t n, float* c) {
+    kernels::gemm(ctx, m, k, n, a.data(), b.data(), c);
+  });
+}
+
+OpResult matmul(const Tensor& a, const Shape& b_shape, const float* b_panels,
+                const kernels::KernelContext& ctx) {
+  return matmul_with(a, b_shape, [&](std::int64_t m, std::int64_t k,
+                                     std::int64_t n, float* c) {
+    kernels::gemm_panels(ctx, m, k, n, a.data(), b_panels, c);
+  });
 }
 
 OpResult add(const Tensor& a, const Tensor& b,

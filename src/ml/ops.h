@@ -24,10 +24,11 @@ OpResult matmul(const Tensor& a, const Tensor& b,
                 const kernels::KernelContext& ctx =
                     kernels::KernelContext::shared());
 
-/// The same product with B read in place: `b` points at the row-major
-/// elements of a tensor shaped `b_shape` (a Lite weight arena, say), so no
-/// Tensor copy of B is made. Same checks, same flop charge, same bits.
-OpResult matmul(const Tensor& a, const Shape& b_shape, const float* b,
+/// The same product with B read in place, in panel order
+/// (kernels::to_panels): `b_panels` points at the elements of a tensor
+/// shaped `b_shape` where they lie (a Lite weight arena), so no Tensor copy
+/// of B is made. Same checks, same flop charge, same bits.
+OpResult matmul(const Tensor& a, const Shape& b_shape, const float* b_panels,
                 const kernels::KernelContext& ctx);
 
 /// Elementwise add; also broadcasts a rank-1 bias over the last dimension.

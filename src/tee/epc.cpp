@@ -83,7 +83,7 @@ void EpcManager::drop_resident(Region& region, std::uint32_t page_index) {
   resident_list_.pop_back();
   if (pos < resident_list_.size()) {
     const auto [moved_region, moved_page] = resident_list_[pos];
-    regions_.at(moved_region).pages[moved_page].resident_pos = pos;
+    moved_region->pages[moved_page].resident_pos = pos;
   }
 
   --resident_count_;
@@ -99,11 +99,11 @@ void EpcManager::evict_one(SimClock& clock) {
   // scan skips EPCM-locked entries the same way).
   std::uint32_t pos = static_cast<std::uint32_t>(
       next_random() % resident_list_.size());
-  while (regions_.at(resident_list_[pos].first).pinned) {
+  while (resident_list_[pos].first->pinned) {
     pos = static_cast<std::uint32_t>((pos + 1) % resident_list_.size());
   }
   const auto [victim_region, victim_page] = resident_list_[pos];
-  drop_resident(regions_.at(victim_region), victim_page);
+  drop_resident(*victim_region, victim_page);
 
   ++stats_.evictions;
   obs::counter<obs::names::kEpcEvictions>().add();
@@ -114,12 +114,12 @@ void EpcManager::evict_one(SimClock& clock) {
   obs::Timeline::global().record_epc_eviction(start, 1);
 }
 
-void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
+void EpcManager::fault_in(Region& region, std::uint32_t page_index,
                           SimClock& clock) {
   ++stats_.faults;
   obs::counter<obs::names::kEpcFaults>().add();
   clock.advance(model_.page_fault_ns);
-  make_resident(region, id, page_index, clock);
+  make_resident(region, page_index, clock);
   ++stats_.loads;
   obs::counter<obs::names::kEpcLoads>().add();
   clock.advance(model_.page_load_ns);
@@ -127,13 +127,13 @@ void EpcManager::fault_in(Region& region, RegionId id, std::uint32_t page_index,
   // access()/prefetch() batch — one ring record per call, not per page.
 }
 
-void EpcManager::make_resident(Region& region, RegionId id,
-                               std::uint32_t page_index, SimClock& clock) {
+void EpcManager::make_resident(Region& region, std::uint32_t page_index,
+                               SimClock& clock) {
   while (resident_count_ >= capacity_pages_) evict_one(clock);
   Page& page = region.pages[page_index];
   page.resident = true;
   page.resident_pos = static_cast<std::uint32_t>(resident_list_.size());
-  resident_list_.emplace_back(id, page_index);
+  resident_list_.emplace_back(&region, page_index);
   ++region.resident;
   ++resident_count_;
   if (region.pinned) ++pinned_resident_;
@@ -177,7 +177,7 @@ void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
   const std::uint64_t loads_before = stats_.loads;
   const std::uint64_t span_start = clock.now_ns();
   for (std::uint32_t p = first; p <= last; ++p) {
-    if (!region.pages[p].resident) fault_in(region, id, p, clock);
+    if (!region.pages[p].resident) fault_in(region, p, clock);
   }
   if (stats_.loads != loads_before) {
     // One coalesced paging span for the whole access (covers every fault,
@@ -214,7 +214,7 @@ void EpcManager::prefetch(RegionId id, std::uint64_t offset, std::uint64_t len,
     if (region.pages[p].resident) continue;
     // Making room counts as demand eviction when it happens — the
     // streaming caller is expected to advise_evict cold spans beforehand.
-    make_resident(region, id, p, clock);
+    make_resident(region, p, clock);
     // Overlapped ELDU: only the enqueue hop + decrypt tail hits the
     // critical path; no AEX, no demand fault.
     clock.advance(model_.page_prefetch_ns);

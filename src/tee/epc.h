@@ -45,6 +45,9 @@ class EpcManager {
   /// `limited` is false in Simulation mode: the runtime is active but there
   /// is no EPC boundary, so pages never fault (paper's SIM semantics).
   EpcManager(const CostModel& model, bool limited);
+  /// The resident list points into this manager's own regions.
+  EpcManager(const EpcManager&) = delete;
+  EpcManager& operator=(const EpcManager&) = delete;
 
   /// Registers a memory region of `bytes` (rounded up to whole pages).
   /// Pages start non-resident; first touch faults them in.
@@ -123,12 +126,11 @@ class EpcManager {
   };
 
   Region& find_region(RegionId id);
-  void fault_in(Region& region, RegionId id, std::uint32_t page_index,
-                SimClock& clock);
+  void fault_in(Region& region, std::uint32_t page_index, SimClock& clock);
   void evict_one(SimClock& clock);
   /// The one way into the EPC: evicts while it is full, then appends the
   /// page to the resident list.
-  void make_resident(Region& region, RegionId id, std::uint32_t page_index,
+  void make_resident(Region& region, std::uint32_t page_index,
                      SimClock& clock);
   /// The one way out: swap-removes the page from the resident list.
   void drop_resident(Region& region, std::uint32_t page_index);
@@ -151,8 +153,11 @@ class EpcManager {
   // Resident pages in arbitrary order for O(1) random victim selection.
   // Real EPC reclaim scans accessed bits imprecisely; a randomized victim
   // models that and avoids the pathological 100%-miss cliff strict LRU shows
-  // on cyclic scans marginally larger than the EPC.
-  std::vector<std::pair<RegionId, std::uint32_t>> resident_list_;
+  // on cyclic scans marginally larger than the EPC. Each entry names its
+  // region by node pointer, so no page costs a hash lookup: the pointers
+  // stay valid until erase, and unmap_region() drops a region's pages from
+  // the list before it erases the region.
+  std::vector<std::pair<Region*, std::uint32_t>> resident_list_;
   std::uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
   EpcStats stats_;
 };

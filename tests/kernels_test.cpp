@@ -1,13 +1,15 @@
 // Tests for the blocked GEMM / im2col convolution substrate: equivalence
 // against the naive reference kernels over randomized awkward shapes, NaN
 // propagation (the old kernels' zero-skip broke it), and bit-identical
-// results at every thread-pool size (the determinism contract that keeps
-// "Lite matches the Session bit-for-bit" true on a parallel host).
+// results at every thread-pool size and for every layout of B (the
+// determinism contract that keeps "Lite matches the Session bit-for-bit"
+// true on a parallel host).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <utility>
 #include <vector>
@@ -318,6 +320,68 @@ TEST(KernelDeterminism, RowsMatchSingleRowProductsAcrossSchedules) {
         ASSERT_EQ(all.at(i * n + j), row[static_cast<std::size_t>(j)])
             << "gemm_tn m = " << m << " row " << i << " col " << j;
       }
+    }
+  }
+}
+
+// A panel-order B (kernels.h) gives the bits the row-major B gives, whichever
+// schedule runs the product (m <= 8 strips, m > 8 row blocks), over 1..4
+// k-panels, every tail width and pool sizes 1, 2 and 4. The two copies
+// between the layouts are inverse, the layout is the documented one, and up
+// to 32 columns it is row-major order byte for byte.
+TEST(KernelDeterminism, PanelOrderMatchesRowMajor) {
+  runtime::ThreadPool pool1(1), pool2(2), pool4(4);
+  const KernelContext contexts[] = {{&pool1, pool1.thread_count()},
+                                    {&pool2, pool2.thread_count()},
+                                    {&pool4, pool4.thread_count()}};
+  const auto same_bytes = [](const float* x, const float* y,
+                             std::int64_t count) {
+    return std::memcmp(x, y, static_cast<std::size_t>(count) *
+                                 sizeof(float)) == 0;
+  };
+  std::uint64_t salt = 1000;
+  for (const std::int64_t k : {1, 255, 256, 257, 1024}) {
+    for (const std::int64_t n : {1, 10, 31, 32, 33, 64, 100, 1024}) {
+      const Tensor b = hashed_tensor(++salt, {k, n});
+      std::vector<float> panels(static_cast<std::size_t>(b.size()));
+      kernels::to_panels(k, n, b.data(), panels.data());
+      std::vector<float> back(panels.size());
+      kernels::from_panels(k, n, panels.data(), back.data());
+      ASSERT_TRUE(same_bytes(back.data(), b.data(), b.size()))
+          << k << "x" << n << " round trip";
+      if (n <= kernels::kPanelWidth) {
+        ASSERT_TRUE(same_bytes(panels.data(), b.data(), b.size()))
+            << k << "x" << n << " is row-major";
+      }
+      for (const std::int64_t m : {1, 3, 8, 9, 16, 73}) {
+        const Tensor a = hashed_tensor(++salt, {m, k});
+        std::vector<float> want(static_cast<std::size_t>(m * n));
+        kernels::gemm(KernelContext{}, m, k, n, a.data(), b.data(),
+                      want.data());
+        for (const KernelContext& ctx : contexts) {
+          std::vector<float> got(want.size());
+          kernels::gemm_panels(ctx, m, k, n, a.data(), panels.data(),
+                               got.data());
+          ASSERT_TRUE(same_bytes(got.data(), want.data(), m * n))
+              << m << "x" << k << "x" << n << ", " << ctx.threads
+              << " threads";
+        }
+      }
+    }
+  }
+  // Element (kk, j) of a [k,n] matrix lies in panel p = j / 32, of width
+  // w = min(32, n - 32p), at 32p·k + kk·w + j mod 32.
+  const std::int64_t k = 3, n = 70;
+  const Tensor b = hashed_tensor(++salt, {k, n});
+  std::vector<float> panels(static_cast<std::size_t>(b.size()));
+  kernels::to_panels(k, n, b.data(), panels.data());
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      const std::int64_t jc = j / 32 * 32;
+      const std::int64_t w = std::min<std::int64_t>(32, n - jc);
+      EXPECT_EQ(panels[static_cast<std::size_t>(jc * k + kk * w + j - jc)],
+                b.at(kk * n + j))
+          << "row " << kk << " col " << j;
     }
   }
 }

@@ -832,6 +832,23 @@ TEST(LiteTest, DeserializeRejectsForgedProgram) {
   rejects(forged(model_input, 1'000'000), "model input index 1,000,000");
   rejects(forged(model_output, static_cast<std::uint32_t>(-1)),
           "model output index -1");
+  // A bias moved onto bytes of fc1's weight stays inside the arena, but one
+  // byte would have two meanings once the weight is held in panel order.
+  const auto weight_of = [&](OpType type) {
+    return static_cast<std::size_t>(
+        model.ops()[first_op(model, type)].inputs[1]);
+  };
+  const std::size_t fc1_bias = weight_of(OpType::Add);
+  const std::size_t fc1 = weight_of(OpType::MatMul);
+  const crypto::Bytes overlap = forged64(
+      blob, {{l.dims[fc1_bias] + 8 * model.tensors()[fc1_bias].shape.size(),
+              model.tensors()[fc1].weight_offset + 1}});
+  try {
+    (void)lite::FlatModel::deserialize(overlap);
+    ADD_FAILURE() << "a bias overlapping fc1's weight was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "FlatModel: weights overlap");
+  }
 
   // What no input can make runnable, on the convnet's program.
   const Graph cg = mnist_convnet(9);
@@ -1249,6 +1266,107 @@ TEST(LiteTest, InvokeAccountingMatchesPinnedDigest) {
   }
   EXPECT_EQ(crypto::to_hex(digest.finish()),
             "7a29bfe070b386b98f3e6b6ad44c2d3508ec25d65711b135838323c661a2151b");
+}
+
+// The test above only sees MatMul weights at most 32 columns wide, which
+// panel order stores exactly as row-major. This one pins two models whose
+// weights are wider: mnist_mlp(100, 3)'s fc1 (three 32-column panels and a
+// 4-column tail) and the serving benchmark's 8 MiB classifier (1024-wide
+// layers). It hashes the version-2 bytes and their round trip, the int8
+// bytes with and without calibration, and every output of invoke_batch at
+// batch sizes 1-16 with its virtual ns and EPC loads and evictions on a
+// 24-page EPC, under float, int8 storage, int8_compute and GPU offload. The
+// digest was computed from row-major weight arenas; a mismatch means an
+// output, a file byte or a charge moved.
+TEST(LiteTest, PanelWeightsMatchPinnedDigest) {
+  struct Config {
+    bool quantized, int8_compute, gpu_offload;
+  };
+  const Config configs[] = {
+      {false, false, false},  // float
+      {true, false, false},   // int8 storage (dequantizing)
+      {true, true, false},    // int8_compute
+      {false, false, true},   // GPU offload
+  };
+  // [1, dim] inputs on random_tensor's value grid, from a splitmix64 hash.
+  const auto images = [](std::int64_t count, std::int64_t dim,
+                         std::uint64_t salt) {
+    std::vector<Tensor> out;
+    for (std::int64_t i = 0; i < count; ++i) {
+      Tensor t({1, dim});
+      for (std::int64_t j = 0; j < dim; ++j) {
+        std::uint64_t z = salt + 0x9e3779b97f4a7c15ull *
+                                     static_cast<std::uint64_t>(i * dim + j + 1);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        z ^= z >> 31;
+        t.at(j) = static_cast<float>(z % 20001) / 10000.0f - 1.0f;
+      }
+      out.push_back(std::move(t));
+    }
+    return out;
+  };
+  struct Program {
+    Graph graph;
+    std::int64_t input_dim;
+  };
+  const Program programs[] = {
+      {mnist_mlp(100, 3), 784},
+      {sized_classifier("serve", 8ull << 20, 1024, 10, 1), 1024}};
+
+  crypto::Sha256 digest;
+  const auto put = [&](std::uint64_t v) {
+    std::uint8_t b[8];
+    crypto::store_be64(b, v);
+    digest.update(crypto::BytesView(b, 8));
+  };
+  for (const Program& program : programs) {
+    Session session(program.graph);
+    const auto model = lite::FlatModel::from_frozen(
+        freeze(program.graph, session), "input", "probs");
+    const std::vector<Tensor> calib = images(4, program.input_dim, 21);
+    const std::vector<Tensor> samples = images(16, program.input_dim, 33);
+    const crypto::Bytes blob = model.serialize();
+    digest.update(blob);
+    const auto restored = lite::FlatModel::deserialize(blob);
+    EXPECT_EQ(restored.serialize(), blob);
+    digest.update(model.quantized().serialize());
+    const auto q = model.quantized(calib);
+    digest.update(q.serialize());
+    for (const Config& c : configs) {
+      SmallEnclave e;
+      const lite::FlatModel& m =
+          !c.quantized ? model : c.int8_compute ? q : model.quantized();
+      lite::LiteInterpreter interp(m, e.enclave.get(),
+                                   kernels::KernelContext::shared(), false,
+                                   c.int8_compute, c.gpu_offload);
+      for (std::size_t batch = 1; batch <= 16; ++batch) {
+        std::vector<const Tensor*> inputs;
+        for (std::size_t i = 0; i < batch; ++i) inputs.push_back(&samples[i]);
+        const std::uint64_t t0 = e.platform.clock().now_ns();
+        const tee::EpcStats e0 = e.platform.epc().stats();
+        const std::vector<Tensor> outs = interp.invoke_batch(inputs);
+        const tee::EpcStats e1 = e.platform.epc().stats();
+        put(e.platform.clock().now_ns() - t0);
+        put(e1.loads - e0.loads);
+        put(e1.evictions - e0.evictions);
+        for (const Tensor& out : outs) {
+          for (const auto d : out.shape()) put(static_cast<std::uint64_t>(d));
+          digest.update(crypto::BytesView(
+              reinterpret_cast<const std::uint8_t*>(out.data()),
+              out.byte_size()));
+        }
+      }
+    }
+    // The loaded model computes what the converted one does.
+    lite::LiteInterpreter loaded(restored);
+    lite::LiteInterpreter converted(model);
+    std::vector<const Tensor*> all;
+    for (const Tensor& s : samples) all.push_back(&s);
+    EXPECT_EQ(loaded.invoke_batch(all), converted.invoke_batch(all));
+  }
+  EXPECT_EQ(crypto::to_hex(digest.finish()),
+            "f800c4920f1eed82e47e801e1917be8f2f81f27454b8897214954ce03251089d");
 }
 
 // The Session twin of the test above: pins everything a run computes and

@@ -459,14 +459,21 @@ TEST(QuantizationProperty, WeightErrorBoundedByScale) {
   ASSERT_TRUE(int8_model.is_quantized());
   EXPECT_EQ(int8_model.weight_bytes() * 4, float_model.weight_bytes());
 
-  // Reconstructed weights are within scale/2 of the originals.
+  // Reconstructed weights are within scale/2 of the originals. Codes are
+  // row-major; a MatMul weight's floats are read back out of panel order.
   for (std::size_t t = 0; t < float_model.tensors().size(); ++t) {
     const auto& fdesc = float_model.tensors()[t];
     const auto& qdesc = int8_model.tensors()[t];
     if (!fdesc.is_weight()) continue;
     const std::int64_t n = ml::num_elements(fdesc.shape);
+    const float* stored = float_model.weights().data() + fdesc.weight_offset;
+    std::vector<float> row_major(stored, stored + n);
+    if (fdesc.panels) {
+      ml::kernels::from_panels(fdesc.shape[0], fdesc.shape[1], stored,
+                               row_major.data());
+    }
     for (std::int64_t i = 0; i < n; ++i) {
-      const float original = float_model.weights()[fdesc.weight_offset + i];
+      const float original = row_major[static_cast<std::size_t>(i)];
       const float restored =
           static_cast<float>(int8_model.qweights()[qdesc.weight_offset + i]) *
           qdesc.quant_scale;
