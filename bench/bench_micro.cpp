@@ -216,10 +216,11 @@ void BM_GemmThreads(benchmark::State& state) {
 BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(0)
     ->Unit(benchmark::kMillisecond);
 
-// The serving GEMM: m rows (1 = an unbatched classify, 8 = a full batch)
-// against a 1024x1024 weight matrix, on a pool of 1 or 2 threads. Four
-// distinct B matrices (16 MB) are cycled so B is not cache-hot, as a served
-// model's layers are not; bytes/s counts B, the operand that streams, per
+// The serving GEMM: m rows (1 = an unbatched classify, 8 = a full batch,
+// 16 and 32 = a node worker's grouped pass of batches) against a 1024x1024
+// weight matrix, on a pool of 1 or 2 threads. Four distinct B matrices
+// (16 MB) are cycled so B is not cache-hot, as a served model's layers
+// are not; bytes/s counts B, the operand that streams, per
 // second of wall time (the pool's workers are not on the main thread's
 // CPU clock). B is row-major (gemm), or in the panel order a Lite MatMul
 // weight is held in (gemm_panels): same bits, different page walk.
@@ -266,6 +267,7 @@ BENCHMARK(BM_GemmSmallBatch)
 BENCHMARK(BM_GemmSmallBatchPanels)
     ->ArgNames({"m", "threads"})
     ->Args({1, 1})->Args({1, 2})->Args({8, 1})->Args({8, 2})
+    ->Args({16, 1})->Args({16, 2})->Args({32, 1})->Args({32, 2})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -194,10 +195,15 @@ std::string export_traffic_summary_json(const TrafficSummary& s) {
 // The node's math worker (docs/SERVING.md): one host thread that runs the
 // math steps of charged batches in dispatch order, as the calling thread of
 // the node's kernel pool, so the node still runs `kernel_threads` kernel
-// threads. It starts with the first step queued.
+// threads. Steps go in groups: every kMathGroup consecutive steps pushed
+// are one job, one pass over their stacked inputs that reads each weight
+// once. A drain, or a step that cannot join (MathStep::append), hands a
+// partial group over. So the boundaries follow from the sequence of steps
+// alone, never from timing. The thread starts with the first job.
 class ServingNode::MathWorker {
  public:
   ~MathWorker() {
+    hand_over();
     {
       std::lock_guard<std::mutex> lock(mu_);
       stop_ = true;
@@ -207,26 +213,43 @@ class ServingNode::MathWorker {
   }
 
   void push(ml::lite::MathStep math, std::vector<ml::Tensor>* outputs) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
-    room_.wait(lock, [&] { return jobs_.size() < kMathQueueDepth; });
-    jobs_.push_back({std::move(math), outputs});
-    wake_.notify_one();
+    const std::size_t rows = math.size();
+    if (staged_.slots.empty() || !staged_.math.append(math)) {
+      hand_over();
+      staged_.math = std::move(math);
+    }
+    staged_.slots.push_back({outputs, rows});
+    if (staged_.slots.size() == kMathGroup) hand_over();
   }
 
-  /// Waits for an empty queue and an idle thread; returns the first
-  /// exception a step threw since the last drain.
+  /// Hands the staged group over, then waits for an empty queue and an
+  /// idle thread; returns the first exception a job threw since the last
+  /// drain.
   std::exception_ptr drain() {
+    hand_over();
     std::unique_lock<std::mutex> lock(mu_);
     idle_.wait(lock, [&] { return jobs_.empty() && !busy_; });
     return std::exchange(error_, nullptr);
   }
 
  private:
+  /// One grouped pass, and where each step's outputs go: its slot and how
+  /// many of the pass's outputs are its own, in order.
   struct Job {
     ml::lite::MathStep math;
-    std::vector<ml::Tensor>* outputs;
+    std::vector<std::pair<std::vector<ml::Tensor>*, std::size_t>> slots;
   };
+
+  /// Queues the staged group, if any; blocks while kMathQueueDepth groups
+  /// wait.
+  void hand_over() {
+    if (staged_.slots.empty()) return;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!thread_.joinable()) thread_ = std::thread([this] { loop(); });
+    room_.wait(lock, [&] { return jobs_.size() < kMathQueueDepth; });
+    jobs_.push_back(std::exchange(staged_, {}));
+    wake_.notify_one();
+  }
 
   void loop() {
     std::unique_lock<std::mutex> lock(mu_);
@@ -240,7 +263,12 @@ class ServingNode::MathWorker {
       lock.unlock();
       std::exception_ptr error;
       try {
-        *job.outputs = job.math.run();
+        std::vector<ml::Tensor> out = job.math.run();
+        auto next = std::make_move_iterator(out.begin());
+        for (const auto& [slot, rows] : job.slots) {
+          slot->assign(next, next + static_cast<std::ptrdiff_t>(rows));
+          next += static_cast<std::ptrdiff_t>(rows);
+        }
       } catch (...) {
         error = std::current_exception();
       }
@@ -251,10 +279,12 @@ class ServingNode::MathWorker {
     }
   }
 
+  /// The group being staged; only the pushing thread touches it.
+  Job staged_;
   std::mutex mu_;
-  std::condition_variable wake_;  ///< a step was queued, or stop
+  std::condition_variable wake_;  ///< a job was queued, or stop
   std::condition_variable room_;  ///< the queue has room
-  std::condition_variable idle_;  ///< the queue is empty and no step runs
+  std::condition_variable idle_;  ///< the queue is empty and no job runs
   std::deque<Job> jobs_;
   bool busy_ = false;
   bool stop_ = false;

@@ -184,18 +184,23 @@ class ServingNode {
                            std::uint64_t dispatch_ns,
                            const BatchTraceInfo* trace = nullptr);
 
-  /// Hands a math step to the node's worker thread, which runs it on the
-  /// node's kernel pool and writes its outputs to `*outputs`; blocks while
-  /// the worker already has kMathQueueDepth steps waiting. A step whose
-  /// math already ran is delivered here. `*outputs` and the step's inputs
-  /// must stay valid until drain() returns.
+  /// Hands a math step to the node's worker thread, which writes its
+  /// outputs to `*outputs`. Every kMathGroup consecutive steps are one
+  /// pass on the node's kernel pool, over their stacked inputs
+  /// (docs/SERVING.md); handing a group over blocks while kMathQueueDepth
+  /// groups wait. A step whose math already ran is delivered here.
+  /// `*outputs` and the step's inputs must stay valid until drain()
+  /// returns.
   void queue_math(ml::lite::MathStep math, std::vector<ml::Tensor>* outputs);
 
-  /// Waits until the worker has run every queued step, then rethrows the
-  /// first exception a step threw since the last drain.
+  /// Hands over a partial group, waits until the worker has run every
+  /// queued group, then rethrows the first exception a group threw since
+  /// the last drain.
   void drain();
 
-  /// Math steps the worker holds waiting, at most.
+  /// Math steps the worker runs in one pass, at most.
+  static constexpr std::size_t kMathGroup = 4;
+  /// Groups the worker holds waiting, at most.
   static constexpr std::size_t kMathQueueDepth = 4;
 
   /// Clock of the least-loaded lane: the earliest time a new batch could

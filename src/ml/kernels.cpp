@@ -21,9 +21,10 @@ constexpr std::int64_t NR = 2 * VL;  // micro-tile width: two vectors
 static_assert(NR == kPanelWidth, "a panel-order B's panels are its tiles");
 constexpr std::int64_t KC = 256;
 constexpr std::int64_t MC = 72;  // multiple of MR
-// Small-batch schedule (m <= MR): NS columns of C per parallel strip, and
-// the KB rows of B one micro-kernel pass covers before its accumulators go
-// back to the strip buffer.
+// NS columns of C per parallel strip: every chunk of the small-batch
+// schedule (m <= MR), and of the row-block one when it has fewer row blocks
+// than pool threads. KB is the rows of B one small-batch micro-kernel pass
+// covers before its accumulators go back to the strip buffer.
 constexpr std::int64_t NS = 8 * NR;
 constexpr std::int64_t KB = 32;
 
@@ -119,6 +120,15 @@ struct BOperand {
   std::int64_t rs = 0, cs = 1;
   bool panels = false;
 };
+
+// The MC x KC packing buffer of a transposed A (gemm_tn), one per thread.
+// Only that case calls this: a thread_local buffer touched on a pool
+// thread registers a TLS destructor, and that registration mallocs, which
+// gives the thread a malloc arena of its own.
+float* transposed_a_buffer() {
+  thread_local std::vector<float> buffer(static_cast<std::size_t>(MC * KC));
+  return buffer.data();
+}
 
 // Generic strided GEMM core: c[m,n] = a'[m,k] x b'[k,n], where
 // a'(i,kk) = a[i*a_rs + kk*a_cs] and b' is `bop`. The schedule follows
@@ -229,18 +239,31 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
     return;
   }
 
-  // Row-block schedule: row blocks of MC rows are the parallel chunks; each
-  // owns a disjoint slice of C and runs the full k-reduction in panel
-  // order. When A's columns are contiguous (a_cs == 1 — plain gemm,
-  // gemm_nt, and the conv col matrices) full tiles read A in place; only
-  // edge tiles and the transposed case pay the packing pass.
+  // Row-block schedule: MC-row blocks of C, each running the full
+  // k-reduction in panel order over MR x NR register tiles. With fewer row
+  // blocks than pool threads, each block's column tiles split further into
+  // NS-column strips: the parallel chunks are (row block, strip) pairs, so
+  // a product of a few dozen rows still runs on every thread. When A's
+  // columns are contiguous (a_cs == 1: gemm, gemm_nt, gemm_panels, the conv
+  // col matrices) A is read in place, and only a ragged last row group is
+  // packed, into a stack tile; a transposed A packs every group.
+  const std::int64_t num_rb = ceil_div(m, MC);
+  const std::int64_t strip_tiles =
+      num_rb < static_cast<std::int64_t>(ctx.threads) ? NS / NR : num_jt;
+  const std::int64_t num_strips = ceil_div(num_jt, strip_tiles);
   const bool direct_a = (a_cs == 1);
-  parallel_for(ctx, 0, ceil_div(m, MC), 1, [&](std::int64_t rb0,
-                                               std::int64_t rb1) {
-    thread_local std::vector<float> a_packed;
-    a_packed.resize(static_cast<std::size_t>(MC) * KC);
-    for (std::int64_t rb = rb0; rb < rb1; ++rb) {
-      const std::int64_t ic = rb * MC;
+  parallel_for(ctx, 0, num_rb * num_strips, 1, [&](std::int64_t c0,
+                                                   std::int64_t c1) {
+    float ragged[MR * KC];
+    float* const a_packed = direct_a ? ragged : transposed_a_buffer();
+    // Where row group ir's packed A lies.
+    const auto packed = [&](std::int64_t ir) {
+      return direct_a ? a_packed : a_packed + ir * KC * MR;
+    };
+    for (std::int64_t chunk = c0; chunk < c1; ++chunk) {
+      const std::int64_t ic = chunk / num_strips * MC;
+      const std::int64_t jt0 = chunk % num_strips * strip_tiles;
+      const std::int64_t jt1 = std::min(num_jt, jt0 + strip_tiles);
       const std::int64_t mc = std::min(MC, m - ic);
       const std::int64_t num_ir = ceil_div(mc, MR);
       for (std::int64_t pi = 0; pi < num_pc; ++pi) {
@@ -249,7 +272,7 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
         for (std::int64_t ir = 0; ir < num_ir; ++ir) {
           const std::int64_t rows = std::min(MR, mc - ir * MR);
           if (direct_a && rows == MR) continue;  // read in place below
-          float* dst = a_packed.data() + ir * KC * MR;
+          float* dst = packed(ir);
           for (std::int64_t kk = 0; kk < kc; ++kk) {
             const float* src = a + (ic + ir * MR) * a_rs + (pc + kk) * a_cs;
             for (std::int64_t rr = 0; rr < rows; ++rr) {
@@ -261,16 +284,15 @@ void gemm_strided(const KernelContext& ctx, std::int64_t m, std::int64_t k,
           }
         }
         const Epilogue panel = pi == 0 ? Epilogue::kStore : Epilogue::kAdd;
-        for (std::int64_t jt = 0; jt < num_jt; ++jt) {
+        for (std::int64_t jt = jt0; jt < jt1; ++jt) {
           const std::int64_t jc = jt * NR;
           const std::int64_t nr = std::min(NR, n - jc);
           const auto [bp, b_ks] = b_tile(jt, pi);
           for (std::int64_t ir = 0; ir < num_ir; ++ir) {
             const std::int64_t rows = std::min(MR, mc - ir * MR);
             const bool in_place = direct_a && rows == MR;
-            const float* ap = in_place
-                                  ? a + (ic + ir * MR) * a_rs + pc
-                                  : a_packed.data() + ir * KC * MR;
+            const float* ap =
+                in_place ? a + (ic + ir * MR) * a_rs + pc : packed(ir);
             const std::int64_t ap_rs = in_place ? a_rs : 1;
             const std::int64_t ap_ks = in_place ? 1 : MR;
             float* ctile = c + (ic + ir * MR) * n + jc;

@@ -52,7 +52,16 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 //    across 32-row sub-blocks of B, so B streams through the strip row by
 //    row.
 //  - Row-block, m > 8. The parallel chunks are 72-row blocks of C; each
-//    runs every k-panel over 8x32 register tiles.
+//    runs every k-panel over 8x32 register tiles. With fewer row blocks
+//    than pool threads (a grouped serving pass of up to 32 rows, a
+//    100-row training batch on 4 threads) each block's column tiles split
+//    into 256-column strips, and the chunks are (row block, strip) pairs,
+//    so the product still runs on every pool thread. A is read in place
+//    when its columns are contiguous; only a ragged last group of rows is
+//    packed, into an 8 x 256 tile on the chunk's stack. A transposed A
+//    (gemm_tn) is packed whole, into a 72 x 256 thread-local buffer that
+//    no other case touches, so a pool thread that never runs gemm_tn
+//    allocates nothing.
 // Both reduce every output element the same way: acc = 0; acc += a*b with
 // k ascending within the 256-deep panel; then c = acc after the first panel
 // and c += acc after each later one (carrying acc through memory between
@@ -70,7 +79,8 @@ void parallel_for(const KernelContext& ctx, std::int64_t begin,
 //  - panel order (gemm_panels, below): read in place, each full tile as
 //    k × 32 contiguous floats, which the micro-kernel streams.
 // Only the ragged last tile of a row-major or panel-order B is packed.
-// Packing goes into a thread-local buffer whose padded columns are zero.
+// Packing goes into a thread-local buffer of the calling thread, whose
+// padded columns are zero.
 // The small-batch schedule reads each byte of an in-place B exactly once.
 // The layout never changes a bit of C: every tile feeds the same
 // micro-kernel calls in the same order.

@@ -217,6 +217,20 @@ class MathStep {
   std::vector<Tensor> run();
   /// True until the math has run.
   [[nodiscard]] bool pending() const { return model_ != nullptr; }
+  /// The outputs run() returns.
+  [[nodiscard]] std::size_t size() const {
+    return pending() ? inputs_.size() : outputs_.size();
+  }
+
+  /// Joins `next` onto this step, so that one pass computes both (a
+  /// grouped pass, docs/SERVING.md): the inputs stacked in order, every
+  /// activation shaped by the shape rule at the joint row count, every op
+  /// in its plan's domain, and run() returning this step's outputs, then
+  /// next's, each with the bits of its own pass. Steps join when both are
+  /// pending over one model and domain, every input is [1, ...] of one
+  /// shape, and the model runs at the joint row count; otherwise append
+  /// returns false and leaves both steps as they were.
+  bool append(MathStep& next);
 
  private:
   friend class LiteInterpreter;

@@ -670,6 +670,30 @@ void LiteInterpreter::charge_ops(
   }
 }
 
+bool MathStep::append(MathStep& next) {
+  if (!pending() || !next.pending() || next.model_ != model_ ||
+      next.plan_.int8 != plan_.int8 || next.observer_ != observer_) {
+    return false;
+  }
+  const Tensor& first = *inputs_.front();
+  if (first.rank() == 0 || first.dim(0) != 1 ||
+      !next.inputs_.front()->same_shape(first)) {
+    return false;
+  }
+  const auto rows =
+      static_cast<std::int64_t>(inputs_.size() + next.inputs_.size());
+  Shape input = first.shape();
+  input[0] = rows;
+  try {
+    plan_.shapes = infer_shapes(*model_, input, rows);
+  } catch (const std::invalid_argument&) {
+    return false;  // e.g. an output without a batch dimension
+  }
+  inputs_.insert(inputs_.end(), next.inputs_.begin(), next.inputs_.end());
+  next = MathStep();
+  return true;
+}
+
 std::vector<Tensor> MathStep::run() {
   if (model_ != nullptr) {
     ForwardValues values(*model_, plan_, ctx_, observer_, stack(inputs_));

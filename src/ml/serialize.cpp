@@ -108,7 +108,13 @@ crypto::Bytes serialize_checkpoint(const Session& session) {
 }
 
 void restore_checkpoint(Session& session, crypto::BytesView data) {
-  session.restore_variables(deserialize_tensor_map(data));
+  const std::map<std::string, Tensor> values = deserialize_tensor_map(data);
+  try {
+    session.restore_variables(values);
+  } catch (const std::invalid_argument& e) {
+    // The names and shapes come from outside: a typed parse error.
+    throw std::runtime_error(std::string("restore_checkpoint: ") + e.what());
+  }
 }
 
 Graph freeze(const Graph& graph, const Session& session) {

@@ -28,7 +28,9 @@ namespace stf::ml {
 [[nodiscard]] std::map<std::string, Tensor> deserialize_tensor_map(
     crypto::BytesView data);
 
-/// Restores variable values from a checkpoint into the session.
+/// Restores variable values from a checkpoint into the session: every
+/// variable it names, or none. Malformed bytes, an unknown name and a shape
+/// mismatch each throw std::runtime_error.
 void restore_checkpoint(Session& session, crypto::BytesView data);
 
 /// Freezing: returns a copy of `graph` where every Variable is replaced by a

@@ -48,6 +48,20 @@ void accumulate(std::optional<Tensor>& into, Tensor value) {
   for (std::int64_t i = 0; i < into->size(); ++i) into->at(i) += value.at(i);
 }
 
+// The variable `name`, when `value` may be assigned to it: throws
+// std::invalid_argument for an unknown name or a different shape.
+Tensor& assignable(std::map<std::string, Tensor>& variables,
+                   const std::string& name, const Tensor& value) {
+  const auto it = variables.find(name);
+  if (it == variables.end()) {
+    throw std::invalid_argument("no variable named '" + name + "'");
+  }
+  if (!it->second.same_shape(value)) {
+    throw std::invalid_argument("assign to '" + name + "': shape mismatch");
+  }
+  return it->second;
+}
+
 }  // namespace
 
 Session::Session(const Graph& graph, tee::MemoryEnv* env,
@@ -297,14 +311,7 @@ const Tensor& Session::variable(const std::string& name) const {
 }
 
 void Session::assign(const std::string& name, Tensor value) {
-  auto it = variables_.find(name);
-  if (it == variables_.end()) {
-    throw std::invalid_argument("no variable named '" + name + "'");
-  }
-  if (!it->second.same_shape(value)) {
-    throw std::invalid_argument("assign to '" + name + "': shape mismatch");
-  }
-  it->second = std::move(value);
+  assignable(variables_, name, value) = std::move(value);
 }
 
 std::map<std::string, Tensor> Session::variable_snapshot() const {
@@ -312,7 +319,15 @@ std::map<std::string, Tensor> Session::variable_snapshot() const {
 }
 
 void Session::restore_variables(const std::map<std::string, Tensor>& values) {
-  for (const auto& [name, value] : values) assign(name, value);
+  // Every name and shape first, so a bad entry leaves every variable as it
+  // was.
+  std::vector<Tensor*> targets;
+  targets.reserve(values.size());
+  for (const auto& [name, value] : values) {
+    targets.push_back(&assignable(variables_, name, value));
+  }
+  auto target = targets.begin();
+  for (const auto& entry : values) **target++ = entry.second;
 }
 
 void Session::backward(const Pass& tape,

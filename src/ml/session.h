@@ -67,6 +67,8 @@ class Session {
   [[nodiscard]] const Tensor& variable(const std::string& name) const;
   void assign(const std::string& name, Tensor value);
   [[nodiscard]] std::map<std::string, Tensor> variable_snapshot() const;
+  /// Assigns every variable `values` names, or none: an unknown name or a
+  /// shape mismatch throws std::invalid_argument before anything changes.
   void restore_variables(const std::map<std::string, Tensor>& values);
 
   // --- training ----------------------------------------------------------

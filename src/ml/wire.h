@@ -119,7 +119,8 @@ class Reader {
     const crypto::BytesView raw =
         bytes(static_cast<std::uint64_t>(num_elements(s)), sizeof(float));
     std::vector<float> values(raw.size() / sizeof(float));
-    std::memcpy(values.data(), raw.data(), raw.size());
+    // An empty tensor's vector has no storage: memcpy takes no null.
+    if (!raw.empty()) std::memcpy(values.data(), raw.data(), raw.size());
     return Tensor(std::move(s), std::move(values));
   }
   [[nodiscard]] bool done() const { return cursor_ == data_.size(); }

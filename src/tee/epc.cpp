@@ -65,6 +65,7 @@ void EpcManager::unmap_region(RegionId id) {
   for (std::uint32_t p = 0; p < it->second.pages.size(); ++p) {
     if (it->second.pages[p].resident) drop_resident(it->second, p);
   }
+  publish();
   stats_.resident_pages = resident_count_;
   mapped_bytes_ -= it->second.bytes;
   obs::gauge<obs::names::kEpcMappedBytes>().sub(
@@ -88,11 +89,27 @@ void EpcManager::drop_resident(Region& region, std::uint32_t page_index) {
 
   --resident_count_;
   if (region.pinned) --pinned_resident_;
-  obs::gauge<obs::names::kEpcResidentPages>().sub(1);
+  --unpublished_.resident;
+}
+
+void EpcManager::publish() {
+  const auto add = [](obs::Counter& counter, std::uint64_t n) {
+    if (n != 0) counter.add(n);
+  };
+  if (unpublished_.resident != 0) {
+    obs::gauge<obs::names::kEpcResidentPages>().add(unpublished_.resident);
+  }
+  add(obs::counter<obs::names::kEpcFaults>(), unpublished_.faults);
+  add(obs::counter<obs::names::kEpcLoads>(), unpublished_.loads);
+  add(obs::counter<obs::names::kEpcEvictions>(), unpublished_.evictions);
+  add(obs::counter<obs::names::kEpcAdvisedEvictions>(),
+      unpublished_.advised_evictions);
+  unpublished_ = {};
 }
 
 void EpcManager::evict_one(SimClock& clock) {
   if (resident_list_.size() <= pinned_resident_) {
+    publish();  // what this call changed before it got stuck
     throw std::logic_error("EpcManager: EPC full with no evictable page");
   }
   // Random victim, probing forward past pinned pages (the kernel's reclaim
@@ -106,7 +123,7 @@ void EpcManager::evict_one(SimClock& clock) {
   drop_resident(*victim_region, victim_page);
 
   ++stats_.evictions;
-  obs::counter<obs::names::kEpcEvictions>().add();
+  ++unpublished_.evictions;
   const std::uint64_t start = clock.now_ns();
   clock.advance(model_.page_evict_ns);
   obs::SpanTracer::global().record(obs::span_id<obs::names::kSpanEpcEvict>(),
@@ -117,11 +134,11 @@ void EpcManager::evict_one(SimClock& clock) {
 void EpcManager::fault_in(Region& region, std::uint32_t page_index,
                           SimClock& clock) {
   ++stats_.faults;
-  obs::counter<obs::names::kEpcFaults>().add();
+  ++unpublished_.faults;
   clock.advance(model_.page_fault_ns);
   make_resident(region, page_index, clock);
   ++stats_.loads;
-  obs::counter<obs::names::kEpcLoads>().add();
+  ++unpublished_.loads;
   clock.advance(model_.page_load_ns);
   // The load span is recorded by the caller, coalesced over the whole
   // access()/prefetch() batch — one ring record per call, not per page.
@@ -137,7 +154,7 @@ void EpcManager::make_resident(Region& region, std::uint32_t page_index,
   ++region.resident;
   ++resident_count_;
   if (region.pinned) ++pinned_resident_;
-  obs::gauge<obs::names::kEpcResidentPages>().add(1);
+  ++unpublished_.resident;
 }
 
 void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
@@ -187,6 +204,7 @@ void EpcManager::access(RegionId id, std::uint64_t offset, std::uint64_t len,
     obs::Timeline::global().record_epc_load(
         span_start, static_cast<std::int64_t>(stats_.loads - loads_before));
   }
+  publish();
   stats_.resident_pages = resident_count_;
 }
 
@@ -229,6 +247,7 @@ void EpcManager::prefetch(RegionId id, std::uint64_t offset, std::uint64_t len,
         obs::span_id<obs::names::kSpanEpcPrefetch>(), span_start,
         clock.now_ns());
   }
+  publish();
   stats_.resident_pages = resident_count_;
 }
 
@@ -250,10 +269,11 @@ void EpcManager::advise_evict(RegionId id, std::uint64_t offset,
     if (!region.pages[p].resident) continue;
     drop_resident(region, p);
     ++stats_.advised_evictions;
-    obs::counter<obs::names::kEpcAdvisedEvictions>().add();
+    ++unpublished_.advised_evictions;
     // Async enqueue only: the EWB runs off the critical path.
     clock.advance(model_.page_advise_evict_ns);
   }
+  publish();
   stats_.resident_pages = resident_count_;
 }
 

@@ -134,6 +134,8 @@ class EpcManager {
                      SimClock& clock);
   /// The one way out: swap-removes the page from the resident list.
   void drop_resident(Region& region, std::uint32_t page_index);
+  /// Adds unpublished_ to the tee.epc.* registry series and clears it.
+  void publish();
   std::uint64_t next_random();
 
   const CostModel& model_;
@@ -160,6 +162,15 @@ class EpcManager {
   std::vector<std::pair<Region*, std::uint32_t>> resident_list_;
   std::uint64_t rng_state_ = 0x9E3779B97F4A7C15ull;
   EpcStats stats_;
+  // The page loops' registry deltas, published once at the end of each
+  // access, prefetch, advise_evict and unmap_region (and before evict_one
+  // throws): a relaxed atomic read-modify-write per page cost the event
+  // loop as much as the bookkeeping itself. EpcStats, spans, Timeline
+  // records and clock advances stay per page.
+  struct Unpublished {
+    std::int64_t resident = 0;
+    std::uint64_t faults = 0, loads = 0, evictions = 0, advised_evictions = 0;
+  } unpublished_;
 };
 
 }  // namespace stf::tee

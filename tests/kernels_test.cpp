@@ -6,11 +6,13 @@
 // true on a parallel host).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -281,44 +283,82 @@ TEST(KernelDeterminism, SmallShapesAreBitExactAgainstNaive) {
 // Row i of an m-row product equals the 1-row product of row i bit for bit:
 // m > 8 runs the row-block schedule, one row the small-batch one, so this
 // pins the two to the same per-element reduction (k spans 1..4 KC panels,
-// n every edge-tile case). gemm_tn reads A transposed in both schedules.
+// n every edge-tile case). m covers one and two row blocks, every ragged
+// last row group and a block split into column strips (fewer row blocks
+// than pool threads), on a row-major, a panel-order and a transposed B, at
+// pool sizes 1, 2 and 4. gemm_tn reads A transposed in both schedules.
 TEST(KernelDeterminism, RowsMatchSingleRowProductsAcrossSchedules) {
-  runtime::ThreadPool pool(2);
-  const KernelContext ctx{&pool, pool.thread_count()};
+  runtime::ThreadPool pool1(1), pool2(2), pool4(4);
+  const KernelContext contexts[] = {{&pool1, pool1.thread_count()},
+                                    {&pool2, pool2.thread_count()},
+                                    {&pool4, pool4.thread_count()}};
+  const auto same_rows = [](const std::vector<float>& got,
+                            const std::vector<float>& want) {
+    return std::memcmp(got.data(), want.data(), want.size() * sizeof(float)) ==
+           0;
+  };
+  // Each product starts from NaNs, so an element no chunk wrote shows.
+  const auto fresh = [](std::vector<float>& c) {
+    std::fill(c.begin(), c.end(), std::nanf(""));
+    return c.data();
+  };
   std::uint64_t salt = 0;
-  for (const std::int64_t m : {9, 16, 73}) {
-    for (const std::int64_t k : {1, 255, 256, 257, 1024}) {
-      for (const std::int64_t n : {1, 10, 31, 32, 33, 1024}) {
+  for (const std::int64_t k : {1, 255, 256, 257, 1024}) {
+    for (const std::int64_t n : {1, 10, 31, 32, 33, 1024}) {
+      const Tensor b = hashed_tensor(++salt, {k, n});
+      std::vector<float> panels(static_cast<std::size_t>(k * n));
+      kernels::to_panels(k, n, b.data(), panels.data());
+      std::vector<float> bt(panels.size());  // B stored [n,k]
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        for (std::int64_t j = 0; j < n; ++j) {
+          bt[static_cast<std::size_t>(j * k + kk)] = b.at(kk * n + j);
+        }
+      }
+      for (const std::int64_t m : {9, 15, 16, 17, 24, 31, 32, 33, 64, 72, 73}) {
         const Tensor a = hashed_tensor(++salt, {m, k});
-        const Tensor b = hashed_tensor(++salt, {k, n});
-        const Tensor all = ops::matmul(a, b, ctx).output;
-        std::vector<float> row(static_cast<std::size_t>(n));
+        std::vector<float> want(static_cast<std::size_t>(m * n));
         for (std::int64_t i = 0; i < m; ++i) {
-          kernels::gemm(ctx, 1, k, n, a.data() + i * k, b.data(), row.data());
-          for (std::int64_t j = 0; j < n; ++j) {
-            ASSERT_EQ(all.at(i * n + j), row[static_cast<std::size_t>(j)])
-                << m << "x" << k << "x" << n << " row " << i << " col " << j;
-          }
+          kernels::gemm(KernelContext{}, 1, k, n, a.data() + i * k, b.data(),
+                        want.data() + i * n);
+        }
+        std::vector<float> got(want.size());
+        for (const KernelContext& ctx : contexts) {
+          const auto where = [&](const char* layout) {
+            return std::to_string(m) + "x" + std::to_string(k) + "x" +
+                   std::to_string(n) + ", " + layout + " B, " +
+                   std::to_string(ctx.threads) + " threads";
+          };
+          kernels::gemm(ctx, m, k, n, a.data(), b.data(), fresh(got));
+          ASSERT_TRUE(same_rows(got, want)) << where("row-major");
+          kernels::gemm_panels(ctx, m, k, n, a.data(), panels.data(),
+                               fresh(got));
+          ASSERT_TRUE(same_rows(got, want)) << where("panel-order");
+          kernels::gemm_nt(ctx, m, k, n, a.data(), bt.data(), fresh(got));
+          ASSERT_TRUE(same_rows(got, want)) << where("transposed");
         }
       }
     }
   }
-  for (const std::int64_t m : {3, 8, 16}) {
-    const std::int64_t k = 300, n = 70;
-    const Tensor at = hashed_tensor(++salt, {k, m});  // logical A = atᵀ
+  for (const std::int64_t n : {70, 600}) {
+    const std::int64_t k = 300;
     const Tensor b = hashed_tensor(++salt, {k, n});
-    Tensor all({m, n});
-    kernels::gemm_tn(ctx, m, k, n, at.data(), b.data(), all.data());
-    std::vector<float> a_row(static_cast<std::size_t>(k));
-    std::vector<float> row(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        a_row[static_cast<std::size_t>(kk)] = at.at(kk * m + i);
+    for (const std::int64_t m : {3, 8, 16, 33, 73}) {
+      const Tensor at = hashed_tensor(++salt, {k, m});  // logical A = atᵀ
+      std::vector<float> a_row(static_cast<std::size_t>(k));
+      std::vector<float> want(static_cast<std::size_t>(m * n));
+      for (std::int64_t i = 0; i < m; ++i) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          a_row[static_cast<std::size_t>(kk)] = at.at(kk * m + i);
+        }
+        kernels::gemm(KernelContext{}, 1, k, n, a_row.data(), b.data(),
+                      want.data() + i * n);
       }
-      kernels::gemm(ctx, 1, k, n, a_row.data(), b.data(), row.data());
-      for (std::int64_t j = 0; j < n; ++j) {
-        ASSERT_EQ(all.at(i * n + j), row[static_cast<std::size_t>(j)])
-            << "gemm_tn m = " << m << " row " << i << " col " << j;
+      std::vector<float> got(want.size());
+      for (const KernelContext& ctx : contexts) {
+        kernels::gemm_tn(ctx, m, k, n, at.data(), b.data(), fresh(got));
+        ASSERT_TRUE(same_rows(got, want))
+            << "gemm_tn " << m << "x" << k << "x" << n << ", " << ctx.threads
+            << " threads";
       }
     }
   }

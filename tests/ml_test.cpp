@@ -519,6 +519,56 @@ TEST(SerializeTest, CheckpointRoundTrip) {
   EXPECT_EQ(fresh.run1("probs", feeds), trained.run1("probs", feeds));
 }
 
+// A tensor with no elements has no storage to copy into: it round-trips in
+// a tensor map and as a graph Const (the asan preset aborts on a memcpy
+// into null).
+TEST(SerializeTest, EmptyTensorRoundTrips) {
+  const Tensor empty({0, 4});
+  const auto map = deserialize_tensor_map(
+      serialize_tensor_map({{"empty", empty}}));
+  ASSERT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.at("empty").shape(), (Shape{0, 4}));
+  EXPECT_EQ(map.at("empty").size(), 0);
+
+  Graph g;
+  g.add_node(OpType::Const, "empty", {}, {}, empty);
+  const Graph back = deserialize_graph(serialize_graph(g));
+  ASSERT_EQ(back.nodes().size(), 1u);
+  ASSERT_TRUE(back.nodes().front().value.has_value());
+  EXPECT_EQ(back.nodes().front().value->shape(), (Shape{0, 4}));
+}
+
+// A checkpoint that names an unknown variable, or holds one in another
+// shape, is rejected as a parse error before any variable changes, even
+// the ones that sort before the bad entry.
+TEST(SerializeTest, CheckpointRestoreIsAllOrNothing) {
+  Graph g = mnist_mlp(16, 3);
+  Session trained(g);
+  const Dataset data = synthetic_mnist(100, 5);
+  trained.train_step("loss", data.batch_feeds(0, 100), 0.1f);
+  const std::map<std::string, Tensor> good = trained.variable_snapshot();
+  ASSERT_GE(good.size(), 2u);
+  const std::string last = good.rbegin()->first;
+
+  std::map<std::string, Tensor> renamed = good;
+  renamed.erase(last);
+  renamed.emplace(last + "_renamed", good.at(last));
+  std::map<std::string, Tensor> reshaped = good;
+  const Tensor& v = good.at(last);
+  Shape other = v.shape();
+  other.push_back(1);  // the same values, one rank more
+  reshaped.at(last) =
+      Tensor(other, std::vector<float>(v.data(), v.data() + v.size()));
+
+  for (const auto* bad : {&renamed, &reshaped}) {
+    Session fresh(g);
+    const std::map<std::string, Tensor> before = fresh.variable_snapshot();
+    EXPECT_THROW(restore_checkpoint(fresh, serialize_tensor_map(*bad)),
+                 std::runtime_error);
+    EXPECT_EQ(fresh.variable_snapshot(), before);
+  }
+}
+
 TEST(SerializeTest, FreezeFoldsVariables) {
   Graph g = mnist_mlp(16, 3);
   Session session(g);

@@ -2,13 +2,17 @@
 // batch's charge step and the node's worker runs its math. The contract
 // under test, on four fleets (HW with weight streaming, int8 codes, GPU
 // offload with one lying GPU, and a 3-node chaos fleet): every virtual-time
-// outcome and every registry series is what the inline loop produced, and
+// outcome and every registry series is what the inline loop produced, but
+// the kernel call counters, which count the workers' grouped passes; and
 // every delivered output equals a Native invoke of its request's input.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/loadgen.h"
@@ -178,20 +182,21 @@ Served serve(const FleetCase& c, const LoadTrace& trace) {
   return s;
 }
 
-// The registry after a run, series by series. The kernel call counters
-// count host math, not charges: `with_math_counters` false leaves them out
-// where a batch is lost mid-service, since such a batch's math never runs.
-std::string registry_lines(bool with_math_counters) {
+// The kernel call counters count host calls, not charges: a batch lost
+// mid-service runs no math, and a node's worker runs several batches in
+// one pass (docs/SERVING.md).
+constexpr const char* kMathCounters[] = {
+    obs::names::kKernelGemmCalls, obs::names::kKernelConvCalls,
+    obs::names::kQuantGemmCalls, obs::names::kQuantConvCalls};
+
+// The registry after a run, series by series, but for kMathCounters.
+std::string registry_lines() {
   const obs::Registry& reg = obs::Registry::global();
   std::string out;
   reg.visit_counters([&](const std::string& name, const obs::MetricInfo&,
                          const obs::Counter& c) {
-    if (!with_math_counters &&
-        (name == obs::names::kKernelGemmCalls ||
-         name == obs::names::kKernelConvCalls ||
-         name == obs::names::kQuantGemmCalls ||
-         name == obs::names::kQuantConvCalls)) {
-      return;
+    for (const char* math : kMathCounters) {
+      if (name == math) return;
     }
     out += name + " " + std::to_string(c.value()) + "\n";
   });
@@ -220,8 +225,9 @@ std::string registry_lines(bool with_math_counters) {
 }
 
 // Pins every RequestOutcome field but the output, each node's status and
-// the registry after the run, on all four fleets. Computed from the loop
-// that ran each batch's math inline, before the hand-off existed.
+// the registry after the run but kMathCounters, on all four fleets.
+// Computed from the code whose workers ran each batch's math on its own,
+// before the grouped passes; MathRunsInGroups pins kMathCounters.
 TEST(ServeTraceTest, OutcomesMatchPinnedDigest) {
   const Models m;
   crypto::Sha256 digest;
@@ -257,11 +263,58 @@ TEST(ServeTraceTest, OutcomesMatchPinnedDigest) {
       put(n.gpu_fallbacks);
       put(n.gpu_distrusted ? 1 : 0);
     }
-    const std::string registry = registry_lines(!c.chaos);
-    digest.update(crypto::to_bytes(registry));
+    digest.update(crypto::to_bytes(registry_lines()));
   }
   EXPECT_EQ(crypto::to_hex(digest.finish()),
-            "cafae865b1ddd8acffe4bb4dcb4177f5124d745fbcdb0191152273e6cf50024b");
+            "40dac8555532a13d1ed33e96eda00b2757193ccfe183907e047b5bd37d166e1e");
+}
+
+// Each node's worker runs its handed-off batches four at a time, one pass
+// per group (docs/SERVING.md), so kMathCounters count groups, not batches,
+// and repeat exactly. Without inline math or lost batches (the first two
+// fleets) a node that completes B batches runs ceil(B / 4) passes, each
+// with the model's three MatMuls. The GPU fleet's honest node runs its
+// batches inline, and the chaos fleet drops the math of lost batches;
+// their counts are pinned as the grouped code produced them (the parent
+// code ran one pass per batch: 87, 93, 249 and 150 calls).
+TEST(ServeTraceTest, MathRunsInGroups) {
+  const Models m;
+  const std::vector<FleetCase> cases = fleet_cases(m);
+  // kMathCounters per fleet, in fleet_cases order.
+  const std::uint64_t want[][4] = {
+      {24, 0, 0, 0}, {0, 0, 24, 0}, {222, 0, 0, 0}, {42, 0, 0, 0}};
+  ASSERT_EQ(cases.size(), std::size(want));
+  for (std::size_t f = 0; f < cases.size(); ++f) {
+    const FleetCase& c = cases[f];
+    const LoadTrace trace = generate_load(c.load);
+    const Served s = serve(c, trace);
+    std::uint64_t got[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      got[i] = obs::Registry::global().counter(kMathCounters[i]).value();
+      EXPECT_EQ(got[i], want[f][i]) << c.name << " " << kMathCounters[i];
+    }
+    if (c.lying_gpu || c.chaos) continue;
+    // Batches per node, from each completed request's batch size.
+    std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> members;
+    for (const RequestOutcome& o : s.outcomes) {
+      if (o.status == RequestStatus::Completed) {
+        ++members[{o.node, o.batch_size}];
+      }
+    }
+    std::map<std::int64_t, std::int64_t> batches;
+    for (const auto& [key, count] : members) {
+      ASSERT_EQ(count % key.second, 0) << c.name;
+      batches[key.first] += count / key.second;
+    }
+    std::uint64_t passes = 0;
+    for (const auto& [node, b] : batches) {
+      passes += static_cast<std::uint64_t>(
+          (b + static_cast<std::int64_t>(ServingNode::kMathGroup) - 1) /
+          static_cast<std::int64_t>(ServingNode::kMathGroup));
+    }
+    const std::size_t gemm = c.config.inference.int8_compute ? 2 : 0;
+    EXPECT_EQ(got[gemm], 3 * passes) << c.name;
+  }
 }
 
 // Every Completed or Retried outcome carries its request's output, equal

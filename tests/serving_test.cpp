@@ -4,9 +4,11 @@
 // SLO-aware shedding.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/loadgen.h"
 #include "core/serving.h"
@@ -341,6 +343,70 @@ TEST(LiteBatchTest, BatchedInt8ConvnetIsBitIdenticalToSingleInvokes) {
     for (std::int64_t j = 0; j < one.size(); ++j) {
       EXPECT_EQ(one.data()[j], batch_out[i].data()[j])
           << "request " << i << " element " << j;
+    }
+  }
+}
+
+// A node worker's grouped pass (MathStep::append) stacks several charged
+// batches into one pass, shaped by the shape rule at the group's row count
+// (the convnet's Reshape scales with it), and hands each batch the rows of
+// its own invoke_batch bit for bit: on floats, where 32 rows run the
+// row-block GEMM and each batch of up to 8 the small-batch one, and on
+// int8 codes. A group of one is that batch's own pass.
+TEST(LiteBatchTest, GroupedPassMatchesEachBatch) {
+  const auto lite = [](ml::Graph g) {
+    ml::Session s(g);
+    return ml::lite::FlatModel::from_frozen(ml::freeze(g, s), "input",
+                                            "probs");
+  };
+  const ml::lite::FlatModel mlp = lite(ml::mnist_mlp());
+  const ml::lite::FlatModel convnet = lite(ml::mnist_convnet(3));
+  for (const ml::lite::FlatModel* f32 : {&mlp, &convnet}) {
+    const ml::lite::FlatModel i8 = f32->quantized(make_inputs(4, 784, 41));
+    for (const bool int8 : {false, true}) {
+      ml::lite::LiteInterpreter interp(
+          int8 ? i8 : *f32, nullptr, ml::kernels::KernelContext::shared(),
+          /*weight_streaming=*/false, int8);
+      for (const std::vector<std::int64_t>& sizes :
+           {std::vector<std::int64_t>{8, 8, 8, 8},
+            std::vector<std::int64_t>{1, 7, 3, 8},
+            std::vector<std::int64_t>{5}}) {
+        std::vector<std::vector<ml::Tensor>> inputs;
+        std::vector<std::vector<const ml::Tensor*>> batches;
+        for (std::size_t b = 0; b < sizes.size(); ++b) {
+          inputs.push_back(make_inputs(sizes[b], 784, 7 * b + 3));
+        }
+        for (const auto& batch : inputs) {
+          auto& ptrs = batches.emplace_back();
+          for (const ml::Tensor& t : batch) ptrs.push_back(&t);
+        }
+        ml::lite::MathStep group;
+        for (const auto& ptrs : batches) {
+          ml::lite::MathStep step = interp.charge(interp.plan(ptrs), ptrs);
+          if (!group.pending()) {
+            group = std::move(step);
+          } else {
+            ASSERT_TRUE(group.append(step));
+            ASSERT_FALSE(step.pending());
+          }
+        }
+        const std::vector<ml::Tensor> out = group.run();
+        std::size_t row = 0;
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+          const std::vector<ml::Tensor> want = interp.invoke_batch(batches[b]);
+          for (std::size_t i = 0; i < want.size(); ++i, ++row) {
+            ASSERT_LT(row, out.size());
+            ASSERT_TRUE(out[row].same_shape(want[i]));
+            EXPECT_EQ(std::memcmp(out[row].data(), want[i].data(),
+                                  want[i].byte_size()),
+                      0)
+                << (f32 == &mlp ? "mlp" : "convnet")
+                << (int8 ? " int8" : " float") << ", batch " << b
+                << " of " << sizes.size() << ", request " << i;
+          }
+        }
+        EXPECT_EQ(row, out.size());
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 // transitions/syscall accounting, and attestation quotes.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/names.h"
 #include "tee/attestation.h"
 #include "tee/cost_model.h"
 #include "tee/enclave.h"
@@ -217,6 +219,10 @@ TEST(EpcTest, PinnedRegionSurvivesPressure) {
 
 TEST(EpcTest, FullyPinnedEpcThrowsInsteadOfLooping) {
   const CostModel m = tiny_epc_model();  // 16 pages
+  const obs::Counter& faults = obs::counter<obs::names::kEpcFaults>();
+  const obs::Gauge& resident = obs::gauge<obs::names::kEpcResidentPages>();
+  const std::uint64_t faults_before = faults.value();
+  const std::int64_t resident_before = resident.value();
   EpcManager epc(m, true);
   SimClock clock;
   const auto pinned = epc.map_region("pinned", 16 * m.page_size);
@@ -224,6 +230,12 @@ TEST(EpcTest, FullyPinnedEpcThrowsInsteadOfLooping) {
   epc.pin(pinned);
   const auto extra = epc.map_region("extra", m.page_size);
   EXPECT_THROW(epc.access_all(extra, false, clock), std::logic_error);
+  // The page loops publish their registry updates once per call, and the
+  // throwing call's fault before it throws.
+  EXPECT_EQ(epc.stats().faults, 17u);
+  EXPECT_EQ(faults.value() - faults_before, epc.stats().faults);
+  EXPECT_EQ(resident.value() - resident_before,
+            static_cast<std::int64_t>(epc.resident_pages()));
 }
 
 TEST(EpcTest, RegionCacheSurvivesInterleavingAndUnmap) {
